@@ -274,7 +274,10 @@ def exploitability(
     pure strategies); "exploiter" trains the population exploiter `runs`
     times and keeps the most damaging converged strategy; "auto" picks grid
     for A <= 3.  Always <= 0 in a symmetric zero-sum game since y = x
-    recovers the all-identical expectation 0.
+    recovers the all-identical expectation 0.  The exploiter is a local
+    learner and can stall where its sampled gains are flat (on sdg(200)
+    against x = B, every action gains -1 from the uniform start), so
+    y = x, at exactly 0, is always a candidate.
     """
     from .learners import ExploiterState, exploiter_current, exploiter_step
 
@@ -294,7 +297,7 @@ def exploitability(
         value, y = best(_refine_near(y, grid.resolution))
         return value, y
     if method == "exploiter":
-        best_val, best_y = np.inf, None
+        best_val, best_y = 0.0, xv.copy()
         root = np.random.SeedSequence(seed)
         for ss in root.spawn(runs):
             rng = np.random.default_rng(ss)

@@ -4,6 +4,11 @@ A match pits one schedule-driven learner against n-1 opponents who all draw
 from a common per-round meta-strategy.  The schedule fixes that sequence;
 the two hard schedules batch the horizon and flip a coin per batch, which
 is the construction that separates the adaptive learners from each other.
+
+Nothing in a match reacts to the learner's play, so `run_match` draws each
+role's randomness for the whole match up front and runs the learner's
+whole-match form.  Its transcripts are byte-identical to a round-by-round
+loop over the single-step learner API, which the tests keep as reference.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from .games import (
     SymmetricGame,
     as_strategy,
     payoff_vector,
-    realized_payoff_vector,
+    realized_payoff_vectors,
 )
-from .learners import LearnerFeedback, LearnerSpec, OnlineLearner
-from .sampling import counts_from_actions, role_rngs, sample_actions
+from .learners import LearnerSpec, clone_strategies, hedge_strategies, saol_strategies
+from .sampling import actions_from_uniforms, role_rngs
 
 
 class ScheduleError(ValueError):
@@ -154,6 +159,13 @@ def realize_schedule(
     raise TypeError(f"unknown schedule {schedule!r}")
 
 
+def _payoff_vectors_by_row(game: SymmetricGame, ys: np.ndarray) -> np.ndarray:
+    """payoff_vector of each row of a (T, A) schedule, once per distinct row
+    (payoff_vectors_batch would round differently)."""
+    distinct, row_of = np.unique(ys, axis=0, return_inverse=True)
+    return np.array([payoff_vector(game, y) for y in distinct]).reshape(-1, game.A)[row_of.reshape(-1)]
+
+
 @dataclass
 class Transcript:
     """Per-round record of a match; the substrate of every metric.
@@ -180,15 +192,9 @@ class Transcript:
 
     def verify_consistency(self, game: SymmetricGame) -> float:
         """Max deviation between stored expectations and a recomputation."""
-        worst = 0.0
-        seen: dict[bytes, np.ndarray] = {}
-        for t in range(self.T):
-            key = self.y_seq[t].tobytes()
-            if key not in seen:
-                seen[key] = payoff_vector(game, self.y_seq[t])
-            worst = max(worst, float(np.max(np.abs(seen[key] - self.u_vectors[t]))))
-            worst = max(worst, abs(float(self.strategies[t] @ self.u_vectors[t]) - float(self.expected[t])))
-        return worst
+        u_dev = np.abs(_payoff_vectors_by_row(game, self.y_seq) - self.u_vectors)
+        x_dev = np.abs(np.vecdot(self.strategies, self.u_vectors) - self.expected)
+        return float(max(u_dev.max(initial=0.0), x_dev.max(initial=0.0)))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -226,73 +232,49 @@ class Transcript:
 
 def run_match(
     game: SymmetricGame,
-    learner: LearnerSpec | OnlineLearner,
+    learner: LearnerSpec,
     schedule: Schedule,
     T: int,
     seed: int,
 ) -> Transcript:
     """Play T rounds of learner vs schedule.  Deterministic given the seed:
-    the schedule, learner, and opponents each own a spawned stream."""
-    rngs = role_rngs(seed)
-    if isinstance(learner, LearnerSpec):
-        learner = OnlineLearner(learner, game, horizon=T)
-    replay_actions = None
-    if isinstance(schedule, ReplaySchedule):
-        replay_actions = schedule.opponent_actions
-        if replay_actions.shape != (T, game.n - 1):
-            raise ScheduleError("replay opponent actions shape mismatch")
-    ys = realize_schedule(schedule, game, T, rngs["schedule"])
-
+    the schedule, learner, and opponents each own a spawned stream, and each
+    stream is read in the order a round-by-round match would read it."""
+    if learner.kind not in LearnerSpec.ARENA_KINDS:
+        raise ValueError(f"{learner.kind!r} is a self-driven learner, not a schedule opponent")
     A = game.A
-    strategies = np.empty((T, A))
-    actions = np.empty(T, dtype=np.int64)
-    opp_actions = np.empty((T, game.n - 1), dtype=np.int64)
-    realized = np.empty(T)
-    u_vectors = np.empty((T, A))
-    expected = np.empty(T)
+    rngs = role_rngs(seed)
+    ys = realize_schedule(schedule, game, T, rngs["schedule"])
+    if isinstance(schedule, ReplaySchedule):  # checked before any draw
+        opp_actions = schedule.opponent_actions.astype(np.int64)
+        if opp_actions.shape != (T, game.n - 1):
+            raise ScheduleError("replay opponent actions shape mismatch")
+        if np.any((opp_actions < 0) | (opp_actions >= A)):
+            raise ScheduleError(f"replay opponent action outside [0, {A})")
+    else:
+        opp_actions = actions_from_uniforms(ys, rngs["opponents"].random((T, game.n - 1)))
+    gains_raw = realized_payoff_vectors(game, opp_actions)
+    if learner.kind == "hedge":
+        strategies = hedge_strategies(gains_raw / game.scale, learner.eta, learner.rule)
+    elif learner.kind == "saol":
+        strategies = saol_strategies(gains_raw / game.scale, learner.horizon or T, learner.eta)
+    else:
+        strategies = clone_strategies(opp_actions[:, 0], A)
+    actions = actions_from_uniforms(strategies, rngs["learner"].random((T, 1)))[:, 0]
 
-    uvec_cache: dict[bytes, np.ndarray] = {}
-    for t in range(T):
-        y = ys[t]
-        key = y.tobytes()
-        if key not in uvec_cache:
-            uvec_cache[key] = payoff_vector(game, y)
-        x = learner.act()
-        a = sample_actions(rngs["learner"], x)
-        if replay_actions is not None:
-            opp = replay_actions[t]
-        else:
-            opp = sample_actions(rngs["opponents"], y, game.n - 1)
-        counts = counts_from_actions(opp, A)
-        gains_raw = realized_payoff_vector(game, counts)
-
-        strategies[t] = x
-        actions[t] = a
-        opp_actions[t] = opp
-        realized[t] = gains_raw[a]
-        u_vectors[t] = uvec_cache[key]
-        expected[t] = float(x @ uvec_cache[key])
-
-        feedback = LearnerFeedback(
-            round=t + 1,
-            opponent_actions=tuple(int(v) for v in opp),
-            opponent_counts=tuple(int(v) for v in counts),
-            own_action=int(a),
-        )
-        learner.observe(feedback, gains_raw / game.scale)
-
+    u_vectors = _payoff_vectors_by_row(game, ys)
     return Transcript(
         game.name,
-        learner.spec.describe(),
+        learner.describe(),
         schedule.describe(),
         seed,
         strategies,
         actions,
         opp_actions,
-        realized,
+        gains_raw[np.arange(T), actions],
         ys,
         u_vectors,
-        expected,
+        np.vecdot(strategies, u_vectors),
     )
 
 

@@ -216,6 +216,15 @@ def realized_payoff_vector(game: SymmetricGame, counts: Sequence[int]) -> np.nda
     return game.payoff_matrix()[:, idx].copy()
 
 
+def realized_payoff_vectors(game: SymmetricGame, actions: np.ndarray) -> np.ndarray:
+    """realized_payoff_vector for each row of opponent actions in [0, A):
+    (T, n-1) -> (T, A)."""
+    table = game.count_table()
+    # a row's count code, counts @ radix, is the sum of its actions' radix digits
+    codes = table.radix[actions].sum(axis=1)
+    return game.payoff_matrix().T[table.index_of[codes]]
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     passed: bool

@@ -6,7 +6,10 @@ normalized by the game's scale bound so their rate schedules keep their
 meaning on games whose payoffs exceed [-1, 1]; the self-play family and
 the exploiter consume raw payoffs, whose balance against the
 regularization term is part of their update formulas.  States are plain
-values; every step consumes a state and returns a fresh one.
+values; every step consumes a state and returns a fresh one.  The
+schedule-driven learners also have a whole-match form (`*_strategies`):
+given a match's (T, A) gains up front it returns every round's strategy,
+bytewise what stepping the single-round functions would play.
 """
 
 from __future__ import annotations
@@ -35,14 +38,24 @@ class RateSchedule:
             raise ValueError(f"unknown rate rule {self.rule!r}")
 
     def rate(self, t: int) -> float:
+        return float(self.rates(t))
+
+    def rates(self, t) -> np.ndarray:
+        """The rate at each round in t (an int or an int array)."""
         if self.rule == "fixed":
-            return self.eta
-        return self.eta * math.sqrt(math.log(self.num_actions) / t)
+            return np.full(np.shape(t), float(self.eta))
+        return self.eta * np.sqrt(math.log(self.num_actions) / np.asarray(t))
 
 
 def _softmax(log_weights: np.ndarray) -> np.ndarray:
     w = np.exp(log_weights - np.max(log_weights))
     return w / w.sum()
+
+
+def softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """_softmax applied to each row of a (R, A) array."""
+    w = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def hedge_update(x: np.ndarray, gains: np.ndarray, eta: float) -> np.ndarray:
@@ -87,6 +100,16 @@ def hedge_observe(state: HedgeState, gains: np.ndarray) -> HedgeState:
     return replace(state, log_weights=state.log_weights + eta_t * np.asarray(gains, dtype=float), t=t)
 
 
+def hedge_strategies(gains: np.ndarray, eta: float = 1.0, rule: str = "sqrt_decay") -> np.ndarray:
+    """Whole-match hedge: row t is hedge_act after hedge_observe on rows
+    0..t-1 of the (T, A) gains, as one running sum and a row softmax."""
+    T, A = gains.shape
+    eta_t = RateSchedule(eta, rule, A).rates(np.arange(1, T))
+    log_w = np.zeros((T, A))
+    np.cumsum(eta_t[:, None] * gains[:-1], axis=0, out=log_w[1:])
+    return softmax_rows(log_w)
+
+
 # ---------------------------------------------------------------------------
 # Strongly adaptive meta-learner over a geometric interval cover.
 # ---------------------------------------------------------------------------
@@ -109,74 +132,94 @@ def cover_intervals_starting_at(s: int, horizon: int) -> list[tuple[int, int]]:
 class SAOLState:
     """Meta-learner mixing interval-restarted hedges.
 
-    Each active dyadic interval owns a fresh hedge expert started at the
-    interval's first round; the meta weights follow a multiplicative update
-    on each expert's instantaneous regret against the mixture.
+    Row i holds the live hedge expert of the dyadic interval
+    [starts[i], ends[i]], started fresh at the interval's first round; the
+    meta weights follow a multiplicative update on each expert's
+    instantaneous regret against the mixture.  Rows keep survivors in order
+    and append new experts, which fixes the order the mixture sums them in.
     """
 
     horizon: int
-    num_actions: int
-    expert_eta: float
     t: int
-    experts: dict[tuple[int, int], HedgeState]
-    weights: dict[tuple[int, int], float]
+    expert_rates: RateSchedule
+    experts: np.ndarray  # (L, A) expert log-weights
+    weights: np.ndarray  # (L,) meta weights
+    rates: np.ndarray  # (L,) meta rates, min(1/2, 1/sqrt(interval length))
+    starts: np.ndarray  # (L,) first round of each expert's interval
+    ends: np.ndarray  # (L,) last round, truncated to the horizon
 
     @classmethod
     def fresh(cls, horizon: int, num_actions: int, expert_eta: float = 1.0) -> "SAOLState":
-        state = cls(horizon, num_actions, expert_eta, 1, {}, {})
-        _spawn(state, 1)
-        return state
+        floats, rounds = np.empty(0), np.empty(0, dtype=np.int64)
+        before = cls(horizon, 0, RateSchedule(expert_eta, "sqrt_decay", num_actions),
+                     np.empty((0, num_actions)), floats, floats, rounds, rounds)
+        return _advance(before, before.experts, before.weights, np.empty(0, dtype=bool))
 
 
-def _interval_rate(interval: tuple[int, int]) -> float:
-    length = interval[1] - interval[0] + 1
-    return min(0.5, 1.0 / math.sqrt(length))
+def _advance(state: SAOLState, experts: np.ndarray, weights: np.ndarray, keep: np.ndarray) -> SAOLState:
+    """The state of round t+1: the kept rows of the updated experts and
+    weights, then a fresh expert per cover interval starting at t+1."""
+    born = cover_intervals_starting_at(state.t + 1, state.horizon)
+    spans = np.array(born, dtype=np.int64).reshape(-1, 2)
+    rates = np.minimum(0.5, 1.0 / np.sqrt(spans[:, 1] - spans[:, 0] + 1))
+    return SAOLState(
+        state.horizon,
+        state.t + 1,
+        state.expert_rates,
+        np.concatenate([experts[keep], np.zeros((len(born), experts.shape[1]))]),
+        np.concatenate([weights[keep], rates]),
+        np.concatenate([state.rates[keep], rates]),
+        np.concatenate([state.starts[keep], spans[:, 0]]),
+        np.concatenate([state.ends[keep], spans[:, 1]]),
+    )
 
 
-def _spawn(state: SAOLState, start: int) -> None:
-    for interval in cover_intervals_starting_at(start, state.horizon):
-        state.experts[interval] = HedgeState.fresh(state.num_actions, state.expert_eta)
-        state.weights[interval] = _interval_rate(interval)
-
-
-def _saol_plays(state: SAOLState) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    intervals = list(state.experts)
-    lw = np.stack([state.experts[i].log_weights for i in intervals])
+def _saol_mixture(state: SAOLState) -> tuple[np.ndarray, np.ndarray]:
+    """Each expert's play and the meta-weighted mixture of them."""
+    lw = state.experts
     plays = np.exp(lw - lw.max(axis=1, keepdims=True))
     plays /= plays.sum(axis=1, keepdims=True)
-    w = np.array([state.weights[i] for i in intervals])
-    return intervals, plays, w
+    w = state.weights
+    return plays, (w @ plays) / w.sum()
 
 
 def saol_act(state: SAOLState) -> np.ndarray:
-    _, plays, w = _saol_plays(state)
-    return (w @ plays) / w.sum()
+    return _saol_mixture(state)[1]
+
+
+def _saol_step(state: SAOLState, gains: np.ndarray) -> tuple[np.ndarray, SAOLState]:
+    """The strategy played at round t and the state after its gains."""
+    if state.t > state.horizon:
+        raise ValueError(f"round {state.t} beyond horizon {state.horizon}")
+    plays, x_t = _saol_mixture(state)
+    r = plays @ gains - float(x_t @ gains)
+    # Keep the multiplicative factor strictly positive even at the clipping
+    # boundary; a tiny weight can still underflow to zero.
+    r = np.maximum(r, (1e-9 - 1.0) / state.rates)
+    new_w = state.weights * (1.0 + state.rates * r)
+    if not (new_w > 0.0).all():
+        raise FloatingPointError(f"meta weight underflowed to zero at round {state.t}")
+    # every expert is a hedge started at its interval's first round
+    eta = state.expert_rates.rates(state.t - state.starts + 1)
+    experts = state.experts + eta[:, None] * gains
+    return x_t, _advance(state, experts, new_w, state.ends > state.t)
 
 
 def saol_observe(state: SAOLState, gains: np.ndarray) -> SAOLState:
     """Feed one round of gains (in [-1, 1]) to every active interval expert
-    and reweight them by instantaneous regret against the mixture."""
-    if state.t > state.horizon:
-        raise ValueError(f"round {state.t} beyond horizon {state.horizon}")
-    gains = np.asarray(gains, dtype=float)
-    intervals, plays, w = _saol_plays(state)
-    x_t = (w @ plays) / w.sum()
-    rates = np.array([_interval_rate(i) for i in intervals])
-    r = plays @ gains - float(x_t @ gains)
-    # Keep the multiplicative factor strictly positive even at the clipping
-    # boundary so weights never hit zero.
-    r = np.maximum(r, (1e-9 - 1.0) / rates)
-    new_w = w * (1.0 + rates * r)
-    assert np.all(new_w > 0.0)
-    new_experts: dict[tuple[int, int], HedgeState] = {}
-    new_weights: dict[tuple[int, int], float] = {}
-    for k, interval in enumerate(intervals):
-        if interval[1] > state.t:  # intervals ending now retire
-            new_experts[interval] = hedge_observe(state.experts[interval], gains)
-            new_weights[interval] = float(new_w[k])
-    out = SAOLState(state.horizon, state.num_actions, state.expert_eta, state.t + 1, new_experts, new_weights)
-    if out.t <= out.horizon:
-        _spawn(out, out.t)
+    and reweight them by instantaneous regret against the mixture; intervals
+    ending this round retire."""
+    return _saol_step(state, np.asarray(gains, dtype=float))[1]
+
+
+def saol_strategies(gains: np.ndarray, horizon: int, eta: float = 1.0) -> np.ndarray:
+    """Whole-match SAOL: row t is saol_act after saol_observe on rows
+    0..t-1 of the (T, A) gains."""
+    T, A = gains.shape
+    state = SAOLState.fresh(horizon, A, eta)
+    out = np.empty((T, A))
+    for t in range(T):
+        out[t], state = _saol_step(state, gains[t])
     return out
 
 
@@ -207,6 +250,16 @@ def clone_act(state: CloneState, rng: np.random.Generator) -> int:
 
 def clone_observe(state: CloneState, second_player_action: int) -> CloneState:
     return CloneState(state.num_actions, int(second_player_action))
+
+
+def clone_strategies(second_player_actions: np.ndarray, num_actions: int) -> np.ndarray:
+    """Whole-match cloning: uniform in row 0, then a point mass on the
+    previous round's action of the second player."""
+    T = len(second_player_actions)
+    x = np.zeros((T, num_actions))
+    x[:1] = 1.0 / num_actions
+    x[np.arange(1, T), second_player_actions[:-1]] = 1.0
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +392,8 @@ def exploiter_step(
 
 
 # ---------------------------------------------------------------------------
-# Arena-facing wrappers: a uniform act/observe interface over the
-# schedule-driven learners (hedge, the adaptive meta-learner, cloning).
+# The arena's view of a learner.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LearnerFeedback:
-    """What the learner sees after a round: the opponents' realized actions
-    (ordered, with player 2 first), their counts, and its own action."""
-
-    round: int
-    opponent_actions: tuple[int, ...]
-    opponent_counts: tuple[int, ...]
-    own_action: int
-
 
 @dataclass
 class LearnerSpec:
@@ -374,34 +415,3 @@ class LearnerSpec:
         if self.kind == "sp_bc_reg":
             bits.append(f"lam={self.lam:g}")
         return " ".join(bits)
-
-
-class OnlineLearner:
-    """Mutable shell around the functional learner states, for match loops."""
-
-    def __init__(self, spec: LearnerSpec, game: SymmetricGame, horizon: int):
-        self.spec = spec
-        self.game = game
-        if spec.kind == "hedge":
-            self._state = HedgeState.fresh(game.A, spec.eta, spec.rule)
-        elif spec.kind == "saol":
-            self._state = SAOLState.fresh(spec.horizon or horizon, game.A, spec.eta)
-        elif spec.kind == "clone":
-            self._state = CloneState(game.A)
-        else:
-            raise ValueError(f"{spec.kind!r} is a self-driven learner, not a schedule opponent")
-
-    def act(self) -> np.ndarray:
-        if self.spec.kind == "hedge":
-            return hedge_act(self._state)
-        if self.spec.kind == "saol":
-            return saol_act(self._state)
-        return clone_strategy(self._state)
-
-    def observe(self, feedback: LearnerFeedback, gains: np.ndarray) -> None:
-        if self.spec.kind == "hedge":
-            self._state = hedge_observe(self._state, gains)
-        elif self.spec.kind == "saol":
-            self._state = saol_observe(self._state, gains)
-        else:
-            self._state = clone_observe(self._state, feedback.opponent_actions[0])

@@ -4,9 +4,11 @@ evaluation, lower-bound sweeps, and the scaling fit.
 The table experiments need hundreds of seeded training runs, so the
 trainers here are vectorized across runs: every run advances in lockstep,
 one numpy Generator drives the whole batch, and a (runs, A) state array
-replaces the per-run learner state.  The sequential match loop in
-`arena.run_match` remains the reference semantics; the batch trainers
-implement the same update rules and are cross-checked against it in tests.
+replaces the per-run learner state.  The reference semantics are the
+single-step rules in `learners` (hedge_observe, self_play_step,
+exploiter_step); the batch trainers implement the same rules, and the
+tests replay those rules round by round to cross-check each trainer, as
+they do for the whole-match forms behind `arena.run_match`.
 """
 
 from __future__ import annotations
@@ -20,15 +22,9 @@ import numpy as np
 from .analysis import exploitability, monte_carlo_utility
 from .arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_match
 from .games import SymmetricGame, expected_payoff_mixed
-from .learners import LearnerSpec, RateSchedule
+from .learners import LearnerSpec, RateSchedule, softmax_rows
 
 CONVERGENCE_THRESHOLD = 0.99
-
-
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    return w / w.sum(axis=1, keepdims=True)
 
 
 def _gains_table(game: SymmetricGame, normalize: bool) -> np.ndarray:
@@ -60,8 +56,7 @@ def batch_hedge_vs_fixed(
     cdf = np.minimum(np.cumsum(weights), 1.0)
     cdf[-1] = 1.0
     gains = _gains_table(game, normalize=True)
-    sched = RateSchedule(eta, rule, game.A)
-    eta_t = np.array([sched.rate(t) for t in range(1, T + 1)])
+    eta_t = RateSchedule(eta, rule, game.A).rates(np.arange(1, T + 1))
     log_w = np.zeros((runs, game.A))
     chunk = max(1, 2_000_000 // max(runs, 1))
     for start in range(0, T, chunk):
@@ -69,7 +64,7 @@ def batch_hedge_vs_fixed(
         u = rng.random((stop - start, runs))
         idx = np.searchsorted(cdf, u, side="right").clip(0, len(weights) - 1)
         log_w += np.einsum("t,tra->ra", eta_t[start:stop], gains[idx], optimize=True)
-    return _softmax_rows(log_w)
+    return softmax_rows(log_w)
 
 
 def batch_self_play(
@@ -98,7 +93,7 @@ def batch_self_play(
             raise ValueError("bc-initialized self-play needs a strictly positive meta-strategy")
         log_x0 = np.log(y_meta)
     log_y = np.log(y_meta) if mode == "regularized" else None
-    sched = RateSchedule(eta, rule, A)
+    eta_by_step = RateSchedule(eta, rule, A).rates(np.arange(1, T + 1))
     table = game.count_table()
     gains = _gains_table(game, normalize=False)
 
@@ -108,16 +103,16 @@ def batch_self_play(
         score = log_x0[None, :] + cum_gain
         if mode == "regularized":
             score = (score + lam * cum_eta * log_y[None, :]) / (1.0 + lam * cum_eta)
-        x = _softmax_rows(score)
+        x = softmax_rows(score)
         counts = rng.multinomial(game.n - 1, x)
         idx = table.index_of[counts @ table.radix]
-        eta_t = sched.rate(t)
+        eta_t = eta_by_step[t - 1]
         cum_gain += eta_t * gains[idx]
         cum_eta += eta_t
     score = log_x0[None, :] + cum_gain
     if mode == "regularized":
         score = (score + lam * cum_eta * log_y[None, :]) / (1.0 + lam * cum_eta)
-    return _softmax_rows(score)
+    return softmax_rows(score)
 
 
 def batch_exploiter(
@@ -134,7 +129,7 @@ def batch_exploiter(
     table = game.count_table()
     mat = game.payoff_matrix()
     radix = table.radix
-    sched = RateSchedule(eta, rule, A)
+    eta_by_step = RateSchedule(eta, rule, A).rates(np.arange(1, T + 1))
     target = np.asarray(target, dtype=float)
     tcdf = np.minimum(np.cumsum(target), 1.0)
     tcdf[-1] = 1.0
@@ -142,7 +137,7 @@ def batch_exploiter(
 
     log_w = np.zeros((runs, A))
     for t in range(1, T + 1):
-        x = _softmax_rows(log_w)
+        x = softmax_rows(log_w)
         a1 = np.searchsorted(tcdf, rng.random(runs), side="right").clip(0, A - 1)
         counts = rng.multinomial(game.n - 1, x)
         codes = counts @ radix
@@ -157,8 +152,8 @@ def batch_exploiter(
                 vals = mat[a1, table.index_of[swapped]]
                 gains[:, a] -= np.where(live, cb * vals, 0.0)
         gains /= game.n - 1
-        log_w += sched.rate(t) * gains
-    return _softmax_rows(log_w)
+        log_w += eta_by_step[t - 1] * gains
+    return softmax_rows(log_w)
 
 
 def classify(finals: np.ndarray, threshold: float = CONVERGENCE_THRESHOLD) -> np.ndarray:

@@ -32,18 +32,19 @@ def sample_actions(rng: np.random.Generator, probs: np.ndarray, size: int | None
     return np.searchsorted(cdf, u, side="right").clip(0, len(probs) - 1)
 
 
-def sample_actions_rows(rng: np.random.Generator, probs_rows: np.ndarray, draws: int) -> np.ndarray:
-    """Vectorized inverse-CDF sampling, one row of probabilities per run.
+def actions_from_uniforms(probs_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sample_actions for many rounds at once, from uniforms drawn up front.
 
-    probs_rows: (R, A); returns (R, draws) int action indices.
+    Entry u[t, j] is read against the clamped CDF of probs_rows[t];
+    (T, A), (T, m) -> (T, m) int action indices.
     """
     cdf = np.minimum(np.cumsum(probs_rows, axis=1), 1.0)
     cdf[:, -1] = 1.0
-    u = rng.random((probs_rows.shape[0], draws))
-    idx = np.empty_like(u, dtype=np.int64)
-    for r in range(probs_rows.shape[0]):
-        idx[r] = np.searchsorted(cdf[r], u[r], side="right")
-    return idx.clip(0, probs_rows.shape[1] - 1)
+    # the right-sided search counts the CDF entries <= u; the last is 1 > u
+    actions = np.zeros(u.shape, dtype=np.int64)
+    for a in range(probs_rows.shape[1] - 1):
+        actions += u >= cdf[:, a, None]
+    return actions
 
 
 def counts_from_actions(actions: np.ndarray, num_actions: int) -> np.ndarray:

@@ -191,6 +191,14 @@ def test_exploiter_value_never_beats_grid():
     assert value_grid <= value_exp + 1e-9
 
 
+def test_exploiter_value_is_never_positive_on_a_flat_start():
+    # on sdg(200) against x = B the uniform exploiter's sampled gains are all
+    # -1, so it never moves; the candidate y = x still bounds the value by 0
+    value, worst = exploitability(eq.sdg(200), [0, 1, 0], method="exploiter", runs=2, steps=300, seed=0)
+    assert value <= 0.0
+    assert worst.shape == (3,) and abs(worst.sum() - 1.0) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Population pooling bound.
 # ---------------------------------------------------------------------------

@@ -22,7 +22,20 @@ from equalshare.arena import (
     u_average,
     variation_budget,
 )
-from equalshare.learners import LearnerSpec
+from equalshare.games import realized_payoff_vector
+from equalshare.learners import (
+    CloneState,
+    HedgeState,
+    LearnerSpec,
+    SAOLState,
+    clone_observe,
+    clone_strategy,
+    hedge_act,
+    hedge_observe,
+    saol_act,
+    saol_observe,
+)
+from equalshare.sampling import counts_from_actions, role_rngs, sample_actions
 
 
 def rng_for(seed):
@@ -120,6 +133,81 @@ def test_run_match_reproducible_bit_for_bit():
     np.testing.assert_array_equal(a.realized, b.realized)
     c = run_match(g, spec, FixedSchedule((0.49, 0.51)), 200, seed=43)
     assert not np.array_equal(a.actions, c.actions)
+
+
+def reference_match(game, spec, schedule, T, seed):
+    """run_match as a round-by-round loop over the single-step learner API."""
+    rngs = role_rngs(seed)
+    if spec.kind == "hedge":
+        state = HedgeState.fresh(game.A, spec.eta, spec.rule)
+        act, observe = hedge_act, lambda st, opp, g: hedge_observe(st, g)
+    elif spec.kind == "saol":
+        state = SAOLState.fresh(spec.horizon or T, game.A, spec.eta)
+        act, observe = saol_act, lambda st, opp, g: saol_observe(st, g)
+    else:
+        state = CloneState(game.A)
+        act, observe = clone_strategy, lambda st, opp, g: clone_observe(st, opp[0])
+    ys = realize_schedule(schedule, game, T, rngs["schedule"])
+    fields = {k: [] for k in ("strategies", "actions", "opponent_actions", "realized", "u_vectors", "expected")}
+    for t in range(T):
+        x = act(state)
+        a = sample_actions(rngs["learner"], x)
+        if isinstance(schedule, ReplaySchedule):
+            opp = schedule.opponent_actions[t]
+        else:
+            opp = sample_actions(rngs["opponents"], ys[t], game.n - 1)
+        gains_raw = realized_payoff_vector(game, counts_from_actions(opp, game.A))
+        u = eq.payoff_vector(game, ys[t])
+        for k, v in zip(fields, (x, a, opp, gains_raw[a], u, float(x @ u))):
+            fields[k].append(v)
+        state = observe(state, opp, gains_raw / game.scale)
+    out = {k: np.array(v) for k, v in fields.items()}
+    out["actions"] = out["actions"].astype(np.int64)
+    out["opponent_actions"] = out["opponent_actions"].astype(np.int64)
+    out["y_seq"] = ys
+    return out
+
+
+def _replay_schedule(T):
+    g = eq.extended_majority(3, 2)
+    return replay_of(run_match(g, LearnerSpec("clone"), BiasedCoinSchedule(8.0, T), T, seed=99))
+
+
+@pytest.mark.parametrize("T", [257, 1024])
+@pytest.mark.parametrize("kind", ["hedge", "saol", "clone"])
+def test_run_match_is_byte_identical_to_the_reference_loop(kind, T):
+    em, sdg30 = eq.extended_majority(3, 2), eq.sdg(30)
+    cases = [
+        (em, LearnerSpec(kind, horizon=T), PureSwapSchedule(32.0, T)),
+        (em, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(8.0, T)),
+        (sdg30, LearnerSpec(kind, eta=2.0), FixedSchedule((0.399, 0.6, 0.001))),
+        (em, LearnerSpec(kind), _replay_schedule(T)),
+    ]
+    for game, spec, schedule in cases:
+        for seed in range(3):
+            tr = run_match(game, spec, schedule, T, seed)
+            ref = reference_match(game, spec, schedule, T, seed)
+            for name, want in ref.items():
+                got = getattr(tr, name)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), (name, schedule.describe(), seed)
+
+
+def test_run_match_rejects_non_arena_learners_and_short_saol_horizons():
+    g = eq.majority3()
+    with pytest.raises(ValueError, match="self-driven"):
+        run_match(g, LearnerSpec("sp_scratch"), FixedSchedule((0.5, 0.5)), 10, seed=0)
+    with pytest.raises(ValueError, match="beyond horizon"):
+        run_match(g, LearnerSpec("saol", horizon=5), FixedSchedule((0.5, 0.5)), 10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_replay_rejects_out_of_range_actions_up_front(bad):
+    g = eq.majority3()
+    replay = replay_of(run_match(g, LearnerSpec("hedge"), FixedSchedule((0.5, 0.5)), 16, seed=0))
+    replay.opponent_actions[5, 1] = bad
+    with pytest.raises(ScheduleError, match="outside"):
+        run_match(g, LearnerSpec("hedge"), replay, 16, seed=0)
 
 
 def test_transcript_consistency_and_csv():

@@ -48,6 +48,14 @@ def test_rate_schedule():
         RateSchedule(1.0, "linear")
 
 
+def test_rate_schedule_array_form_is_bitwise_the_scalar_formula():
+    t = np.arange(1, 5000)
+    for eta, A in ((1.0, 2), (2.0, 3), (0.7, 5), (3, 4)):
+        want = [eta * math.sqrt(math.log(A) / int(k)) for k in t]
+        np.testing.assert_array_equal(RateSchedule(eta, "sqrt_decay", A).rates(t), want)
+    np.testing.assert_array_equal(RateSchedule(0.3, "fixed", 2).rates(t), np.full(len(t), 0.3))
+
+
 def test_hedge_update_uniform_gains_are_identity():
     for c in (-3.0, 0.0, 7.5):
         np.testing.assert_allclose(hedge_update([0.5, 0.5], [c, c], 1.0), [0.5, 0.5])
@@ -161,7 +169,7 @@ def test_saol_active_interval_count():
     state = SAOLState.fresh(1 << 20, 2)
     for t in range(1, 65):
         assert len(state.experts) == math.floor(math.log2(t)) + 1
-        for (s, e) in state.experts:
+        for s, e in zip(state.starts, state.ends):
             assert s <= t <= e
         state = saol_observe(state, np.array([0.1, -0.1]))
     tail = SAOLState.fresh(64, 2)
@@ -182,8 +190,9 @@ def test_saol_mixture_of_identical_experts_is_the_expert():
     g = np.array([0.5, -0.5])
     state = saol_observe(state, g)
     # round 2: experts [2,2] and [2,3] are fresh, [1,?] retired at t=1 end
-    plays = [hedge_act(e) for e in state.experts.values()]
-    fresh = [p for (s, _), p in zip(state.experts, plays) if s == 2]
+    plays = [hedge_act(HedgeState(lw, 0, state.expert_rates)) for lw in state.experts]
+    fresh = [p for s, p in zip(state.starts, plays) if s == 2]
+    assert len(fresh) == 2
     for p in fresh:
         np.testing.assert_allclose(p, [0.5, 0.5])
 
@@ -193,8 +202,22 @@ def test_saol_weights_stay_positive_under_adversarial_gains():
     rng = np.random.default_rng(4)
     for _ in range(256):
         g = rng.choice([-1.0, 1.0], size=2)
-        state = saol_observe(state, g)  # internal assert guards positivity
-        assert all(w > 0 for w in state.weights.values())
+        state = saol_observe(state, g)  # raises FloatingPointError on a zero weight
+        assert np.all(state.weights > 0)
+
+
+def test_saol_raises_when_a_meta_weight_underflows():
+    # two opposed experts, one with a meta weight at the bottom of the
+    # subnormal range: its clipped factor (about 1e-9) rounds it to zero
+    state = saol_observe(SAOLState.fresh(8, 2), np.zeros(2))
+    assert len(state.experts) == 2
+    state = dataclasses.replace(
+        state,
+        experts=np.array([[0.0, -50.0], [-50.0, 0.0]]),
+        weights=np.array([1.0, 5e-324]),
+    )
+    with pytest.raises(FloatingPointError):
+        saol_observe(state, np.array([1.0, -1.0]))
 
 
 def test_saol_rejects_rounds_beyond_horizon():

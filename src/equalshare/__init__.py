@@ -28,7 +28,6 @@ from .learners import (
     LearnerSpec,
     RateSchedule,
     SAOLState,
-    SelfPlayState,
     clone_act,
     clone_observe,
     exploiter_step,
@@ -37,8 +36,6 @@ from .learners import (
     hedge_update,
     saol_act,
     saol_observe,
-    self_play_reg_step,
-    self_play_step,
 )
 from .arena import (
     FixedSchedule,

@@ -26,6 +26,7 @@ from .games import (
     payoff_vector,
     payoff_vectors_batch,
 )
+from .learners import batch_exploiter
 from .sampling import sample_actions
 
 
@@ -266,21 +267,21 @@ def exploitability(
     runs: int = 100,
     steps: int = 10_000,
     eta: float = 1.0,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
 ) -> tuple[float, np.ndarray]:
     """min over meta-strategies y of the payoff of x against y^(n-1).
 
     Method "grid" scans a simplex grid with one refinement pass (exact at
-    pure strategies); "exploiter" trains the population exploiter `runs`
-    times and keeps the most damaging converged strategy; "auto" picks grid
-    for A <= 3.  Always <= 0 in a symmetric zero-sum game since y = x
+    pure strategies); "exploiter" is the exploiter protocol: one
+    `learners.batch_exploiter` call of `runs` runs x `steps` steps against
+    x, driven by `np.random.default_rng(seed)` (seed an int or a
+    SeedSequence), keeping the most damaging final strategy; "auto" picks
+    grid for A <= 3.  Always <= 0 in a symmetric zero-sum game since y = x
     recovers the all-identical expectation 0.  The exploiter is a local
     learner and can stall where its sampled gains are flat (on sdg(200)
     against x = B, every action gains -1 from the uniform start), so
     y = x, at exactly 0, is always a candidate.
     """
-    from .learners import ExploiterState, exploiter_current, exploiter_step
-
     xv = as_strategy(x, game.A)
     if method == "auto":
         method = "grid" if game.A <= 3 else "exploiter"
@@ -298,13 +299,7 @@ def exploitability(
         return value, y
     if method == "exploiter":
         best_val, best_y = 0.0, xv.copy()
-        root = np.random.SeedSequence(seed)
-        for ss in root.spawn(runs):
-            rng = np.random.default_rng(ss)
-            state = ExploiterState.fresh(game, xv, eta=eta)
-            for _ in range(steps):
-                state, _ = exploiter_step(state, game, rng)
-            y = exploiter_current(state)
+        for y in batch_exploiter(game, xv, steps, runs, eta, np.random.default_rng(seed)):
             val = expected_payoff_mixed(game, xv, y)
             if val < best_val:
                 best_val, best_y = val, y

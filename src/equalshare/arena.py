@@ -240,8 +240,6 @@ def run_match(
     """Play T rounds of learner vs schedule.  Deterministic given the seed:
     the schedule, learner, and opponents each own a spawned stream, and each
     stream is read in the order a round-by-round match would read it."""
-    if learner.kind not in LearnerSpec.ARENA_KINDS:
-        raise ValueError(f"{learner.kind!r} is a self-driven learner, not a schedule opponent")
     A = game.A
     rngs = role_rngs(seed)
     ys = realize_schedule(schedule, game, T, rngs["schedule"])

@@ -4,11 +4,10 @@ A config is a JSON object:
 
     {
       "game": {"name": "majority3"} | {"name": "sdg", "n": 30} | {"custom": ...},
-      "learner": {"kind": "hedge", "eta": 1.0, "rule": "sqrt_decay"},
+      "learner": {"kind": "hedge" | "saol" | "clone", "eta": 1.0, "rule": "sqrt_decay"},
       "schedule": {"kind": "fixed", "y": [0.49, 0.51]},
       "T": 10000,
       "seeds": [0, 1, 2] | {"count": 10, "base": 0},
-      "evaluation": {"num_games": 300000, "exploit_runs": 100},
       "out": "results/"
     }
 
@@ -19,7 +18,7 @@ reports the full list at once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arena import Schedule, schedule_from_json
 from .games import SymmetricGame, game_from_json
@@ -39,7 +38,6 @@ class ExperimentConfig:
     schedule: Schedule
     T: int
     seeds: list[int]
-    evaluation: dict = field(default_factory=dict)
     out: str = "."
 
 
@@ -65,7 +63,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 kind,
                 eta=float(spec.pop("eta", 1.0)),
                 rule=spec.pop("rule", "sqrt_decay"),
-                lam=float(spec.pop("lambda", spec.pop("lam", 0.0))),
                 horizon=spec.pop("horizon", None),
             )
             if spec:
@@ -73,13 +70,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
         except Exception as exc:
             problems.append(f"learner: {exc}")
 
-    if "schedule" in doc:
+    if "schedule" not in doc:
+        problems.append("missing 'schedule'")
+    else:
         try:
             schedule = schedule_from_json(doc["schedule"])
         except Exception as exc:
             problems.append(f"schedule: {exc}")
-    elif learner is not None and learner.kind in LearnerSpec.ARENA_KINDS:
-        problems.append("missing 'schedule' (required for schedule-driven learners)")
 
     T = doc.get("T")
     if not isinstance(T, int) or T < 1:
@@ -95,14 +92,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     else:
         problems.append(f"seeds must be a non-empty list of ints or {{count, base}}, got {seeds_doc!r}")
 
-    evaluation = doc.get("evaluation", {})
-    if not isinstance(evaluation, dict):
-        problems.append("evaluation must be an object")
-        evaluation = {}
-
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(game, learner, schedule, T, seeds, evaluation, doc.get("out", "."))
+    return ExperimentConfig(game, learner, schedule, T, seeds, doc.get("out", "."))
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -1,15 +1,20 @@
-"""Online learners and self-play baselines.
+"""Online learners, self-play baselines and the exploiter.
 
 All learners speak gains (payoffs), not losses.  The schedule-driven
 learners (hedge, the adaptive meta-learner, cloning) receive payoffs
 normalized by the game's scale bound so their rate schedules keep their
 meaning on games whose payoffs exceed [-1, 1]; the self-play family and
 the exploiter consume raw payoffs, whose balance against the
-regularization term is part of their update formulas.  States are plain
-values; every step consumes a state and returns a fresh one.  The
-schedule-driven learners also have a whole-match form (`*_strategies`):
-given a match's (T, A) gains up front it returns every round's strategy,
-bytewise what stepping the single-round functions would play.
+regularization term is part of their update formulas.
+
+The schedule-driven learners have single-step forms, whose states are plain
+values (every step consumes a state and returns a fresh one), and a
+whole-match form (`*_strategies`): given a match's (T, A) gains up front it
+returns every round's strategy, bytewise what stepping the single-round
+functions would play.  Self-play, hedge against a fixed meta-strategy and
+the exploiter have one implementation each, the batched trainers
+(`batch_*`), which advance many runs in lockstep; runs=1 is the sequential
+case.  `exploiter_step` steps one exploiter run with the batched rule.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .games import SymmetricGame, realized_payoff_vector
-from .sampling import counts_from_actions, sample_actions
+from .games import SymmetricGame
+from .sampling import sample_actions
 
 
 @dataclass(frozen=True)
@@ -263,98 +268,159 @@ def clone_strategies(second_player_actions: np.ndarray, num_actions: int) -> np.
 
 
 # ---------------------------------------------------------------------------
-# Self-play baselines and the exploiter.
+# Batched trainers: hedge against a fixed meta-strategy, the self-play
+# baselines, and the exploiter.  One numpy Generator drives all runs.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SelfPlayState:
-    """Self-play accumulator.
+def _gains_table(game: SymmetricGame, normalize: bool) -> np.ndarray:
+    """(K, A) realized per-action payoffs for each opponent count vector;
+    normalized by the game's scale for schedule-driven learners, raw for
+    the self-play family."""
+    mat = game.payoff_matrix().T
+    return mat / game.scale if normalize else mat.copy()
 
-    Maintains cum_gain = sum_t eta_t * g_t and cum_eta = sum_t eta_t; the
-    current strategy is a normalized exponential of
+
+def batch_hedge_vs_fixed(
+    game: SymmetricGame,
+    y: np.ndarray,
+    T: int,
+    runs: int,
+    eta: float,
+    rng: np.random.Generator,
+    rule: str = "sqrt_decay",
+) -> np.ndarray:
+    """Final strategies of `runs` independent hedge runs against opponents
+    i.i.d. from a fixed meta-strategy.  Fully vectorized: the opponent count
+    vector of every round is drawn from its exact multinomial law."""
+    table = game.count_table()
+    weights = table.weights(np.asarray(y, dtype=float))
+    cdf = np.minimum(np.cumsum(weights), 1.0)
+    cdf[-1] = 1.0
+    gains = _gains_table(game, normalize=True)
+    eta_t = RateSchedule(eta, rule, game.A).rates(np.arange(1, T + 1))
+    log_w = np.zeros((runs, game.A))
+    chunk = max(1, 2_000_000 // max(runs, 1))
+    for start in range(0, T, chunk):
+        stop = min(start + chunk, T)
+        u = rng.random((stop - start, runs))
+        idx = np.searchsorted(cdf, u, side="right").clip(0, len(weights) - 1)
+        log_w += np.einsum("t,tra->ra", eta_t[start:stop], gains[idx], optimize=True)
+    return softmax_rows(log_w)
+
+
+def batch_self_play(
+    game: SymmetricGame,
+    T: int,
+    runs: int,
+    eta: float,
+    rng: np.random.Generator,
+    mode: str = "scratch",
+    lam: float = 0.0,
+    y_meta: np.ndarray | None = None,
+    rule: str = "sqrt_decay",
+) -> np.ndarray:
+    """Final strategies of `runs` self-play runs advanced in lockstep.
+
+    Each run samples its n-1 opponents from its own current strategy and
+    takes an exponential-weights step on the realized per-action payoffs.
+    With cum_gain = sum_t eta_t * g_t and cum_eta = sum_t eta_t, a run's
+    strategy is the normalized exponential of
 
         (log x0 + cum_gain + lam * cum_eta * log y_meta) / (1 + lam * cum_eta)
 
-    which reduces to plain hedge-from-x0 when lam = 0.
+    where x0 is uniform for mode "scratch" and y_meta for "bc_init" and
+    "regularized", and lam acts only in "regularized" (lam = 0 is
+    "bc_init").  The arguments are checked before any draw.
     """
+    if mode not in ("scratch", "bc_init", "regularized"):
+        raise ValueError(f"unknown self-play mode {mode!r}")
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    A = game.A
+    log_x0 = np.zeros(A)
+    if mode != "scratch":
+        if y_meta is None:
+            raise ValueError(f"mode {mode!r} needs the opponents' meta-strategy")
+        y_meta = np.asarray(y_meta, dtype=float)
+        if np.any(y_meta <= 0):
+            raise ValueError(f"{mode} takes log of the meta-strategy; entries must be positive")
+        log_x0 = np.log(y_meta)
+    eta_by_step = RateSchedule(eta, rule, A).rates(np.arange(1, T + 1))
+    table = game.count_table()
+    gains = _gains_table(game, normalize=False)
 
-    mode: str  # "scratch" | "bc_init" | "regularized"
-    schedule: RateSchedule
-    log_x0: np.ndarray
-    cum_gain: np.ndarray
-    cum_eta: float
-    step: int
-    lam: float = 0.0
-    log_y_meta: np.ndarray | None = None
+    def strategies(cum_gain: np.ndarray, cum_eta: float) -> np.ndarray:
+        score = log_x0 + cum_gain
+        if mode == "regularized":
+            score = (score + lam * cum_eta * log_x0) / (1.0 + lam * cum_eta)
+        return softmax_rows(score)
 
-    @classmethod
-    def fresh(
-        cls,
-        game: SymmetricGame,
-        mode: str = "scratch",
-        eta: float = 1.0,
-        lam: float = 0.0,
-        y_meta: np.ndarray | None = None,
-        rule: str = "sqrt_decay",
-    ) -> "SelfPlayState":
-        A = game.A
-        if mode == "scratch":
-            log_x0, log_y = np.zeros(A), None
-        elif mode in ("bc_init", "regularized"):
-            if y_meta is None:
-                raise ValueError(f"mode {mode!r} needs the opponents' meta-strategy")
-            y_meta = np.asarray(y_meta, dtype=float)
-            if np.any(y_meta <= 0):
-                raise ValueError(f"{mode} takes log of the meta-strategy; entries must be positive")
-            log_x0 = np.log(y_meta)
-            log_y = np.log(y_meta) if mode == "regularized" else None
-        else:
-            raise ValueError(f"unknown self-play mode {mode!r}")
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
-        return cls(mode, RateSchedule(eta, rule, A), log_x0, np.zeros(A), 0.0, 0, lam, log_y)
+    cum_gain = np.zeros((runs, A))
+    cum_eta = 0.0
+    for eta_t in eta_by_step:
+        counts = rng.multinomial(game.n - 1, strategies(cum_gain, cum_eta))
+        idx = table.index_of[counts @ table.radix]
+        cum_gain += eta_t * gains[idx]
+        cum_eta += eta_t
+    return strategies(cum_gain, cum_eta)
 
 
-def self_play_current(state: SelfPlayState) -> np.ndarray:
-    score = state.log_x0 + state.cum_gain
-    if state.mode == "regularized":
-        score = (score + state.lam * state.cum_eta * state.log_y_meta) / (1.0 + state.lam * state.cum_eta)
-    return _softmax(score)
+def exploiter_gains(game: SymmetricGame, a1: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The exploiter's gains, one row per run: (runs,) target actions a1 and
+    (runs, A) opponent counts -> (runs, A).  Gain of action a is the negated
+    average, over the n-1 opponent seats, of the target's payoff when that
+    seat switches to a."""
+    A = game.A
+    table = game.count_table()
+    mat = game.payoff_matrix()
+    radix = table.radix
+    cap = len(table.index_of) - 1
+    codes = counts @ radix
+    gains = np.zeros((len(counts), A))
+    for b in range(A):
+        cb = counts[:, b, None]
+        live = cb > 0
+        if not live.any():
+            continue
+        # column a: the counts after one seat playing b switches to a
+        swapped = np.minimum(np.maximum((codes - radix[b])[:, None] + radix, 0), cap)
+        vals = mat[a1[:, None], table.index_of[swapped]]
+        gains -= np.where(live, cb * vals, 0.0)
+    gains /= game.n - 1
+    return gains
 
 
-def self_play_step(
-    state: SelfPlayState, game: SymmetricGame, rng: np.random.Generator
-) -> tuple[SelfPlayState, np.ndarray]:
-    """Sample n-1 opponents from the current strategy, observe the realized
-    per-action payoffs, advance one exponential-weights step."""
-    x_prev = self_play_current(state)
-    actions = sample_actions(rng, x_prev, game.n - 1)
-    counts = counts_from_actions(actions, game.A)
-    gains = realized_payoff_vector(game, counts)
-    t = state.step + 1
-    eta_t = state.schedule.rate(t)
-    new = replace(state, cum_gain=state.cum_gain + eta_t * gains, cum_eta=state.cum_eta + eta_t, step=t)
-    return new, self_play_current(new)
+def batch_exploiter(
+    game: SymmetricGame,
+    target: np.ndarray,
+    T: int,
+    runs: int,
+    eta: float,
+    rng: np.random.Generator,
+    rule: str = "sqrt_decay",
+) -> np.ndarray:
+    """Final strategies of `runs` exploiter runs against a fixed target.
 
-
-def self_play_reg_step(
-    state: SelfPlayState, game: SymmetricGame, rng: np.random.Generator
-) -> tuple[SelfPlayState, np.ndarray]:
-    """Regularized variant; identical bookkeeping, the regularizer only
-    changes how the current strategy is read out."""
-    if state.mode != "regularized":
-        raise ValueError("state was not built with mode='regularized'")
-    return self_play_step(state, game, rng)
+    The exploiter is one mixed strategy shared by all n-1 opponents.  Each
+    round every run draws the target's action, then its opponents' counts
+    from its current strategy, and takes a hedge step on exploiter_gains.
+    """
+    target = np.asarray(target, dtype=float)
+    eta_by_step = RateSchedule(eta, rule, game.A).rates(np.arange(1, T + 1))
+    log_w = np.zeros((runs, game.A))
+    for eta_t in eta_by_step:
+        x = softmax_rows(log_w)
+        a1 = sample_actions(rng, target, runs)
+        counts = rng.multinomial(game.n - 1, x)
+        log_w += eta_t * exploiter_gains(game, a1, counts)
+    return softmax_rows(log_w)
 
 
 @dataclass(frozen=True)
 class ExploiterState:
-    """Population learner that minimizes a fixed target strategy's payoff.
-
-    The exploiter's mixed strategy is shared by all n-1 opponents; gains are
-    the negated average, over insertion positions, of the target's payoff
-    when one opponent switches to the candidate action.
-    """
+    """One exploiter run as a value, for stepping it round by round; T
+    exploiter_step calls from a fresh state play batch_exploiter with
+    runs=1, draw for draw."""
 
     hedge: HedgeState
     target: np.ndarray
@@ -371,23 +437,9 @@ def exploiter_current(state: ExploiterState) -> np.ndarray:
 def exploiter_step(
     state: ExploiterState, game: SymmetricGame, rng: np.random.Generator
 ) -> tuple[ExploiterState, np.ndarray]:
-    a1 = sample_actions(rng, state.target)
-    y_prev = exploiter_current(state)
-    actions = sample_actions(rng, y_prev, game.n - 1)
-    counts = counts_from_actions(actions, game.A)
-    gains = np.zeros(game.A)
-    for a in range(game.A):
-        total = 0.0
-        for b in range(game.A):
-            if counts[b] == 0:
-                continue
-            swapped = counts.copy()
-            swapped[b] -= 1
-            swapped[a] += 1
-            total += counts[b] * game.payoff(a1, tuple(int(v) for v in swapped))
-        gains[a] = -total / (game.n - 1)
-    new_hedge = hedge_observe(state.hedge, gains)
-    new = replace(state, hedge=new_hedge)
+    a1 = sample_actions(rng, state.target, 1)
+    counts = rng.multinomial(game.n - 1, exploiter_current(state)[None])
+    new = replace(state, hedge=hedge_observe(state.hedge, exploiter_gains(game, a1, counts)[0]))
     return new, exploiter_current(new)
 
 
@@ -400,18 +452,13 @@ class LearnerSpec:
     kind: str
     eta: float = 1.0
     rule: str = "sqrt_decay"
-    lam: float = 0.0
     horizon: int | None = None
 
-    ARENA_KINDS = ("hedge", "saol", "clone")
-    ALL_KINDS = ARENA_KINDS + ("sp_scratch", "sp_bc", "sp_bc_reg", "exploiter")
+    KINDS = ("hedge", "saol", "clone")
 
     def __post_init__(self):
-        if self.kind not in self.ALL_KINDS:
-            raise ValueError(f"unknown learner kind {self.kind!r}; choose from {self.ALL_KINDS}")
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown learner kind {self.kind!r}; choose from {self.KINDS}")
 
     def describe(self) -> str:
-        bits = [self.kind, f"eta={self.eta:g}", self.rule]
-        if self.kind == "sp_bc_reg":
-            bits.append(f"lam={self.lam:g}")
-        return " ".join(bits)
+        return f"{self.kind} eta={self.eta:g} {self.rule}"

@@ -1,19 +1,16 @@
 """Experiment reproduction: convergence tables, utility and exploitability
 evaluation, lower-bound sweeps, and the scaling fit.
 
-The table experiments need hundreds of seeded training runs, so the
-trainers here are vectorized across runs: every run advances in lockstep,
-one numpy Generator drives the whole batch, and a (runs, A) state array
-replaces the per-run learner state.  The reference semantics are the
-single-step rules in `learners` (hedge_observe, self_play_step,
-exploiter_step); the batch trainers implement the same rules, and the
-tests replay those rules round by round to cross-check each trainer, as
-they do for the whole-match forms behind `arena.run_match`.
+The table experiments need hundreds of seeded training runs; they use the
+batched trainers of `learners` (every run advances in lockstep, one numpy
+Generator drives the whole batch), and `analysis.exploitability`'s exploiter
+protocol.  The tests replay each trainer's rule round by round to
+cross-check it, as they do for the whole-match forms behind
+`arena.run_match`.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -22,138 +19,10 @@ import numpy as np
 from .analysis import exploitability, monte_carlo_utility
 from .arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_match
 from .games import SymmetricGame, expected_payoff_mixed
-from .learners import LearnerSpec, RateSchedule, softmax_rows
+# batch_exploiter is not called here; callers of reproduce.batch_* still import it from here.
+from .learners import LearnerSpec, batch_exploiter, batch_hedge_vs_fixed, batch_self_play
 
 CONVERGENCE_THRESHOLD = 0.99
-
-
-def _gains_table(game: SymmetricGame, normalize: bool) -> np.ndarray:
-    """(K, A) realized per-action payoffs for each opponent count vector;
-    normalized by the game's scale for schedule-driven learners, raw for
-    the self-play family."""
-    mat = game.payoff_matrix().T
-    return mat / game.scale if normalize else mat.copy()
-
-
-def _counts_codes(game: SymmetricGame, counts: np.ndarray) -> np.ndarray:
-    return counts @ game.count_table().radix
-
-
-def batch_hedge_vs_fixed(
-    game: SymmetricGame,
-    y: np.ndarray,
-    T: int,
-    runs: int,
-    eta: float,
-    rng: np.random.Generator,
-    rule: str = "sqrt_decay",
-) -> np.ndarray:
-    """Final strategies of `runs` independent hedge runs against opponents
-    i.i.d. from a fixed meta-strategy.  Fully vectorized: the opponent count
-    vector of every round is drawn from its exact multinomial law."""
-    table = game.count_table()
-    weights = table.weights(np.asarray(y, dtype=float))
-    cdf = np.minimum(np.cumsum(weights), 1.0)
-    cdf[-1] = 1.0
-    gains = _gains_table(game, normalize=True)
-    eta_t = RateSchedule(eta, rule, game.A).rates(np.arange(1, T + 1))
-    log_w = np.zeros((runs, game.A))
-    chunk = max(1, 2_000_000 // max(runs, 1))
-    for start in range(0, T, chunk):
-        stop = min(start + chunk, T)
-        u = rng.random((stop - start, runs))
-        idx = np.searchsorted(cdf, u, side="right").clip(0, len(weights) - 1)
-        log_w += np.einsum("t,tra->ra", eta_t[start:stop], gains[idx], optimize=True)
-    return softmax_rows(log_w)
-
-
-def batch_self_play(
-    game: SymmetricGame,
-    T: int,
-    runs: int,
-    eta: float,
-    rng: np.random.Generator,
-    mode: str = "scratch",
-    lam: float = 0.0,
-    y_meta: np.ndarray | None = None,
-    rule: str = "sqrt_decay",
-) -> np.ndarray:
-    """Final strategies of `runs` self-play runs advanced in lockstep.
-
-    Mirrors learners.self_play_step: each run samples its n-1 opponents
-    from its own current strategy and takes an exponential-weights step on
-    the realized per-action payoffs.
-    """
-    A = game.A
-    if mode == "scratch":
-        log_x0 = np.zeros(A)
-    else:
-        y_meta = np.asarray(y_meta, dtype=float)
-        if np.any(y_meta <= 0):
-            raise ValueError("bc-initialized self-play needs a strictly positive meta-strategy")
-        log_x0 = np.log(y_meta)
-    log_y = np.log(y_meta) if mode == "regularized" else None
-    eta_by_step = RateSchedule(eta, rule, A).rates(np.arange(1, T + 1))
-    table = game.count_table()
-    gains = _gains_table(game, normalize=False)
-
-    cum_gain = np.zeros((runs, A))
-    cum_eta = 0.0
-    for t in range(1, T + 1):
-        score = log_x0[None, :] + cum_gain
-        if mode == "regularized":
-            score = (score + lam * cum_eta * log_y[None, :]) / (1.0 + lam * cum_eta)
-        x = softmax_rows(score)
-        counts = rng.multinomial(game.n - 1, x)
-        idx = table.index_of[counts @ table.radix]
-        eta_t = eta_by_step[t - 1]
-        cum_gain += eta_t * gains[idx]
-        cum_eta += eta_t
-    score = log_x0[None, :] + cum_gain
-    if mode == "regularized":
-        score = (score + lam * cum_eta * log_y[None, :]) / (1.0 + lam * cum_eta)
-    return softmax_rows(score)
-
-
-def batch_exploiter(
-    game: SymmetricGame,
-    target: np.ndarray,
-    T: int,
-    runs: int,
-    eta: float,
-    rng: np.random.Generator,
-    rule: str = "sqrt_decay",
-) -> np.ndarray:
-    """Final strategies of `runs` exploiter runs against a fixed target."""
-    A = game.A
-    table = game.count_table()
-    mat = game.payoff_matrix()
-    radix = table.radix
-    eta_by_step = RateSchedule(eta, rule, A).rates(np.arange(1, T + 1))
-    target = np.asarray(target, dtype=float)
-    tcdf = np.minimum(np.cumsum(target), 1.0)
-    tcdf[-1] = 1.0
-    cap = len(table.index_of) - 1
-
-    log_w = np.zeros((runs, A))
-    for t in range(1, T + 1):
-        x = softmax_rows(log_w)
-        a1 = np.searchsorted(tcdf, rng.random(runs), side="right").clip(0, A - 1)
-        counts = rng.multinomial(game.n - 1, x)
-        codes = counts @ radix
-        gains = np.zeros((runs, A))
-        for b in range(A):
-            cb = counts[:, b]
-            live = cb > 0
-            if not live.any():
-                continue
-            for a in range(A):
-                swapped = np.clip(codes - radix[b] + radix[a], 0, cap)
-                vals = mat[a1, table.index_of[swapped]]
-                gains[:, a] -= np.where(live, cb * vals, 0.0)
-        gains /= game.n - 1
-        log_w += eta_by_step[t - 1] * gains
-    return softmax_rows(log_w)
 
 
 def classify(finals: np.ndarray, threshold: float = CONVERGENCE_THRESHOLD) -> np.ndarray:
@@ -251,7 +120,6 @@ class RunReport:
 
 def _limit_shares(labels: np.ndarray, A: int) -> dict[str, float]:
     shares = {}
-    runs = len(labels)
     for a in range(A):
         shares[f"pure_{a}"] = float(np.mean(labels == a))
     shares["unconverged"] = float(np.mean(labels < 0))
@@ -326,10 +194,9 @@ def run_table_experiment(
                 for _ in range(eval_repeats)
             ]
             result.mc_utility = (float(np.mean(estimates)), float(np.std(estimates, ddof=1)))
-            exp_rng = np.random.default_rng(ss_exp)
-            ys = batch_exploiter(game, worst, exploit_steps, exploit_runs, eta, exp_rng)
-            vals = [expected_payoff_mixed(game, worst, yrow) for yrow in ys]
-            result.exploit_protocol = float(min(vals))
+            result.exploit_protocol = exploitability(
+                game, worst, method="exploiter", runs=exploit_runs, steps=exploit_steps, eta=eta, seed=ss_exp
+            )[0]
             result.exploit_exact = float(exploitability(game, worst, method="grid")[0])
         rows.append(result)
     return RunReport(

@@ -195,7 +195,8 @@ def test_run_match_is_byte_identical_to_the_reference_loop(kind, T):
 
 def test_run_match_rejects_non_arena_learners_and_short_saol_horizons():
     g = eq.majority3()
-    with pytest.raises(ValueError, match="self-driven"):
+    # the self-play trainers are not learner kinds, so no such match can start
+    with pytest.raises(ValueError, match="unknown learner kind"):
         run_match(g, LearnerSpec("sp_scratch"), FixedSchedule((0.5, 0.5)), 10, seed=0)
     with pytest.raises(ValueError, match="beyond horizon"):
         run_match(g, LearnerSpec("saol", horizon=5), FixedSchedule((0.5, 0.5)), 10, seed=0)

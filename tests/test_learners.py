@@ -1,5 +1,6 @@
 """Learners: exponential weights, the interval meta-learner, cloning,
-self-play variants, and the exploiter."""
+the batched self-play and exploiter trainers, and the single exploiter
+step."""
 
 import dataclasses
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import equalshare as eq
+from equalshare.config import ConfigError, parse_config
 from equalshare.learners import (
     CloneState,
     ExploiterState,
@@ -15,7 +17,8 @@ from equalshare.learners import (
     LearnerSpec,
     RateSchedule,
     SAOLState,
-    SelfPlayState,
+    batch_exploiter,
+    batch_self_play,
     clone_act,
     clone_observe,
     clone_strategy,
@@ -27,9 +30,6 @@ from equalshare.learners import (
     hedge_update,
     saol_act,
     saol_observe,
-    self_play_current,
-    self_play_reg_step,
-    self_play_step,
 )
 
 
@@ -259,68 +259,74 @@ def test_clone_first_round_uniform_sampling():
 
 
 # ---------------------------------------------------------------------------
-# Self-play variants.
+# Self-play variants (the batched trainer; runs=1 is the sequential case).
 # ---------------------------------------------------------------------------
 
 def test_self_play_pure_state_is_absorbing():
     g = eq.majority3()
-    state = SelfPlayState.fresh(g, "scratch", eta=1.0)
-    # force a pure strategy by a big gain gap
-    state = dataclasses.replace(state, cum_gain=np.array([1000.0, 0.0]))
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        state, x = self_play_step(state, g, rng)
-    np.testing.assert_allclose(x, [1.0, 0.0])
+    # start pure on action 0 up to a mass of 1e-300 on action 1 (bc_init
+    # needs a positive meta-strategy); that mass never grows
+    x = batch_self_play(g, 20, 4, 1.0, np.random.default_rng(0), mode="bc_init", y_meta=np.array([1.0, 1e-300]))
+    assert np.all(x[:, 0] == 1.0) and np.all(x[:, 1] <= 1e-300)
 
 
 def test_self_play_reg_lambda_zero_matches_plain():
     g = eq.majority3()
     y = np.array([0.49, 0.51])
-    plain = SelfPlayState.fresh(g, "bc_init", eta=1.0, y_meta=y)
-    reg = SelfPlayState.fresh(g, "regularized", eta=1.0, lam=0.0, y_meta=y)
-    r1, r2 = np.random.default_rng(33), np.random.default_rng(33)
-    for _ in range(200):
-        plain, xp = self_play_step(plain, g, r1)
-        reg, xr = self_play_reg_step(reg, g, r2)
-        np.testing.assert_array_equal(xp, xr)
+    # a run of T steps is the first T steps of a longer run, so this compares
+    # the two trajectories round by round
+    for T in range(1, 201):
+        plain = batch_self_play(g, T, 1, 1.0, np.random.default_rng(33), mode="bc_init", y_meta=y)
+        reg = batch_self_play(g, T, 1, 1.0, np.random.default_rng(33), mode="regularized", lam=0.0, y_meta=y)
+        assert plain.tobytes() == reg.tobytes(), T
 
 
 def test_self_play_reg_lambda_huge_pins_to_meta_strategy():
     g = eq.majority3()
     y = np.array([0.3, 0.7])
-    state = SelfPlayState.fresh(g, "regularized", eta=1.0, lam=1e9, y_meta=y)
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        state, x = self_play_reg_step(state, g, rng)
-    np.testing.assert_allclose(x, y, atol=1e-6)
+    x = batch_self_play(g, 50, 1, 1.0, np.random.default_rng(1), mode="regularized", lam=1e9, y_meta=y)
+    np.testing.assert_allclose(x[0], y, atol=1e-6)
 
 
 def test_self_play_reg_requires_positive_meta():
     g = eq.majority3()
+    with pytest.raises(ValueError, match="positive"):
+        batch_self_play(g, 10, 1, 1.0, np.random.default_rng(0), mode="regularized", lam=0.1, y_meta=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(mode="bogus", y_meta=[0.5, 0.5]),
+        dict(mode="bc_init"),
+        dict(mode="regularized", lam=0.1),
+        dict(mode="bc_init", y_meta=[1.0, 0.0]),
+        dict(mode="regularized", lam=0.1, y_meta=[0.5, -0.5]),
+        dict(mode="regularized", lam=-1.0, y_meta=[0.5, 0.5]),
+        dict(mode="scratch", lam=-1.0),
+    ],
+    ids=["unknown-mode", "bc-no-meta", "reg-no-meta", "bc-zero-meta", "reg-negative-meta", "reg-negative-lam", "scratch-negative-lam"],
+)
+def test_batch_self_play_rejects_bad_arguments_before_any_draw(kwargs):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     with pytest.raises(ValueError):
-        SelfPlayState.fresh(g, "regularized", lam=0.1, y_meta=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        self_play_reg_step(SelfPlayState.fresh(g, "scratch"), g, np.random.default_rng(0))
+        batch_self_play(eq.majority3(), 10, 2, 1.0, rng, **kwargs)
+    assert rng.bit_generator.state == before
 
 
 def test_self_play_determinism():
     g = eq.sdg(5)
-    s1 = SelfPlayState.fresh(g, "scratch", eta=2.0)
-    s2 = SelfPlayState.fresh(g, "scratch", eta=2.0)
-    r1, r2 = np.random.default_rng(77), np.random.default_rng(77)
-    for _ in range(100):
-        s1, x1 = self_play_step(s1, g, r1)
-        s2, x2 = self_play_step(s2, g, r2)
-        np.testing.assert_array_equal(x1, x2)
+    x1 = batch_self_play(g, 100, 4, 2.0, np.random.default_rng(77))
+    x2 = batch_self_play(g, 100, 4, 2.0, np.random.default_rng(77))
+    assert x1.tobytes() == x2.tobytes()
 
 
 def test_self_play_sdg_bc_init_converges_to_last_action():
     g = eq.sdg(30)
     rng = np.random.default_rng(5)
-    state = SelfPlayState.fresh(g, "bc_init", eta=2.0, y_meta=np.array([0.399, 0.6, 0.001]))
-    for _ in range(3000):
-        state, x = self_play_step(state, g, rng)
-    assert x[2] >= 0.99
+    x = batch_self_play(g, 3000, 1, 2.0, rng, mode="bc_init", y_meta=np.array([0.399, 0.6, 0.001]))
+    assert x[0, 2] >= 0.99
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +335,7 @@ def test_self_play_sdg_bc_init_converges_to_last_action():
 
 def test_exploiter_drives_majority_target_to_minus_one():
     g = eq.majority3()
-    state = ExploiterState.fresh(g, np.array([0.0, 1.0]), eta=1.0)
-    rng = np.random.default_rng(3)
-    for _ in range(4000):
-        state, y = exploiter_step(state, g, rng)
+    y = batch_exploiter(g, np.array([0.0, 1.0]), 4000, 1, 1.0, np.random.default_rng(3))[0]
     assert y[0] >= 0.99
     assert eq.expected_payoff_mixed(g, [0, 1], y) == pytest.approx(-1.0, abs=0.02)
 
@@ -345,32 +348,52 @@ def test_exploiter_symmetric_target_stays_symmetric_in_distribution():
     v0 = eq.expected_payoff_mixed(g, target, [1.0, 0.0])
     v1 = eq.expected_payoff_mixed(g, target, [0.0, 1.0])
     assert v0 == pytest.approx(v1)
-    firsts = []
-    for seed in range(40):
-        state = ExploiterState.fresh(g, target, eta=1.0)
-        rng = np.random.default_rng(seed)
-        for _ in range(300):
-            state, y = exploiter_step(state, g, rng)
-        firsts.append(y[0])
-    # average inclination across seeds stays near 1/2
-    assert abs(np.mean(firsts) - 0.5) < 0.2
+    ys = batch_exploiter(g, target, 300, 40, 1.0, np.random.default_rng(0))
+    # average inclination across runs stays near 1/2
+    assert abs(np.mean(ys[:, 0]) - 0.5) < 0.2
+
+
+@pytest.mark.parametrize(
+    "game, target, eta",
+    [(eq.sdg(5), [0.2, 0.5, 0.3], 2.0), (eq.majority3(), [0.3, 0.7], 1.0), (eq.extended_majority(6, 4), [0.5, 0.5, 0.0, 0.0], 1.0)],
+    ids=["sdg5", "majority3", "em64"],
+)
+def test_exploiter_steps_are_the_batched_rule_with_one_run(game, target, eta):
+    T = 60
+    state = ExploiterState.fresh(game, np.array(target), eta=eta)
+    rng = np.random.default_rng(11)
+    for _ in range(T):
+        state, y = exploiter_step(state, game, rng)
+    want = batch_exploiter(game, np.array(target), T, 1, eta, np.random.default_rng(11))
+    assert y[None].tobytes() == want.tobytes()
+    assert exploiter_current(state).tobytes() == y.tobytes()
 
 
 def test_all_acts_return_valid_strategies():
     g = eq.sdg(5)
+    target = np.array([0.2, 0.5, 0.3])
     rng = np.random.default_rng(0)
-    sp = SelfPlayState.fresh(g, "scratch", eta=2.0)
-    ex = ExploiterState.fresh(g, np.array([0.2, 0.5, 0.3]), eta=2.0)
-    for _ in range(50):
-        sp, xs = self_play_step(sp, g, rng)
+    ex = ExploiterState.fresh(g, target, eta=2.0)
+    for T in range(1, 51):
         ex, xe = exploiter_step(ex, g, rng)
-        for x in (xs, xe, self_play_current(sp), exploiter_current(ex)):
+        xs = batch_self_play(g, T, 3, 2.0, rng)
+        xb = batch_exploiter(g, target, T, 3, 2.0, rng)
+        for x in (xe[None], exploiter_current(ex)[None], xs, xb):
             assert np.all(x >= 0)
-            assert abs(x.sum() - 1.0) < 1e-9
+            np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_learner_spec_validation():
     with pytest.raises(ValueError):
         LearnerSpec("bogus")
-    spec = LearnerSpec("sp_bc_reg", lam=1e-3)
-    assert "lam=0.001" in spec.describe()
+    assert LearnerSpec("saol", eta=0.5).describe() == "saol eta=0.5 sqrt_decay"
+    # the self-play and exploiter trainers are reproduce roster rows, not
+    # config learner kinds; lam is not a learner field
+    base = {"game": {"name": "majority3"}, "T": 10, "seeds": [0]}
+    with pytest.raises(ConfigError) as err:
+        parse_config({**base, "learner": {"kind": "sp_bc_reg"}})
+    problems = " ".join(err.value.problems)
+    assert "unknown learner kind 'sp_bc_reg'" in problems and "missing 'schedule'" in problems
+    with pytest.raises(ConfigError, match="unknown fields"):
+        parse_config({**base, "learner": {"kind": "hedge", "lam": 1e-3},
+                      "schedule": {"kind": "fixed", "y": [0.5, 0.5]}})

@@ -9,11 +9,8 @@ import pytest
 
 import equalshare as eq
 from equalshare.games import expected_payoff_mixed, realized_payoff_vector
-from equalshare.learners import RateSchedule
+from equalshare.learners import RateSchedule, batch_exploiter, batch_hedge_vs_fixed, batch_self_play
 from equalshare.reproduce import (
-    batch_exploiter,
-    batch_hedge_vs_fixed,
-    batch_self_play,
     classify,
     fit_scaling_exponent,
     lowerbound_sweep,

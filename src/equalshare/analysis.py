@@ -62,8 +62,15 @@ def _default_grid(game: SymmetricGame, grid: SimplexGrid | None) -> SimplexGrid:
 
 def _refine_near(point: np.ndarray, resolution: int, factor: int = 10) -> np.ndarray:
     """Simplex points at `factor`-times finer resolution within one coarse
-    step of `point` (always includes `point` itself)."""
-    fine = compositions(resolution * factor, point.shape[0]) / (resolution * factor)
+    step of `point` (always includes `point` itself).
+
+    Only the integer box one fine step wider than that neighbourhood is
+    enumerated; the float test then keeps the same rows, in the same order,
+    as filtering the whole fine grid would."""
+    fine_res = resolution * factor
+    lo = np.floor((point - 1.0 / resolution) * fine_res).astype(np.int64) - 1
+    hi = np.ceil((point + 1.0 / resolution) * fine_res).astype(np.int64) + 1
+    fine = compositions(fine_res, point.shape[0], lo, hi) / fine_res
     mask = np.max(np.abs(fine - point[None, :]), axis=1) <= 1.0 / resolution + 1e-12
     return fine[mask]
 
@@ -382,7 +389,6 @@ def monte_carlo_utility(
     mat = game.payoff_matrix()
     a1 = sample_actions(rng, xv, num_games)
     opp = sample_actions(rng, yv, (num_games, game.n - 1))
-    payoffs = np.empty(num_games)
     # encode opponent counts and look up the payoff table
     counts = np.stack([(opp == a).sum(axis=1) for a in range(game.A)], axis=1)
     codes = counts @ table.radix

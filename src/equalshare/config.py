@@ -12,7 +12,7 @@ A config is a JSON object:
     }
 
 Validation collects every problem before refusing, so a config error
-reports the full list at once.
+reports the full list at once.  Keys other than the six above are refused.
 """
 
 from __future__ import annotations
@@ -41,9 +41,16 @@ class ExperimentConfig:
     out: str = "."
 
 
+KEYS = ("game", "learner", "schedule", "T", "seeds", "out")
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     problems = []
     game = learner = schedule = None
+
+    unknown = sorted(set(doc) - set(KEYS))
+    if unknown:
+        problems.append(f"unknown top-level fields {unknown}")
 
     if "game" not in doc:
         problems.append("missing 'game'")

@@ -54,22 +54,40 @@ def as_strategy(probs: Sequence[float], num_actions: int | None = None) -> np.nd
     return x
 
 
-def compositions(total: int, parts: int) -> np.ndarray:
+def compositions(
+    total: int,
+    parts: int,
+    lo: Sequence[int] | None = None,
+    hi: Sequence[int] | None = None,
+) -> np.ndarray:
     """All non-negative integer vectors of length `parts` summing to `total`.
 
     Returned as an int array of shape (C(total+parts-1, parts-1), parts) in
-    lexicographic order.
+    lexicographic order.  With per-coordinate bounds `lo`/`hi` (inclusive),
+    only the vectors with lo <= c <= hi are returned, in the same order.
     """
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    rows = []
-    for first in range(total + 1):
-        rest = compositions(total - first, parts - 1)
-        block = np.empty((rest.shape[0], parts), dtype=np.int64)
-        block[:, 0] = first
-        block[:, 1:] = rest
-        rows.append(block)
-    return np.concatenate(rows, axis=0)
+    if parts < 1 or total < 0:
+        raise ValueError(f"need parts >= 1 and total >= 0, got {parts}, {total}")
+    lo = np.maximum(np.zeros(parts, np.int64) if lo is None else np.asarray(lo, np.int64), 0)
+    hi = np.minimum(np.full(parts, total, np.int64) if hi is None else np.asarray(hi, np.int64), total)
+    if lo.shape != (parts,) or hi.shape != (parts,):
+        raise DimensionError(f"bounds must have {parts} entries")
+    # what the coordinates after i can absorb at least and at most; a value is
+    # kept only if the rest can still reach the total, so every prefix completes
+    lo_rest = lo.sum() - np.cumsum(lo)
+    hi_rest = hi.sum() - np.cumsum(hi)
+    prefix = np.empty((1, 0), dtype=np.int64)
+    rem = np.array([total], dtype=np.int64)
+    for i in range(parts):
+        first = np.maximum(lo[i], rem - hi_rest[i])
+        count = np.maximum(np.minimum(hi[i], rem - lo_rest[i]) - first + 1, 0)
+        n = int(count.sum())
+        # offset of each new row within its prefix's block of values
+        offset = np.arange(n, dtype=np.int64) - np.repeat(np.cumsum(count) - count, count)
+        value = np.repeat(first, count) + offset
+        prefix = np.concatenate([np.repeat(prefix, count, axis=0), value[:, None]], axis=1)
+        rem = np.repeat(rem, count) - value
+    return prefix
 
 
 def num_compositions(total: int, parts: int) -> int:

@@ -303,7 +303,7 @@ def batch_hedge_vs_fixed(
     for start in range(0, T, chunk):
         stop = min(start + chunk, T)
         u = rng.random((stop - start, runs))
-        idx = np.searchsorted(cdf, u, side="right").clip(0, len(weights) - 1)
+        idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(weights) - 1)
         log_w += np.einsum("t,tra->ra", eta_t[start:stop], gains[idx], optimize=True)
     return softmax_rows(log_w)
 

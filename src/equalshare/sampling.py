@@ -27,9 +27,10 @@ def sample_actions(rng: np.random.Generator, probs: np.ndarray, size: int | None
     cdf = np.minimum(np.cumsum(probs), 1.0)
     cdf[-1] = 1.0
     if size is None:
-        return int(np.searchsorted(cdf, rng.random(), side="right").clip(0, len(probs) - 1))
+        return int(np.minimum(np.searchsorted(cdf, rng.random(), side="right"), len(probs) - 1))
     u = rng.random(size)
-    return np.searchsorted(cdf, u, side="right").clip(0, len(probs) - 1)
+    # a right-sided search never returns below 0, so only the top needs a clamp
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(probs) - 1)
 
 
 def actions_from_uniforms(probs_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 import equalshare as eq
 from equalshare.analysis import (
     SimplexGrid,
+    _refine_near,
     best_response_set,
     check_equilibrium,
     default_resolution,
@@ -21,6 +22,7 @@ from equalshare.analysis import (
 from equalshare.games import (
     SizeCapExceeded,
     SymmetricGame,
+    compositions,
     dense_from_symmetric,
     expected_payoff_mixed,
 )
@@ -36,6 +38,23 @@ def test_simplex_grid_enumeration():
     assert pts.shape == (len(grid), 3) == (15, 3)
     assert np.allclose(pts.sum(axis=1), 1.0)
     assert default_resolution(2) == 200 and default_resolution(3) == 60
+
+
+@pytest.mark.parametrize("A, m", [(2, 200), (3, 60), (4, 8), (4, 15)])
+def test_refine_near_equals_the_full_fine_grid_filter(A, m):
+    # the whole 10x grid, filtered by the same float test, is the reference
+    fine = compositions(10 * m, A) / (10 * m)
+    pts = SimplexGrid(A, m).points()
+    vertices = pts[np.max(pts, axis=1) == 1.0]
+    edges = pts[np.count_nonzero(pts, axis=1) == 2]
+    interior = pts[np.all(pts > 0, axis=1)]
+    rng = np.random.default_rng(A * 1000 + m)
+    for group in (vertices, edges, interior):
+        for point in group[rng.permutation(len(group))[:12]]:
+            got = _refine_near(point, m)
+            ref = fine[np.max(np.abs(fine - point[None, :]), axis=1) <= 1.0 / m + 1e-12]
+            assert len(got) > 0 and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +186,8 @@ def test_exploitability_grid_values():
     np.testing.assert_allclose(worst, [1.0, 0.0])
     value, _ = exploitability(MV, [0.5, 0.5], method="grid")
     assert value == pytest.approx(-0.5, abs=0.01)
+    value, _ = exploitability(SDG30, [0, 1, 0])
+    assert value == pytest.approx(-29.0, abs=1e-9)
 
 
 def test_exploitability_never_positive():

@@ -120,6 +120,23 @@ def test_simulate_config_errors_are_exhaustive(tmp_path, capsys):
         assert fragment in err
 
 
+def test_simulate_rejects_unknown_top_level_keys(tmp_path, capsys):
+    good = {
+        "game": {"name": "majority3"},
+        "learner": {"kind": "hedge"},
+        "schedule": {"kind": "fixed", "y": [0.5, 0.5]},
+        "T": 10,
+        "seeds": [0],
+        "out": str(tmp_path / "sim"),
+    }
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({**good, "evaluation": 5, "seed": 3, "T_max": 7}))
+    rc = run_cli("simulate", "--config", str(path))
+    assert rc == EXIT_CONFIG
+    assert "unknown top-level fields ['T_max', 'evaluation', 'seed']" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_simulate_requires_config(capsys):
     assert run_cli("simulate") == EXIT_CONFIG
 

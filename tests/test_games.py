@@ -58,6 +58,53 @@ def test_compositions_count_and_order():
     assert len(compositions(29, 3)) == num_compositions(29, 3) == 465
 
 
+def recursive_compositions(total, parts):
+    """The recursive enumeration `compositions` replaced, kept as the reference."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    rows = []
+    for first in range(total + 1):
+        rest = recursive_compositions(total - first, parts - 1)
+        block = np.empty((rest.shape[0], parts), dtype=np.int64)
+        block[:, 0] = first
+        block[:, 1:] = rest
+        rows.append(block)
+    return np.concatenate(rows, axis=0)
+
+
+@pytest.mark.parametrize("parts", range(1, 6))
+def test_compositions_equal_the_recursive_enumeration(parts):
+    for total in range(31):
+        got, ref = compositions(total, parts), recursive_compositions(total, parts)
+        assert got.dtype == ref.dtype == np.int64
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_compositions_large_total_equals_the_recursive_enumeration():
+    got, ref = compositions(600, 3), recursive_compositions(600, 3)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_bounded_compositions_are_the_filtered_unbounded_ones():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        parts = int(rng.integers(1, 6))
+        total = int(rng.integers(0, 16))
+        lo = rng.integers(-2, total + 2, parts)
+        hi = rng.integers(-2, total + 3, parts)
+        full = compositions(total, parts)
+        ref = full[np.all((full >= lo) & (full <= hi), axis=1)]
+        got = compositions(total, parts, lo, hi)
+        assert got.dtype == np.int64
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    # an empty box still has `parts` columns
+    assert compositions(5, 3, [3, 3, 0], [5, 5, 5]).shape == (0, 3)
+    with pytest.raises(ValueError):
+        compositions(-1, 3)
+    with pytest.raises(ValueError):
+        compositions(3, 0)
+
+
 def test_count_table_roundtrip():
     table = CountTable.build(29, 3)
     for k, row in enumerate(table.counts[::37]):

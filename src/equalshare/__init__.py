@@ -33,7 +33,6 @@ from .learners import (
     exploiter_step,
     hedge_act,
     hedge_observe,
-    hedge_update,
     saol_act,
     saol_observe,
 )

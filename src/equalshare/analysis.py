@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (
+    MAX_ARRAY_ENTRIES,
     DenseGame,
     SizeCapExceeded,
     SymmetricGame,
@@ -27,7 +28,7 @@ from .games import (
     payoff_vectors_batch,
 )
 from .learners import batch_exploiter
-from .sampling import sample_actions
+from .sampling import counts_from_actions, sample_actions
 
 
 def default_resolution(num_actions: int) -> int:
@@ -117,15 +118,9 @@ def _pair_payoff_tensor(game: SymmetricGame) -> np.ndarray:
     if game.n != 3:
         raise SizeCapExceeded("independent-opponent search supports n = 3 only")
     A = game.A
-    M = np.empty((A, A, A))
-    for b in range(A):
-        for c in range(A):
-            counts = np.zeros(A, dtype=np.int64)
-            counts[b] += 1
-            counts[c] += 1
-            for a in range(A):
-                M[a, b, c] = game.payoff(a, tuple(int(v) for v in counts))
-    return M
+    pairs = np.indices((A, A)).reshape(2, -1).T  # (b, c) in C order
+    rows = game.count_table().rows(counts_from_actions(pairs, A))
+    return game.payoff_matrix()[:, rows].reshape(A, A, A)
 
 
 def minimax_independent(
@@ -140,6 +135,11 @@ def minimax_independent(
     grid = _default_grid(game, grid)
     if game.A > 3:
         raise SizeCapExceeded("independent-opponent grid limited to A <= 3")
+    if len(grid) ** 3 > MAX_ARRAY_ENTRIES:
+        raise SizeCapExceeded(
+            f"independent-opponent search over {len(grid)} grid points needs {len(grid) ** 3} "
+            f"values, more than the cap of {MAX_ARRAY_ENTRIES}"
+        )
     pts = grid.points()
     M = _pair_payoff_tensor(game)
 
@@ -343,20 +343,18 @@ def pooling_check(game: SymmetricGame, population, z, max_tuples: int = 200_000)
             f"{num_tuples} opponent tuples x {game.A ** (n - 1)} joint actions exceed the cap"
         )
     # z-contracted payoff of a joint opponent action tuple
-    joint_payoff: dict[tuple[int, ...], float] = {}
-    for actions in itertools.product(range(game.A), repeat=n - 1):
-        counts = np.zeros(game.A, dtype=np.int64)
-        for a in actions:
-            counts[a] += 1
-        key = tuple(int(v) for v in counts)
-        joint_payoff[actions] = float(
-            sum(zv[a] * game.payoff(a, key) for a in range(game.A) if zv[a] > 0)
-        )
+    tuples = list(itertools.product(range(game.A), repeat=n - 1))
+    rows = game.count_table().rows(counts_from_actions(np.array(tuples), game.A))
+    mat = game.payoff_matrix()
+    joint_payoff = {
+        actions: float(sum(zv[a] * mat[a, k] for a in range(game.A) if zv[a] > 0))
+        for actions, k in zip(tuples, rows)
+    }
 
     total = 0.0
     for tup in itertools.permutations(range(N), n - 1):
         val = 0.0
-        for actions in itertools.product(range(game.A), repeat=n - 1):
+        for actions in tuples:
             prob = 1.0
             for slot, a in enumerate(actions):
                 prob *= pop[tup[slot]][a]
@@ -385,15 +383,9 @@ def monte_carlo_utility(
         rng = np.random.default_rng(rng)
     xv = as_strategy(x, game.A)
     yv = as_strategy(y, game.A)
-    table = game.count_table()
-    mat = game.payoff_matrix()
     a1 = sample_actions(rng, xv, num_games)
     opp = sample_actions(rng, yv, (num_games, game.n - 1))
-    # encode opponent counts and look up the payoff table
-    counts = np.stack([(opp == a).sum(axis=1) for a in range(game.A)], axis=1)
-    codes = counts @ table.radix
-    idx = table.index_of[codes]
-    payoffs = mat[a1, idx]
+    payoffs = game.payoff_matrix()[a1, game.count_table().rows(counts_from_actions(opp, game.A))]
     mean = float(payoffs.mean())
     se = float(payoffs.std(ddof=1) / math.sqrt(num_games)) if num_games > 1 else float("inf")
     return mean, se

@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None, help="worker threads (or EQS_THREADS)")
-    parser.add_argument("--config", type=str, default=None, help="config file (simulate)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_game_args(p):
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_game_args(p_verify)
 
     p_sim = sub.add_parser("simulate", help="run seeded matches from a config file")
-    p_sim.add_argument("--config", dest="config_local", type=str, default=None)
+    p_sim.add_argument("--config", type=str, default=None, help="config file")
     p_sim.add_argument("--self-audit", action="store_true", help="recompute aggregates from emitted rows")
 
     p_rep = sub.add_parser("reproduce", help="run a packaged experiment")
@@ -328,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config_local", None):
-        args.config = args.config_local
     try:
         if args.verb == "verify":
             return cmd_verify(args)

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .sampling import counts_from_actions
+
 # Sentinel for log(0) in multinomial weights.  Finite (so 0 * LOG_ZERO == 0,
 # never NaN) and large enough that exp(k * LOG_ZERO + anything_reasonable)
 # underflows to exactly 0.0 for k >= 1.
@@ -34,6 +36,11 @@ class InvalidStrategyError(ValueError):
 
 class SizeCapExceeded(RuntimeError):
     """An enumeration was refused because it exceeds the configured cap."""
+
+
+# The most entries a dense lookup or search array may have: the count
+# index, and minimax_independent's (Nx, Ny^2) value matrix.
+MAX_ARRAY_ENTRIES = 2**25
 
 
 def as_strategy(probs: Sequence[float], num_actions: int | None = None) -> np.ndarray:
@@ -100,35 +107,56 @@ class CountTable:
 
     counts      : (K, A) int array, all count vectors with the given total
     log_coeffs  : (K,) multinomial coefficients log(total! / prod c_a!)
-    index_of    : flat lookup from radix-encoded counts to row index
-    radix       : encoding base (total + 1)
+
+    `rows` maps count vectors to their row numbers.  The last count is fixed
+    by the total, so the lookup is keyed by the first A-1 counts in base
+    total+1: a dense index of (total+1)^(A-1) entries.
     """
 
     total: int
     counts: np.ndarray
     log_coeffs: np.ndarray
-    index_of: np.ndarray
-    radix: np.ndarray
+    _index: np.ndarray = field(repr=False)
+    _radix: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, total: int, num_actions: int) -> "CountTable":
+        size = (total + 1) ** (num_actions - 1)
+        if size > MAX_ARRAY_ENTRIES:
+            raise SizeCapExceeded(
+                f"count index of {size} entries for total {total}, {num_actions} actions "
+                f"exceeds the cap of {MAX_ARRAY_ENTRIES}"
+            )
         counts = compositions(total, num_actions)
         lg = math.lgamma(total + 1)
         log_coeffs = lg - np.sum(
             np.vectorize(math.lgamma)(counts + 1.0), axis=1
         )
-        radix = (total + 1) ** np.arange(num_actions - 1, -1, -1, dtype=np.int64)
-        codes = counts @ radix
-        index_of = np.full((total + 1) ** num_actions, -1, dtype=np.int64)
-        index_of[codes] = np.arange(counts.shape[0])
-        return cls(total, counts, log_coeffs, index_of, radix)
+        radix = np.zeros(num_actions, dtype=np.int64)
+        radix[:-1] = (total + 1) ** np.arange(num_actions - 2, -1, -1, dtype=np.int64)
+        index = np.zeros(size, dtype=np.int64)
+        index[counts @ radix] = np.arange(counts.shape[0])
+        return cls(total, counts, log_coeffs, index, radix)
+
+    def rows(self, counts: np.ndarray) -> np.ndarray:
+        """Row numbers of count vectors of this table's total: (..., A) -> (...)."""
+        return self._index[counts @ self._radix]
+
+    def switch_rows(self, counts: np.ndarray) -> np.ndarray:
+        """(..., A) -> (..., A, A): entry [b, a] is the row of counts - e_b + e_a.
+        Where counts[b] == 0 that vector does not exist and the entry is an
+        arbitrary row, for the caller to mask."""
+        codes = (counts @ self._radix)[..., None, None] - self._radix[:, None] + self._radix
+        return self._index[np.minimum(np.maximum(codes, 0), len(self._index) - 1)]
 
     def index(self, counts: Sequence[int]) -> int:
-        code = int(np.dot(np.asarray(counts, dtype=np.int64), self.radix))
-        idx = int(self.index_of[code])
-        if idx < 0:
-            raise ValueError(f"count vector {counts} has wrong total (expected {self.total})")
-        return idx
+        c = np.asarray(counts, dtype=np.int64)
+        if c.shape != self._radix.shape:
+            raise DimensionError(f"count vector has shape {c.shape}, expected {self._radix.shape}")
+        values = c.tolist()
+        if min(values) < 0 or sum(values) != self.total:
+            raise ValueError(f"count vector {counts} has a negative entry or wrong total (expected {self.total})")
+        return int(self.rows(c))
 
     def weights(self, y: np.ndarray) -> np.ndarray:
         """Multinomial(total, y) probability of each count vector."""
@@ -229,18 +257,14 @@ def expected_payoff_mixed(game: SymmetricGame, x1: Sequence[float], y: Sequence[
 
 def realized_payoff_vector(game: SymmetricGame, counts: Sequence[int]) -> np.ndarray:
     """Payoff of every action against one realized opponent count vector."""
-    table = game.count_table()
-    idx = table.index(counts)
-    return game.payoff_matrix()[:, idx].copy()
+    return game.payoff_matrix()[:, game.count_table().index(counts)].copy()
 
 
 def realized_payoff_vectors(game: SymmetricGame, actions: np.ndarray) -> np.ndarray:
     """realized_payoff_vector for each row of opponent actions in [0, A):
     (T, n-1) -> (T, A)."""
-    table = game.count_table()
-    # a row's count code, counts @ radix, is the sum of its actions' radix digits
-    codes = table.radix[actions].sum(axis=1)
-    return game.payoff_matrix().T[table.index_of[codes]]
+    rows = game.count_table().rows(counts_from_actions(actions, game.A))
+    return game.payoff_matrix().T[rows]
 
 
 @dataclass(frozen=True)
@@ -271,20 +295,20 @@ def validate(game: SymmetricGame, max_profiles: int = 250_000) -> ValidationRepo
             f"{num} full profiles exceed the cap of {max_profiles}; validation refused"
         )
     full = compositions(game.n, game.A)
-    tol = PROB_TOL * game.scale
-    worst = 0.0
-    worst_profile = None
-    for c in full:
-        total = 0.0
-        for a in range(game.A):
-            if c[a] > 0:
-                others = c.copy()
-                others[a] -= 1
-                total += c[a] * game.payoff(a, tuple(int(v) for v in others))
-        if abs(total) > worst:
-            worst = abs(total)
-            worst_profile = tuple(int(v) for v in c)
-    return ValidationReport(worst <= tol, worst, worst_profile if worst > tol else worst_profile, num)
+    table = game.count_table()
+    mat = game.payoff_matrix()
+    # each profile's sum runs over its actions in order, as a loop over them would
+    total = np.zeros(len(full))
+    for a in range(game.A):
+        live = full[:, a] > 0
+        others = full[live]
+        others[:, a] -= 1
+        total[live] += full[live, a] * mat[a, table.rows(others)]
+    violation = np.abs(total)
+    k = int(np.argmax(violation))
+    worst = float(violation[k])
+    worst_profile = tuple(int(v) for v in full[k]) if worst > 0.0 else None
+    return ValidationReport(worst <= PROB_TOL * game.scale, worst, worst_profile, num)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +361,14 @@ def dense_from_symmetric(game: SymmetricGame, max_n: int = 4, max_actions: int =
             f"dense expansion refused for n={game.n}, A={game.A} "
             f"(caps: n<={max_n}, A<={max_actions})"
         )
-    shape = (game.n,) + (game.A,) * game.n
-    util = np.empty(shape)
-    for joint in np.ndindex(*(game.A,) * game.n):
-        for i in range(game.n):
-            others = np.zeros(game.A, dtype=np.int64)
-            for j, aj in enumerate(joint):
-                if j != i:
-                    others[aj] += 1
-            util[(i,) + joint] = game.payoff(joint[i], tuple(int(v) for v in others))
-    return DenseGame(game.n, game.A, util)
+    n, A = game.n, game.A
+    joints = np.indices((A,) * n).reshape(n, -1).T  # every joint action, in C order
+    mat, table = game.payoff_matrix(), game.count_table()
+    util = np.stack([
+        mat[joints[:, i], table.rows(counts_from_actions(np.delete(joints, i, axis=1), A))]
+        for i in range(n)
+    ])
+    return DenseGame(n, A, util.reshape((n,) + (A,) * n))
 
 
 def validate_dense(dense: DenseGame, tol: float = 1e-9) -> DenseValidationReport:
@@ -534,12 +556,12 @@ def game_to_json(game: SymmetricGame) -> dict:
     full payoff table keyed by "a|c0,c1,..."."""
     if game.kind != "custom":
         return {"name": game.kind, **game.params}
-    table = game.count_table()
-    payoffs = {}
-    for a in range(game.A):
-        for row in table.counts:
-            key = f"{a}|{','.join(str(int(v)) for v in row)}"
-            payoffs[key] = game.payoff(a, tuple(int(v) for v in row))
+    table, mat = game.count_table(), game.payoff_matrix()
+    payoffs = {
+        f"{a}|{','.join(str(int(v)) for v in row)}": float(mat[a, k])
+        for a in range(game.A)
+        for k, row in enumerate(table.counts)
+    }
     return {"custom": {"n": game.n, "A": game.A, "payoff_table": payoffs}}
 
 

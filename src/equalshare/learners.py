@@ -63,21 +63,6 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def hedge_update(x: np.ndarray, gains: np.ndarray, eta: float) -> np.ndarray:
-    """One exponential-weights step: x'(a) proportional to x(a) * exp(eta * gains(a)).
-
-    Computed in log space with max-subtraction; zero-mass actions stay at
-    zero.  Shift-invariant in the gains by construction.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.any(x > 0):
-        raise ValueError("cannot update an all-zero strategy")
-    if not np.all(np.isfinite(gains)):
-        raise ValueError("gains must be finite")
-    logx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-    return _softmax(logx + eta * np.asarray(gains, dtype=float))
-
-
 @dataclass(frozen=True)
 class HedgeState:
     """Exponential-weights learner: log-weights plus a round counter."""
@@ -359,8 +344,7 @@ def batch_self_play(
     cum_eta = 0.0
     for eta_t in eta_by_step:
         counts = rng.multinomial(game.n - 1, strategies(cum_gain, cum_eta))
-        idx = table.index_of[counts @ table.radix]
-        cum_gain += eta_t * gains[idx]
+        cum_gain += eta_t * gains[table.rows(counts)]
         cum_eta += eta_t
     return strategies(cum_gain, cum_eta)
 
@@ -370,21 +354,16 @@ def exploiter_gains(game: SymmetricGame, a1: np.ndarray, counts: np.ndarray) -> 
     (runs, A) opponent counts -> (runs, A).  Gain of action a is the negated
     average, over the n-1 opponent seats, of the target's payoff when that
     seat switches to a."""
-    A = game.A
-    table = game.count_table()
     mat = game.payoff_matrix()
-    radix = table.radix
-    cap = len(table.index_of) - 1
-    codes = counts @ radix
-    gains = np.zeros((len(counts), A))
-    for b in range(A):
+    # [r, b, a]: the counts after one seat playing b switches to a
+    switched = game.count_table().switch_rows(counts)
+    gains = np.zeros((len(counts), game.A))
+    for b in range(game.A):
         cb = counts[:, b, None]
         live = cb > 0
         if not live.any():
             continue
-        # column a: the counts after one seat playing b switches to a
-        swapped = np.minimum(np.maximum((codes - radix[b])[:, None] + radix, 0), cap)
-        vals = mat[a1[:, None], table.index_of[swapped]]
+        vals = mat[a1[:, None], switched[:, b]]
         gains -= np.where(live, cb * vals, 0.0)
     gains /= game.n - 1
     return gains

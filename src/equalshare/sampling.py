@@ -7,6 +7,8 @@ and roles (learner, opponents, schedule, evaluation) stay independent.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 ROLES = ("schedule", "learner", "opponents", "evaluation")
@@ -49,4 +51,12 @@ def actions_from_uniforms(probs_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def counts_from_actions(actions: np.ndarray, num_actions: int) -> np.ndarray:
-    return np.bincount(actions, minlength=num_actions)
+    """Per-action counts of each row of actions in [0, num_actions):
+    (..., m) -> (..., num_actions); a 1-D input gives one (num_actions,) vector."""
+    actions = np.asarray(actions)
+    lead = actions.shape[:-1]
+    rows = math.prod(lead)
+    # shift row r's actions into bins [r*A, (r+1)*A) so one bincount covers all rows
+    offsets = np.arange(rows, dtype=np.int64).reshape(lead + (1,)) * num_actions
+    counts = np.bincount((actions + offsets).ravel(), minlength=rows * num_actions)
+    return counts.reshape(lead + (num_actions,))

@@ -2,6 +2,7 @@
 population pooling, Monte Carlo estimation."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import equalshare as eq
 from equalshare.analysis import (
     SimplexGrid,
+    _pair_payoff_tensor,
     _refine_near,
     best_response_set,
     check_equilibrium,
@@ -25,6 +27,8 @@ from equalshare.games import (
     compositions,
     dense_from_symmetric,
     expected_payoff_mixed,
+    game_to_json,
+    validate,
 )
 
 MV = eq.majority3()
@@ -97,6 +101,52 @@ def test_minimax_independent_majority_and_minority():
 def test_minimax_independent_rejects_large_games():
     with pytest.raises(SizeCapExceeded):
         minimax_independent(SDG30)
+
+
+def test_minimax_independent_refuses_oversized_grids_before_allocating():
+    # extended_majority(3,3) at m=60: 1,891 points, 6.8e9 values (50 GiB)
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded):
+        minimax_independent(eq.extended_majority(3, 3))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(SizeCapExceeded):
+        minimax_independent(MV, SimplexGrid(2, 400))
+    # majority3 at the default m=200 needs 201^3 = 8.1 M values and runs
+    minimax_independent(eq.extended_majority(3, 2))
+
+
+def test_payoff_matrix_is_the_only_reader_of_the_payoff_function():
+    """The oracles read payoffs through payoff_matrix: on a fresh game they
+    make K*A payoff calls between them, one per (action, count vector)."""
+    for base in (eq.majority3(), eq.sdg(5), eq.extended_majority(3, 3)):
+        calls = 0
+
+        def counting(a, counts, inner=base.payoff):
+            nonlocal calls
+            calls += 1
+            return inner(a, counts)
+
+        game = SymmetricGame(base.name, base.n, base.A, counting, base.scale)
+        validate(game)
+        if game.n <= 4:
+            dense_from_symmetric(game)
+        try:
+            minimax_independent(game)
+        except SizeCapExceeded:
+            pass  # sdg(5) has 5 players; extended_majority(3,3) is over the cap
+        population = [np.full(game.A, 1.0 / game.A)] * game.n
+        pooling_check(game, population, np.eye(game.A)[0])
+        assert len(game_to_json(game)["custom"]["payoff_table"]) == calls
+        assert calls == game.A * len(game.count_table().counts)
+
+
+def test_pair_payoff_tensor_equals_the_payoff_loop():
+    for game in (MV, MINORITY, eq.extended_majority(3, 3), eq.extended_majority(3, 5)):
+        want = np.empty((game.A,) * 3)
+        for a, b, c in np.ndindex(*want.shape):
+            counts = np.bincount([b, c], minlength=game.A)
+            want[a, b, c] = game.payoff(a, tuple(int(v) for v in counts))
+        assert _pair_payoff_tensor(game).tobytes() == want.tobytes()
 
 
 def test_minimax_identical_bad_which():

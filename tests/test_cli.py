@@ -44,6 +44,11 @@ def test_analyze_minimax(capsys, tmp_path):
     assert {"value", "argument", "tolerance", "method", "seed"} <= set(doc)
 
 
+def test_analyze_minimax_independent_size_cap_exit_code():
+    argv = ("analyze", "minimax", "--which", "maxmin-independent", "--game", "extended_majority", "--n", "3", "--num-actions", "3")
+    assert run_cli(*argv) == EXIT_SIZE_CAP
+
+
 def test_analyze_exploitability(capsys):
     rc = run_cli("analyze", "exploitability", "--game", "sdg", "--n", "30", "--x", "0,1,0")
     assert rc == EXIT_OK

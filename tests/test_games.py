@@ -1,6 +1,7 @@
 """Game-core: exact payoff evaluation, validators, built-in games."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from equalshare.games import (
     num_compositions,
     payoff_vectors_batch,
     realized_payoff_vector,
+    realized_payoff_vectors,
     validate,
     validate_dense,
 )
+from equalshare.sampling import counts_from_actions
 
 ALL_BUILTINS = [
     eq.majority3(),
@@ -109,11 +112,89 @@ def test_count_table_roundtrip():
     table = CountTable.build(29, 3)
     for k, row in enumerate(table.counts[::37]):
         assert table.index(tuple(int(v) for v in row)) == 37 * k
-    with pytest.raises(ValueError):
-        table.index((29, 1, 0))  # wrong total
+    for bad in ((29, 1, 0), (28, 0, 0), (-1, 30, 0), (30, -1, 0)):  # wrong total, negative count
+        with pytest.raises(ValueError):
+            table.index(bad)
+    with pytest.raises(DimensionError):
+        table.index((29, 0))
     w = table.weights(np.array([0.399, 0.6, 0.001]))
     assert w.shape == (465,)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("total, parts", [(0, 2), (1, 2), (7, 2), (0, 3), (1, 3), (6, 3), (1, 4), (4, 5)])
+def test_count_table_rows_and_switch_rows(total, parts):
+    table = CountTable.build(total, parts)
+    K = len(table.counts)
+    np.testing.assert_array_equal(table.rows(table.counts), np.arange(K))
+    # leading axes pass through
+    np.testing.assert_array_equal(table.rows(table.counts[::-1].reshape(1, K, parts))[0], np.arange(K)[::-1])
+    switched = table.switch_rows(table.counts)
+    assert switched.shape == (K, parts, parts)
+    eye = np.eye(parts, dtype=np.int64)
+    for k, c in enumerate(table.counts):
+        for b in range(parts):
+            if c[b] == 0:
+                continue  # no such vector; the caller masks the entry
+            for a in range(parts):
+                assert switched[k, b, a] == table.index(c - eye[b] + eye[a])
+    assert np.all((switched >= 0) & (switched < K))
+
+
+def _random_game(n, A, seed):
+    """A custom game with i.i.d. normal payoffs: not zero-sum, no symmetry
+    in the table, so every lookup has to land on its own entry."""
+    rng = np.random.default_rng(seed)
+    table = {(a, tuple(int(v) for v in c)): float(rng.normal())
+             for a in range(A) for c in compositions(n - 1, A)}
+    return SymmetricGame("random", n, A, lambda a, c: table[(a, c)], 3.0)
+
+
+@pytest.mark.parametrize("n, A", [(2, 2), (3, 2), (3, 3), (4, 3), (3, 5), (5, 2)])
+def test_payoff_matrix_readers_equal_loops_over_the_payoff_function(n, A):
+    game = _random_game(n, A, seed=n * 10 + A)
+    # validate: the per-profile zero-sum sum, in the order of the actions
+    worst, worst_profile = 0.0, None
+    for c in compositions(n, A):
+        total = 0.0
+        for a in range(A):
+            if c[a] > 0:
+                others = c.copy()
+                others[a] -= 1
+                total += c[a] * game.payoff(a, tuple(int(v) for v in others))
+        if abs(total) > worst:
+            worst, worst_profile = abs(total), tuple(int(v) for v in c)
+    report = validate(game)
+    assert (report.worst_violation, report.worst_profile) == (worst, worst_profile)
+    assert not report.passed
+    # dense_from_symmetric: each player's payoff at each joint action
+    if n <= 4:
+        util = np.empty((n,) + (A,) * n)
+        for joint in np.ndindex(*(A,) * n):
+            for i in range(n):
+                others = np.bincount(np.delete(joint, i), minlength=A)
+                util[(i,) + joint] = game.payoff(joint[i], tuple(int(v) for v in others))
+        assert dense_from_symmetric(game).utilities.tobytes() == util.tobytes()
+    # game_to_json: the payoff table keyed by action and counts
+    want = {f"{a}|{','.join(map(str, c))}": game.payoff(a, tuple(int(v) for v in c))
+            for a in range(A) for c in compositions(n - 1, A)}
+    assert game_to_json(game)["custom"]["payoff_table"] == want
+
+
+def test_count_table_index_is_keyed_by_all_but_the_last_count():
+    # (total+1)^(A-1) entries: sdg(200) needs 40,000, extended_majority(30,6) 30^5
+    assert CountTable.build(199, 3)._index.shape == (200**2,)
+    assert CountTable.build(5, 4)._index.shape == (6**3,)
+
+
+def test_count_table_refuses_an_oversized_index_before_building_it():
+    # extended_majority(20, 8): 20^7 = 1.28e9 index entries
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded):
+        CountTable.build(19, 8)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(SizeCapExceeded):
+        eq.extended_majority(20, 8).payoff_matrix()
 
 
 def test_multinomial_weights_handle_zero_probabilities_exactly():
@@ -217,6 +298,21 @@ def test_realized_payoff_vector_lookup():
     vec = realized_payoff_vector(g, counts)
     assert vec[1] == -29.0
     assert vec[2] == 0.0
+
+
+def test_counts_from_actions_rows_and_realized_lookups():
+    rng = np.random.default_rng(3)
+    for game in (eq.majority3(), eq.sdg(5), eq.extended_majority(4, 3)):
+        actions = rng.integers(0, game.A, size=(2, 25, game.n - 1))
+        counts = counts_from_actions(actions, game.A)
+        assert counts.shape == (2, 25, game.A)
+        for idx in np.ndindex(2, 25):
+            np.testing.assert_array_equal(counts[idx], np.bincount(actions[idx], minlength=game.A))
+        # a single row of actions gives one count vector
+        np.testing.assert_array_equal(counts_from_actions(actions[1, 3], game.A), counts[1, 3])
+        flat = actions.reshape(-1, game.n - 1)
+        want = np.stack([realized_payoff_vector(game, counts_from_actions(row, game.A)) for row in flat])
+        assert realized_payoff_vectors(game, flat).tobytes() == want.tobytes()
 
 
 def test_payoff_vectors_batch_matches_single():

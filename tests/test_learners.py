@@ -27,7 +27,6 @@ from equalshare.learners import (
     exploiter_step,
     hedge_act,
     hedge_observe,
-    hedge_update,
     saol_act,
     saol_observe,
 )
@@ -54,49 +53,6 @@ def test_rate_schedule_array_form_is_bitwise_the_scalar_formula():
         want = [eta * math.sqrt(math.log(A) / int(k)) for k in t]
         np.testing.assert_array_equal(RateSchedule(eta, "sqrt_decay", A).rates(t), want)
     np.testing.assert_array_equal(RateSchedule(0.3, "fixed", 2).rates(t), np.full(len(t), 0.3))
-
-
-def test_hedge_update_uniform_gains_are_identity():
-    for c in (-3.0, 0.0, 7.5):
-        np.testing.assert_allclose(hedge_update([0.5, 0.5], [c, c], 1.0), [0.5, 0.5])
-
-
-def test_hedge_update_closed_form():
-    out = hedge_update([0.5, 0.5], [1.0, 0.0], math.log(2.0))
-    np.testing.assert_allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-
-
-def test_hedge_update_zero_mass_never_revives():
-    out = hedge_update([1.0, 0.0], [-5.0, 100.0], 1.0)
-    np.testing.assert_allclose(out, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        hedge_update([0.0, 0.0], [1.0, 1.0], 1.0)
-    with pytest.raises(ValueError):
-        hedge_update([0.5, 0.5], [np.inf, 0.0], 1.0)
-
-
-def test_hedge_update_shift_invariance():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        x = rng.dirichlet(np.ones(4))
-        g = rng.normal(size=4)
-        c = rng.normal()
-        # invariant up to the rounding of g + c itself
-        np.testing.assert_allclose(
-            hedge_update(x, g, 0.7), hedge_update(x, g + c, 0.7), rtol=1e-12, atol=1e-15
-        )
-
-
-def test_hedge_update_argmax_monotonicity():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        x = rng.dirichlet(np.ones(3))
-        g = rng.normal(size=3)
-        out = hedge_update(x, g, 0.5)
-        for a in range(3):
-            for b in range(3):
-                if g[a] >= g[b] and x[a] >= x[b]:
-                    assert out[a] >= out[b] - 1e-15
 
 
 def test_hedge_state_fresh_is_uniform_and_updates_compose():

@@ -1,7 +1,10 @@
-"""The README's library quick tour runs as written."""
+"""The README's library quick tour runs as written, and its command lines parse."""
 
 import re
+import shlex
 from pathlib import Path
+
+from equalshare import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +14,13 @@ def test_readme_quick_tour_runs():
     assert len(blocks) == 1
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
+
+
+def test_readme_command_lines_parse():
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, flags=re.DOTALL).group(1)
+    commands = [line for line in block.splitlines() if line.startswith("equalshare ")]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])  # exits 2 on an unrecognized argument

@@ -5,16 +5,16 @@ from a common per-round meta-strategy.  The schedule fixes that sequence;
 the two hard schedules batch the horizon and flip a coin per batch, which
 is the construction that separates the adaptive learners from each other.
 
-Nothing in a match reacts to the learner's play, so `run_match` draws each
-role's randomness for the whole match up front and runs the learner's
-whole-match form.  Its transcripts are byte-identical to a round-by-round
-loop over the single-step learner API, which the tests keep as reference.
+Nothing in a match reacts to the learner's play, so `run_matches` draws
+each seed's randomness for the whole match up front and runs the learner's
+whole-match form, which for SAOL is batched over the seeds.  `run_match` is
+`run_matches` with one seed.  A seed's transcript does not depend on the
+other seeds in the call, and is byte-identical to a round-by-round loop over
+the single-step learner API, which the tests keep as reference.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,27 +197,22 @@ class Transcript:
         return float(max(u_dev.max(initial=0.0), x_dev.max(initial=0.0)))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        """One header line, then per round t, the strategy, the action, and
+        the realized, expected and oracle payoffs; floats as repr."""
         A = self.strategies.shape[1]
-        writer.writerow(
-            ["t"]
-            + [f"x{a}" for a in range(A)]
-            + ["action", "realized_payoff", "expected_payoff", "oracle_payoff"]
+        head = ["t", *(f"x{a}" for a in range(A)), "action", "realized_payoff", "expected_payoff", "oracle_payoff"]
+        lines = [",".join(head)]
+        rounds = zip(
+            self.strategies.tolist(),
+            self.actions.tolist(),
+            self.realized.tolist(),
+            self.expected.tolist(),
+            self.u_vectors.max(axis=1).tolist(),
         )
-        oracle = self.u_vectors.max(axis=1)
-        for t in range(self.T):
-            writer.writerow(
-                [t + 1]
-                + [repr(float(v)) for v in self.strategies[t]]
-                + [
-                    int(self.actions[t]),
-                    repr(float(self.realized[t])),
-                    repr(float(self.expected[t])),
-                    repr(float(oracle[t])),
-                ]
-            )
-        return buf.getvalue()
+        for t, (x, action, realized, expected, oracle) in enumerate(rounds, 1):
+            lines.append(f"{t},{','.join(map(repr, x))},{action},{realized!r},{expected!r},{oracle!r}")
+        lines.append("")
+        return "\n".join(lines)
 
     def replay_document(self) -> dict:
         """Everything a later match needs to face the same opponents."""
@@ -230,6 +225,65 @@ class Transcript:
         }
 
 
+def _draw_match(game: SymmetricGame, schedule: Schedule, T: int, seed: int):
+    """One seed's meta-strategies, opponent actions and realized gains, and
+    its learner stream: the schedule, learner, and opponents each own a
+    spawned stream, read in the order a round-by-round match reads it."""
+    rngs = role_rngs(seed)
+    ys = realize_schedule(schedule, game, T, rngs["schedule"])
+    if isinstance(schedule, ReplaySchedule):  # checked before any draw
+        opp_actions = schedule.opponent_actions.astype(np.int64)
+        if opp_actions.shape != (T, game.n - 1):
+            raise ScheduleError("replay opponent actions shape mismatch")
+        if np.any((opp_actions < 0) | (opp_actions >= game.A)):
+            raise ScheduleError(f"replay opponent action outside [0, {game.A})")
+    else:
+        opp_actions = actions_from_uniforms(ys, rngs["opponents"].random((T, game.n - 1)))
+    return ys, opp_actions, realized_payoff_vectors(game, opp_actions), rngs["learner"]
+
+
+def run_matches(
+    game: SymmetricGame,
+    learner: LearnerSpec,
+    schedule: Schedule,
+    T: int,
+    seeds,
+) -> list[Transcript]:
+    """Play T rounds of learner vs schedule once per seed.  Each seed's
+    transcript is deterministic given the seed alone: it does not depend on
+    the other seeds or their order.  SAOL runs the seeds as one batch."""
+    A = game.A
+    seeds = list(seeds)
+    draws = [_draw_match(game, schedule, T, seed) for seed in seeds]
+    if not draws:
+        return []
+    if learner.kind == "hedge":
+        strategies = [hedge_strategies(gains / game.scale, learner.eta, learner.rule) for _, _, gains, _ in draws]
+    elif learner.kind == "saol":
+        gains = np.stack([gains for _, _, gains, _ in draws]) / game.scale
+        strategies = list(saol_strategies(gains, learner.horizon or T, learner.eta))
+    else:
+        strategies = [clone_strategies(opp[:, 0], A) for _, opp, _, _ in draws]
+    out = []
+    for seed, (ys, opp_actions, gains_raw, rng), x in zip(seeds, draws, strategies):
+        actions = actions_from_uniforms(x, rng.random((T, 1)))[:, 0]
+        u_vectors = _payoff_vectors_by_row(game, ys)
+        out.append(Transcript(
+            game.name,
+            learner.describe(),
+            schedule.describe(),
+            seed,
+            x,
+            actions,
+            opp_actions,
+            gains_raw[np.arange(T), actions],
+            ys,
+            u_vectors,
+            np.vecdot(x, u_vectors),
+        ))
+    return out
+
+
 def run_match(
     game: SymmetricGame,
     learner: LearnerSpec,
@@ -237,43 +291,8 @@ def run_match(
     T: int,
     seed: int,
 ) -> Transcript:
-    """Play T rounds of learner vs schedule.  Deterministic given the seed:
-    the schedule, learner, and opponents each own a spawned stream, and each
-    stream is read in the order a round-by-round match would read it."""
-    A = game.A
-    rngs = role_rngs(seed)
-    ys = realize_schedule(schedule, game, T, rngs["schedule"])
-    if isinstance(schedule, ReplaySchedule):  # checked before any draw
-        opp_actions = schedule.opponent_actions.astype(np.int64)
-        if opp_actions.shape != (T, game.n - 1):
-            raise ScheduleError("replay opponent actions shape mismatch")
-        if np.any((opp_actions < 0) | (opp_actions >= A)):
-            raise ScheduleError(f"replay opponent action outside [0, {A})")
-    else:
-        opp_actions = actions_from_uniforms(ys, rngs["opponents"].random((T, game.n - 1)))
-    gains_raw = realized_payoff_vectors(game, opp_actions)
-    if learner.kind == "hedge":
-        strategies = hedge_strategies(gains_raw / game.scale, learner.eta, learner.rule)
-    elif learner.kind == "saol":
-        strategies = saol_strategies(gains_raw / game.scale, learner.horizon or T, learner.eta)
-    else:
-        strategies = clone_strategies(opp_actions[:, 0], A)
-    actions = actions_from_uniforms(strategies, rngs["learner"].random((T, 1)))[:, 0]
-
-    u_vectors = _payoff_vectors_by_row(game, ys)
-    return Transcript(
-        game.name,
-        learner.describe(),
-        schedule.describe(),
-        seed,
-        strategies,
-        actions,
-        opp_actions,
-        gains_raw[np.arange(T), actions],
-        ys,
-        u_vectors,
-        np.vecdot(strategies, u_vectors),
-    )
+    """run_matches with one seed."""
+    return run_matches(game, learner, schedule, T, [seed])[0]
 
 
 def replay_of(transcript: Transcript) -> ReplaySchedule:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .arena import compute_metrics, run_match
+from .arena import compute_metrics, run_matches
 from .config import ConfigError, load_config
 from .games import (
     SizeCapExceeded,
@@ -42,10 +42,22 @@ EXIT_SIZE_CAP = 4
 
 
 def _thread_count(args) -> int:
-    if args.threads:
+    """--threads, else EQS_THREADS, else 1; anything but a positive integer
+    is a config error."""
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be a positive integer, got {args.threads}")
         return args.threads
     env = os.environ.get("EQS_THREADS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"EQS_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def _load_cli_game(args) -> SymmetricGame:
@@ -78,28 +90,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, threads: int) -> int:
     cfg = load_config(args.config)
     out = Path(args.out or cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one(seed: int):
-        tr = run_match(cfg.game, cfg.learner, cfg.schedule, cfg.T, seed)
-        return seed, tr, compute_metrics(tr)
+    def play(seeds: list[int]):
+        return run_matches(cfg.game, cfg.learner, cfg.schedule, cfg.T, seeds)
 
-    threads = _thread_count(args)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, cfg.seeds))
+    # one run_matches call per contiguous group of seeds, a group per thread
+    threads = min(threads, len(cfg.seeds))
+    size, extra = divmod(len(cfg.seeds), threads)
+    bounds = [i * size + min(i, extra) for i in range(threads + 1)]
+    groups = [cfg.seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    if len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+            transcripts = [tr for part in pool.map(play, groups) for tr in part]
     else:
-        results = [one(s) for s in cfg.seeds]
-    results.sort(key=lambda r: cfg.seeds.index(r[0]))
+        transcripts = play(cfg.seeds)
 
     metrics_rows = []
-    for seed, tr, metrics in results:
-        (out / f"transcript_seed{seed}.csv").write_text(tr.to_csv())
-        (out / f"replay_seed{seed}.json").write_text(json.dumps(tr.replay_document()) + "\n")
-        metrics_rows.append({"seed": seed, **metrics.as_dict()})
+    for tr in transcripts:
+        (out / f"transcript_seed{tr.seed}.csv").write_text(tr.to_csv())
+        (out / f"replay_seed{tr.seed}.json").write_text(json.dumps(tr.replay_document()) + "\n")
+        metrics_rows.append({"seed": tr.seed, **compute_metrics(tr).as_dict()})
     head = list(metrics_rows[0].keys())
     lines = [",".join(head)]
     for row in metrics_rows:
@@ -286,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (or EQS_THREADS)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="simulate: worker threads, each running a contiguous group of seeds (or EQS_THREADS)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_game_args(p):
@@ -328,13 +343,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        threads = _thread_count(args)
         if args.verb == "verify":
             return cmd_verify(args)
         if args.verb == "simulate":
             if not args.config:
                 print("simulate needs --config", file=sys.stderr)
                 return EXIT_CONFIG
-            return cmd_simulate(args)
+            return cmd_simulate(args, threads)
         if args.verb == "reproduce":
             return cmd_reproduce(args)
         if args.verb == "analyze":

@@ -9,12 +9,15 @@ regularization term is part of their update formulas.
 
 The schedule-driven learners have single-step forms, whose states are plain
 values (every step consumes a state and returns a fresh one), and a
-whole-match form (`*_strategies`): given a match's (T, A) gains up front it
+whole-match form (`*_strategies`): given a match's gains up front it
 returns every round's strategy, bytewise what stepping the single-round
-functions would play.  Self-play, hedge against a fixed meta-strategy and
-the exploiter have one implementation each, the batched trainers
-(`batch_*`), which advance many runs in lockstep; runs=1 is the sequential
-case.  `exploiter_step` steps one exploiter run with the batched rule.
+functions would play.  SAOL's whole-match form is batched over runs, on
+(R, T, A) gains, and shares its meta step with `saol_observe`; a run's rows
+do not depend on the rest of the batch.  Self-play, hedge against a fixed
+meta-strategy and the exploiter have one implementation each, the batched
+trainers (`batch_*`), which advance many runs in lockstep; runs=1 is the
+sequential case.  `exploiter_step` steps one exploiter run with the batched
+rule.
 """
 
 from __future__ import annotations
@@ -118,6 +121,81 @@ def cover_intervals_starting_at(s: int, horizon: int) -> list[tuple[int, int]]:
     return out
 
 
+def cover_slots(rounds, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cover by level slot: (..., L) starts and ends of the interval of
+    level k (nominal length 2^k) live at each round, L = floor(log2 horizon)
+    + 1.  A level holds at most one live interval at a time; the intervals
+    are cover_intervals_starting_at's, with the same truncation and dedup,
+    computed for all rounds at once.  A slot with no live interval (before
+    round 2^k, after its truncated duplicate was dropped, past the horizon)
+    has start and end 0."""
+    t = np.asarray(rounds, dtype=np.int64)[..., None]
+    size = np.int64(1) << np.arange(int(horizon).bit_length(), dtype=np.int64)
+    starts = t // size * size
+    ends = np.minimum(starts + size - 1, horizon)
+    # level k starting at s duplicates level k-1 when that one starts at s
+    # too and already reaches the horizon
+    dup = np.zeros(starts.shape, dtype=bool)
+    dup[..., 1:] = (starts[..., 1:] == starts[..., :-1]) & (ends[..., :-1] == horizon)
+    live = (starts >= size) & (t <= horizon) & ~dup
+    return np.where(live, starts, 0), np.where(live, ends, 0)
+
+
+def _meta_rates(lengths: np.ndarray) -> np.ndarray:
+    """Meta rate of an interval expert: min(1/2, 1/sqrt(interval length))."""
+    return np.minimum(0.5, 1.0 / np.sqrt(lengths))
+
+
+def _expert_rows(log_weights: np.ndarray, gains: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each expert's play p, its gain p.g and a 1, as (A + 2, ...) rows from
+    (A, ...) log-weights and gains broadcast against them, actions first.
+    Sums over actions run in action order, so an expert's bytes never
+    depend on the shape of the batch around it."""
+    A = len(log_weights)
+    rows = np.empty((A + 2,) + log_weights.shape[1:]) if out is None else out
+    plays, gain, total = rows[:A], rows[A], rows[A + 1]
+    np.max(log_weights, axis=0, out=total)
+    np.subtract(log_weights, total, out=plays)
+    np.exp(plays, out=plays)  # on contiguous memory in every call, so every path uses one exp kernel
+    np.copyto(total, plays[0])
+    for a in range(1, A):
+        total += plays[a]
+    plays /= total
+    np.multiply(plays[0], gains[0], out=gain)
+    for a in range(1, A):
+        gain += plays[a] * gains[a]
+    total[...] = 1.0
+    return rows
+
+
+def _meta_totals(weights, rows, scratch=None):
+    """(R, L) meta weights and (A + 2, R, L) expert rows -> (A + 2, R): the
+    weighted sums of the plays, of the gains and of the weights (their
+    ratios are the mixture and its gain).  The sums run over the slots in
+    order (an accumulate, never a BLAS product), and empty slots weigh 0 and
+    add exact zeros, so a run's bytes depend neither on the batch around it
+    nor on the empty slots."""
+    products = np.multiply(weights, rows, out=scratch)
+    return np.add.accumulate(products, axis=-1)[..., -1]
+
+
+def _meta_step(weights, rows, rates, floors, scratch=None):
+    """One round of the meta-weight recursion for R runs over L slots, with
+    (R, L) weights, rates and regret floors: the round's _meta_totals, and
+    the weights after a multiplicative step on each expert's instantaneous
+    regret against the mixture.  The regret is clipped at floors = (1e-9 -
+    1) / rates so the factor stays strictly positive (a tiny weight can
+    still underflow)."""
+    totals = _meta_totals(weights, rows, scratch)
+    regret = np.maximum(rows[-2] - (totals[-2] / totals[-1])[:, None], floors)
+    return totals, weights * (1.0 + rates * regret)
+
+
+def _check_weights(weights: np.ndarray, live: int, t: int) -> None:
+    if np.count_nonzero(weights > 0.0) != live:
+        raise FloatingPointError(f"meta weight underflowed to zero at round {t}")
+
+
 @dataclass
 class SAOLState:
     """Meta-learner mixing interval-restarted hedges.
@@ -125,8 +203,9 @@ class SAOLState:
     Row i holds the live hedge expert of the dyadic interval
     [starts[i], ends[i]], started fresh at the interval's first round; the
     meta weights follow a multiplicative update on each expert's
-    instantaneous regret against the mixture.  Rows keep survivors in order
-    and append new experts, which fixes the order the mixture sums them in.
+    instantaneous regret against the mixture.  Rows are in level order
+    (shortest interval first), which fixes the order the mixture sums them
+    in: the order of saol_strategies' level slots.
     """
 
     horizon: int
@@ -147,69 +226,121 @@ class SAOLState:
 
 
 def _advance(state: SAOLState, experts: np.ndarray, weights: np.ndarray, keep: np.ndarray) -> SAOLState:
-    """The state of round t+1: the kept rows of the updated experts and
-    weights, then a fresh expert per cover interval starting at t+1."""
+    """The state of round t+1: a fresh expert per cover interval starting at
+    t+1, then the kept rows of the updated experts and weights.  Intervals
+    born at t+1 are the levels below every survivor's, so this is level
+    order."""
     born = cover_intervals_starting_at(state.t + 1, state.horizon)
     spans = np.array(born, dtype=np.int64).reshape(-1, 2)
-    rates = np.minimum(0.5, 1.0 / np.sqrt(spans[:, 1] - spans[:, 0] + 1))
+    rates = _meta_rates(spans[:, 1] - spans[:, 0] + 1)
     return SAOLState(
         state.horizon,
         state.t + 1,
         state.expert_rates,
-        np.concatenate([experts[keep], np.zeros((len(born), experts.shape[1]))]),
-        np.concatenate([weights[keep], rates]),
-        np.concatenate([state.rates[keep], rates]),
-        np.concatenate([state.starts[keep], spans[:, 0]]),
-        np.concatenate([state.ends[keep], spans[:, 1]]),
+        np.concatenate([np.zeros((len(born), experts.shape[1])), experts[keep]]),
+        np.concatenate([rates, weights[keep]]),
+        np.concatenate([rates, state.rates[keep]]),
+        np.concatenate([spans[:, 0], state.starts[keep]]),
+        np.concatenate([spans[:, 1], state.ends[keep]]),
     )
 
 
-def _saol_mixture(state: SAOLState) -> tuple[np.ndarray, np.ndarray]:
-    """Each expert's play and the meta-weighted mixture of them."""
-    lw = state.experts
-    plays = np.exp(lw - lw.max(axis=1, keepdims=True))
-    plays /= plays.sum(axis=1, keepdims=True)
-    w = state.weights
-    return plays, (w @ plays) / w.sum()
-
-
 def saol_act(state: SAOLState) -> np.ndarray:
-    return _saol_mixture(state)[1]
-
-
-def _saol_step(state: SAOLState, gains: np.ndarray) -> tuple[np.ndarray, SAOLState]:
-    """The strategy played at round t and the state after its gains."""
-    if state.t > state.horizon:
-        raise ValueError(f"round {state.t} beyond horizon {state.horizon}")
-    plays, x_t = _saol_mixture(state)
-    r = plays @ gains - float(x_t @ gains)
-    # Keep the multiplicative factor strictly positive even at the clipping
-    # boundary; a tiny weight can still underflow to zero.
-    r = np.maximum(r, (1e-9 - 1.0) / state.rates)
-    new_w = state.weights * (1.0 + state.rates * r)
-    if not (new_w > 0.0).all():
-        raise FloatingPointError(f"meta weight underflowed to zero at round {state.t}")
-    # every expert is a hedge started at its interval's first round
-    eta = state.expert_rates.rates(state.t - state.starts + 1)
-    experts = state.experts + eta[:, None] * gains
-    return x_t, _advance(state, experts, new_w, state.ends > state.t)
+    A = state.experts.shape[1]
+    rows = _expert_rows(state.experts.T, np.zeros((A, 1)))
+    totals = _meta_totals(state.weights[None], rows[:, None])[:, 0]
+    return totals[:A] / totals[A + 1]
 
 
 def saol_observe(state: SAOLState, gains: np.ndarray) -> SAOLState:
     """Feed one round of gains (in [-1, 1]) to every active interval expert
     and reweight them by instantaneous regret against the mixture; intervals
-    ending this round retire."""
-    return _saol_step(state, np.asarray(gains, dtype=float))[1]
+    ending this round retire.  The meta step is saol_strategies' for one
+    run."""
+    if state.t > state.horizon:
+        raise ValueError(f"round {state.t} beyond horizon {state.horizon}")
+    gains = np.asarray(gains, dtype=float)
+    rows = _expert_rows(state.experts.T, gains[:, None])
+    floors = (1e-9 - 1.0) / state.rates
+    new_w = _meta_step(state.weights[None], rows[:, None], state.rates, floors)[1][0]
+    _check_weights(new_w, len(new_w), state.t)
+    # every expert is a hedge started at its interval's first round
+    eta = state.expert_rates.rates(state.t - state.starts + 1)
+    experts = state.experts + eta[:, None] * gains
+    return _advance(state, experts, new_w, state.ends > state.t)
+
+
+SAOL_BLOCK = 128  # rounds per block of expert tracks; a power of two
 
 
 def saol_strategies(gains: np.ndarray, horizon: int, eta: float = 1.0) -> np.ndarray:
-    """Whole-match SAOL: row t is saol_act after saol_observe on rows
-    0..t-1 of the (T, A) gains."""
-    T, A = gains.shape
-    state = SAOLState.fresh(horizon, A, eta)
-    out = np.empty((T, A))
-    for t in range(T):
-        out[t], state = _saol_step(state, gains[t])
+    """Whole-match SAOL for a batch of runs: row [r, t] is saol_act after
+    saol_observe on rows [r, 0..t-1] of the (R, T, A) gains, byte for byte,
+    and a run's rows do not depend on the other runs in the batch.
+
+    The cover is a fixed set of level slots (cover_slots), so every run
+    shares one schedule of births, retirements and rates.  Expert log-weights
+    are per-level running sums of eta(t - s + 1) * g, computed a block of
+    rounds at a time: within-block intervals are a segmented cumsum, and a
+    level whose interval spans blocks carries its running row into the next
+    block's cumsum, so the bytes do not depend on where blocks fall.  Only
+    the (R, L) meta-weight recursion steps round by round.
+    """
+    R, T, A = gains.shape
+    if T > horizon:
+        raise ValueError(f"round {horizon + 1} beyond horizon {horizon}")
+    block = SAOL_BLOCK
+    out = np.empty((R, T, A))
+    L = min(T, horizon).bit_length()  # the levels live by round T
+    # the expert rate at ages 1..2^(L-1), computed as saol_observe does
+    eta_by_age = RateSchedule(eta, "sqrt_decay", A).rates(np.arange(1, (1 << L) // 2 + 1))
+    running = np.zeros((L, A, R))  # each level's log-weights at the block's first round
+    # per-block buffers: (action, round in block, run[, slot])
+    g = np.empty((A, block, R))
+    log_w = np.empty((A, block, R, L))
+    rows = np.empty((A + 2, block, R, L))
+    totals = np.empty((block, A + 2, R))
+    scratch = np.empty((A + 2, R, L))
+    # block j holds rounds j*block .. (j+1)*block - 1; round 0 is a placeholder
+    for b0 in range(0, T + 1, block):
+        rounds = np.arange(b0, b0 + block + 1)
+        starts, ends = (c[:, :L] for c in cover_slots(rounds, horizon))
+        live = ends > 0
+        rates = _meta_rates(np.where(live, ends - starts + 1, 1))  # 1/2 on empty slots
+        floors = (1e-9 - 1.0) / rates
+        # the slots that carry their weight into the next round, and the
+        # starting weights of the slots born there
+        carry = live[1:] & (starts[1:] < rounds[1:, None])
+        born = np.where(live[1:] & ~carry, rates[1:], 0.0)
+        live_counts = R * live.sum(axis=1)
+
+        lo, hi = max(b0, 1), min(b0 + block, T + 1)
+        g[...] = 0.0
+        g[:, lo - b0 : hi - b0] = gains[:, lo - 1 : hi - 1].transpose(2, 1, 0)
+        for k in range(L):
+            size = 1 << k
+            step = eta_by_age[rounds[:-1] % size][:, None] * g
+            if size <= block:
+                track = np.zeros((A, block // size, size, R))
+                np.cumsum(step.reshape(A, block // size, size, R)[:, :, :-1], axis=2, out=track[:, :, 1:])
+                log_w[..., k] = track.reshape(A, block, R)
+            else:
+                if b0 % size == 0:
+                    running[k] = 0.0
+                sums = np.cumsum(np.concatenate([running[k][:, None], step], axis=1), axis=1)
+                log_w[..., k] = sums[:, :-1]
+                running[k] = sums[:, -1]
+        _expert_rows(log_w, g[..., None], out=rows)
+
+        first = 0
+        if b0 == 0:  # round 1 starts from the weights born there
+            weights, first = np.broadcast_to(born[0], (R, L)), 1
+        for i in range(first, hi - b0):
+            totals[i], new_w = _meta_step(weights, rows[:, i], rates[i], floors[i], scratch)
+            _check_weights(new_w, live_counts[i], b0 + i)
+            weights = np.where(carry[i], new_w, born[i])
+        played = totals[lo - b0 : hi - b0]
+        out[:, lo - 1 : hi - 1] = (played[:, :A] / played[:, A + 1 :]).transpose(2, 0, 1)
     return out
 
 

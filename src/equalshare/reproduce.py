@@ -6,7 +6,7 @@ batched trainers of `learners` (every run advances in lockstep, one numpy
 Generator drives the whole batch), and `analysis.exploitability`'s exploiter
 protocol.  The tests replay each trainer's rule round by round to
 cross-check it, as they do for the whole-match forms behind
-`arena.run_match`.
+`arena.run_matches`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import exploitability, monte_carlo_utility
-from .arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_match
+from .arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
 from .games import SymmetricGame, expected_payoff_mixed
 # batch_exploiter is not called here; callers of reproduce.batch_* still import it from here.
 from .learners import LearnerSpec, batch_exploiter, batch_hedge_vs_fixed, batch_self_play
@@ -230,7 +230,7 @@ def sdg_table(seed: int = 0, runs: int = 100, **overrides) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Lower-bound sweeps and scaling fit (sequential matches; small horizons).
+# Lower-bound sweeps and scaling fit (one run_matches call per row).
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -262,12 +262,11 @@ def lowerbound_sweep(
     for sched_kind, v, T in configs:
         sched = (BiasedCoinSchedule if sched_kind == "biased_coin" else PureSwapSchedule)(v, T)
         for kind in kinds:
-            uavg, dreg = [], []
-            for s in range(seeds):
-                tr = run_match(game, LearnerSpec(kind, eta=eta, horizon=T), sched, T, base_seed * 1_000_003 + s)
-                m = compute_metrics(tr)
-                uavg.append(m.u_avg)
-                dreg.append(m.dynamic_regret)
+            runs = run_matches(game, LearnerSpec(kind, eta=eta, horizon=T), sched, T,
+                               [base_seed * 1_000_003 + s for s in range(seeds)])
+            metrics = [compute_metrics(tr) for tr in runs]
+            uavg = [m.u_avg for m in metrics]
+            dreg = [m.dynamic_regret for m in metrics]
             rows.append(
                 SweepRow(
                     sched_kind, kind, T, v, seeds,
@@ -290,12 +289,9 @@ def fit_scaling_exponent(
     +/-eps hard schedule at fixed variation budget."""
     means = []
     for T in horizons:
-        vals = [
-            compute_metrics(
-                run_match(game, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(v_budget, T), T, base_seed * 7_777_777 + s)
-            ).dynamic_regret
-            for s in range(seeds)
-        ]
+        runs = run_matches(game, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(v_budget, T), T,
+                           [base_seed * 7_777_777 + s for s in range(seeds)])
+        vals = [compute_metrics(tr).dynamic_regret for tr in runs]
         means.append((T, float(np.mean(vals))))
     slope = float(np.polyfit(np.log([t for t, _ in means]), np.log([max(m, 1e-12) for _, m in means]), 1)[0])
     return slope, means

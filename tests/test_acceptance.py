@@ -18,7 +18,7 @@ import pytest
 
 import equalshare as eq
 from equalshare.analysis import check_equilibrium, exploitability, minimax_identical, minimax_independent, monte_carlo_utility
-from equalshare.arena import FixedSchedule, BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_match
+from equalshare.arena import FixedSchedule, BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
 from equalshare.games import dense_from_symmetric, expected_payoff_mixed, validate, validate_dense
 from equalshare.learners import LearnerSpec
 from equalshare.reproduce import (
@@ -142,13 +142,8 @@ U_STAR = 0.0098
 def _c5_gaps():
     gaps = {}
     for T in (1_000, 10_000):
-        vals = [
-            compute_metrics(
-                run_match(MV, LearnerSpec("hedge", eta=1.0), FixedSchedule((0.49, 0.51)), T, 500_000 + s)
-            ).u_avg
-            for s in range(20)
-        ]
-        gaps[T] = U_STAR - float(np.mean(vals))
+        runs = run_matches(MV, LearnerSpec("hedge", eta=1.0), FixedSchedule((0.49, 0.51)), T, range(500_000, 500_020))
+        gaps[T] = U_STAR - float(np.mean([compute_metrics(tr).u_avg for tr in runs]))
     return gaps
 
 
@@ -186,12 +181,8 @@ def test_c5_decade_ratio(c5_gaps):
 
 def test_c6_cloning_tracks_slow_budgets():
     for v_budget, T in ((32.0, 1_024), (128.0, 4_096)):
-        vals = [
-            compute_metrics(
-                run_match(EM2, LearnerSpec("clone"), PureSwapSchedule(v_budget, T), T, 600_000 + s)
-            ).u_avg
-            for s in range(50)
-        ]
+        runs = run_matches(EM2, LearnerSpec("clone"), PureSwapSchedule(v_budget, T), T, range(600_000, 600_050))
+        vals = [compute_metrics(tr).u_avg for tr in runs]
         sigma = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         assert float(np.mean(vals)) >= -(v_budget + 1) / T - 3 * sigma
 
@@ -202,12 +193,8 @@ def test_c6_no_learner_survives_quarter_budget():
     T = 1_024
     v_budget = T / 4.0
     for kind in ("hedge", "saol", "clone"):
-        vals = [
-            compute_metrics(
-                run_match(EM2, LearnerSpec(kind, horizon=T), PureSwapSchedule(v_budget, T), T, 610_000 + s)
-            ).u_avg
-            for s in range(20)
-        ]
+        runs = run_matches(EM2, LearnerSpec(kind, horizon=T), PureSwapSchedule(v_budget, T), T, range(610_000, 610_020))
+        vals = [compute_metrics(tr).u_avg for tr in runs]
         assert float(np.mean(vals)) <= -0.05 * v_budget / T, kind
 
 
@@ -226,16 +213,12 @@ def c7_sweep():
     for kind in ("saol", "hedge", "clone"):
         dreg_means, uavg_means = [], []
         for T in C7_HORIZONS:
-            dregs, uavgs = [], []
-            for s in range(C7_SEEDS):
-                tr = run_match(
-                    EM2, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(C7_V, T), T, 700_000 + s
-                )
-                m = compute_metrics(tr)
-                dregs.append(m.dynamic_regret)
-                uavgs.append(m.u_avg)
-            dreg_means.append(float(np.mean(dregs)))
-            uavg_means.append(float(np.mean(uavgs)))
+            runs = run_matches(
+                EM2, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(C7_V, T), T, range(700_000, 700_000 + C7_SEEDS)
+            )
+            metrics = [compute_metrics(tr) for tr in runs]
+            dreg_means.append(float(np.mean([m.dynamic_regret for m in metrics])))
+            uavg_means.append(float(np.mean([m.u_avg for m in metrics])))
         slope = float(
             np.polyfit(np.log(C7_HORIZONS), np.log(np.maximum(dreg_means, 1e-12)), 1)[0]
         )

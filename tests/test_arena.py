@@ -17,6 +17,7 @@ from equalshare.arena import (
     realize_schedule,
     replay_of,
     run_match,
+    run_matches,
     schedule_from_json,
     static_regret,
     u_average,
@@ -193,6 +194,46 @@ def test_run_match_is_byte_identical_to_the_reference_loop(kind, T):
                 assert got.tobytes() == want.tobytes(), (name, schedule.describe(), seed)
 
 
+FIELDS = ("strategies", "actions", "opponent_actions", "realized", "y_seq", "u_vectors", "expected")
+
+
+def _assert_same_transcript(got, want, what):
+    assert got.seed == want.seed
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, (name, what)
+        assert a.tobytes() == b.tobytes(), (name, what)
+    assert got.to_csv() == want.to_csv(), what
+
+
+@pytest.mark.parametrize("kind", ["hedge", "saol", "clone"])
+def test_run_matches_rows_equal_run_match_per_seed(kind):
+    T = 300  # not a multiple of the SAOL time block
+    em, sdg30 = eq.extended_majority(3, 2), eq.sdg(30)
+    cases = [
+        (em, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(8.0, T)),
+        (em, LearnerSpec(kind, horizon=T), PureSwapSchedule(32.0, T)),
+        (sdg30, LearnerSpec(kind, eta=2.0), FixedSchedule((0.399, 0.6, 0.001))),
+        (em, LearnerSpec(kind), _replay_schedule(T)),
+    ]
+    for game, spec, schedule in cases:
+        for seeds in ([4], [4, 17], [9, 0, 4, 31, 2]):
+            rows = run_matches(game, spec, schedule, T, seeds)
+            assert [tr.seed for tr in rows] == seeds
+            for seed, tr in zip(seeds, rows):
+                _assert_same_transcript(tr, run_match(game, spec, schedule, T, seed), (schedule.describe(), seeds, seed))
+
+
+def test_run_matches_row_does_not_depend_on_its_batch():
+    g, T = eq.extended_majority(3, 2), 300
+    spec, schedule = LearnerSpec("saol", horizon=T), BiasedCoinSchedule(8.0, T)
+    alone = run_matches(g, spec, schedule, T, [7])[0]
+    for seeds in ([7, 1, 2], [3, 7], [5, 6, 8, 9, 7], [7, 7]):
+        rows = run_matches(g, spec, schedule, T, seeds)
+        _assert_same_transcript(rows[seeds.index(7)], alone, seeds)
+    assert run_matches(g, spec, schedule, T, []) == []
+
+
 def test_run_match_rejects_non_arena_learners_and_short_saol_horizons():
     g = eq.majority3()
     # the self-play trainers are not learner kinds, so no such match can start
@@ -219,6 +260,39 @@ def test_transcript_consistency_and_csv():
     lines = csv_text.strip().split("\n")
     assert lines[0] == "t,x0,x1,action,realized_payoff,expected_payoff,oracle_payoff"
     assert len(lines) == 51
+
+
+def csv_writer_reference(tr):
+    """Transcript.to_csv as one csv.writer call per round."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    A = tr.strategies.shape[1]
+    writer.writerow(["t"] + [f"x{a}" for a in range(A)] + ["action", "realized_payoff", "expected_payoff", "oracle_payoff"])
+    oracle = tr.u_vectors.max(axis=1)
+    for t in range(tr.T):
+        writer.writerow(
+            [t + 1]
+            + [repr(float(v)) for v in tr.strategies[t]]
+            + [int(tr.actions[t]), repr(float(tr.realized[t])), repr(float(tr.expected[t])), repr(float(oracle[t]))]
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["hedge", "saol", "clone"])
+def test_to_csv_equals_the_csv_writer_reference(kind):
+    em = eq.extended_majority(3, 2)
+    cases = [
+        (em, BiasedCoinSchedule(8.0, 2048), 2048),
+        (eq.sdg(30), FixedSchedule((0.399, 0.6, 0.001)), 200),
+        (em, PureSwapSchedule(4.0, 64), 64),
+        (em, FixedSchedule((0.5, 0.5)), 0),
+    ]
+    for game, schedule, T in cases:
+        tr = run_match(game, LearnerSpec(kind, horizon=max(T, 1)), schedule, T, seed=3)
+        assert tr.to_csv() == csv_writer_reference(tr)
 
 
 def test_replay_reproduces_opponent_actions():

@@ -178,6 +178,60 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert (tmp_path / "env" / "replay_seed1.json").exists()
 
 
+def _threads_config(tmp_path):
+    cfg = {
+        "game": {"name": "majority3"},
+        "learner": {"kind": "clone"},
+        "schedule": {"kind": "fixed", "y": [0.5, 0.5]},
+        "T": 20,
+        "seeds": [1, 2],
+        "out": str(tmp_path / "sim"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_threads_below_one_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("EQS_THREADS", raising=False)
+    assert run_cli("--threads", "-3", "simulate", "--config", str(_threads_config(tmp_path))) == EXIT_CONFIG
+    assert "--threads must be a positive integer, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_threads_zero_does_not_fall_back_to_the_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EQS_THREADS", "2")
+    assert run_cli("--threads", "0", "simulate", "--config", str(_threads_config(tmp_path))) == EXIT_CONFIG
+    assert "--threads must be a positive integer, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_threads_environment_must_be_a_positive_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("EQS_THREADS", "abc")
+    assert run_cli("simulate", "--config", str(_threads_config(tmp_path))) == EXIT_CONFIG
+    assert "EQS_THREADS must be a positive integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("threads", ["2", "3", "9"])
+def test_simulate_seed_groups_match_one_batch(tmp_path, threads):
+    cfg = {
+        "game": {"name": "extended_majority", "n": 3, "num_actions": 2},
+        "learner": {"kind": "saol"},
+        "schedule": {"kind": "biased_coin", "v_budget": 8, "horizon": 200},
+        "T": 200,
+        "seeds": [5, 1, 4, 0, 3],
+    }
+    outs = {}
+    for name, extra in (("one", ["--threads", "1"]), ("split", ["--threads", threads])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(cfg, out=str(tmp_path / name))))
+        assert run_cli(*extra, "simulate", "--config", str(path)) == EXIT_OK
+        outs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir() if p.name != "summary.json"}
+    assert len(outs["one"]) == 11  # a transcript and a replay per seed, and the metrics
+    assert outs["split"] == outs["one"]
+
+
 def test_analyze_size_cap_exit(capsys):
     rc = run_cli("analyze", "minimax", "--game", "sdg", "--n", "30", "--which", "maxmin-independent")
     assert rc == EXIT_SIZE_CAP

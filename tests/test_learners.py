@@ -23,13 +23,16 @@ from equalshare.learners import (
     clone_observe,
     clone_strategy,
     cover_intervals_starting_at,
+    cover_slots,
     exploiter_current,
     exploiter_step,
     hedge_act,
     hedge_observe,
     saol_act,
     saol_observe,
+    saol_strategies,
 )
+from equalshare import learners
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +113,102 @@ def test_hedge_static_regret_envelope():
 # The strongly adaptive meta-learner.
 # ---------------------------------------------------------------------------
 
+def _born_at(s, horizon):
+    starts, ends = cover_slots(s, horizon)
+    return [(int(a), int(e)) for a, e in zip(starts, ends) if a == s]
+
+
 def test_interval_cover():
-    assert cover_intervals_starting_at(1, 100) == [(1, 1)]
-    assert cover_intervals_starting_at(2, 100) == [(2, 2), (2, 3)]
-    assert cover_intervals_starting_at(4, 100) == [(4, 4), (4, 5), (4, 7)]
-    # truncation near the horizon merges coinciding intervals
-    assert cover_intervals_starting_at(8, 10) == [(8, 8), (8, 9), (8, 10)]
-    assert cover_intervals_starting_at(6, 100) == [(6, 6), (6, 7)]
+    for born in (cover_intervals_starting_at, _born_at):
+        assert born(1, 100) == [(1, 1)]
+        assert born(2, 100) == [(2, 2), (2, 3)]
+        assert born(4, 100) == [(4, 4), (4, 5), (4, 7)]
+        # truncation near the horizon merges coinciding intervals
+        assert born(8, 10) == [(8, 8), (8, 9), (8, 10)]
+        assert born(6, 100) == [(6, 6), (6, 7)]
+
+
+def _live_intervals(starts, ends):
+    return sorted((int(s), int(e)) for s, e in zip(starts, ends) if e > 0)
+
+
+@pytest.mark.parametrize("beyond", [0, 1, 37])
+def test_cover_slots_equal_the_union_of_cover_intervals(beyond):
+    # horizons 1..130 at T = horizon, and horizons beyond T; every interval
+    # is live at its start, so per-round equality covers the whole union
+    for T in range(1, 131):
+        horizon = T + beyond
+        starts, ends = cover_slots(np.arange(T + 1), horizon)
+        assert starts.shape == (T + 1, math.floor(math.log2(horizon)) + 1)
+        union = {iv for s in range(1, T + 1) for iv in cover_intervals_starting_at(s, horizon)}
+        for t in range(T + 1):
+            assert _live_intervals(starts[t], ends[t]) == sorted((s, e) for s, e in union if s <= t <= e)
+            for k in np.flatnonzero(ends[t]):  # level k: a dyadic start, nominal length 2^k
+                s, e = starts[t, k], ends[t, k]
+                assert s % (1 << k) == 0 and (e - s + 1 == 1 << k or e == horizon)
+        assert not cover_slots(horizon + 1, horizon)[1].any()
+
+
+def test_saol_state_rows_are_the_live_level_slots_in_order():
+    for horizon in (64, 100):
+        state = SAOLState.fresh(horizon, 2)
+        rng = np.random.default_rng(horizon)
+        for t in range(1, horizon + 1):
+            starts, ends = cover_slots(t, horizon)
+            live = ends > 0
+            assert state.starts.tobytes() == starts[live].tobytes()
+            assert state.ends.tobytes() == ends[live].tobytes()
+            state = saol_observe(state, rng.uniform(-1, 1, size=2))
+
+
+def _saol_reference(gains, horizon):
+    state = SAOLState.fresh(horizon, gains.shape[1])
+    rows = []
+    for g in gains:
+        rows.append(saol_act(state))
+        state = saol_observe(state, g)
+    return np.array(rows)
+
+
+def test_saol_strategies_equal_the_single_step_loop_per_run():
+    rng = np.random.default_rng(12)
+    for T, horizon, A in ((1, 1, 2), (130, 130, 3), (300, 1000, 2), (513, 513, 4)):
+        gains = rng.uniform(-1, 1, size=(3, T, A))
+        batch = saol_strategies(gains, horizon)
+        for r in range(3):
+            assert batch[r].tobytes() == _saol_reference(gains[r], horizon).tobytes()
+            assert batch[r].tobytes() == saol_strategies(gains[r : r + 1], horizon)[0].tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 8, 64, 512])
+def test_saol_strategies_bytes_do_not_depend_on_the_time_block(block, monkeypatch):
+    # T = 300 is not a multiple of any block but 1 and 2
+    gains = np.random.default_rng(3).uniform(-1, 1, size=(3, 300, 2))
+    want = saol_strategies(gains, 1000)
+    monkeypatch.setattr(learners, "SAOL_BLOCK", block)
+    assert saol_strategies(gains, 1000).tobytes() == want.tobytes()
+    # a shorter match against the same horizon plays the same prefix
+    assert saol_strategies(gains[:, :257], 1000).tobytes() == want[:, :257].tobytes()
+
+
+def test_saol_strategies_memory_is_bounded_by_the_time_block():
+    import tracemalloc
+
+    gains = np.random.default_rng(5).uniform(-1, 1, size=(20, 16_384, 2))
+    tracemalloc.start()
+    try:
+        out = saol_strategies(gains, 16_384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == gains.shape
+    # the output is 5 MB; the expert tracks of one block add a few more
+    assert peak < 32 * 2**20
+
+
+def test_saol_strategies_rejects_matches_beyond_the_horizon():
+    with pytest.raises(ValueError, match="round 9 beyond horizon 8"):
+        saol_strategies(np.zeros((2, 9, 2)), 8)
 
 
 def test_saol_active_interval_count():

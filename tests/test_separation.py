@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import equalshare as eq
-from equalshare.arena import PureSwapSchedule, compute_metrics, run_match
+from equalshare.arena import PureSwapSchedule, compute_metrics, run_matches
 from equalshare.learners import LearnerSpec
 
 EM2 = eq.extended_majority(3, 2)
@@ -22,13 +22,8 @@ SEEDS = 8
 def _dreg_means(kind):
     means = []
     for T in HORIZONS:
-        vals = [
-            compute_metrics(
-                run_match(EM2, LearnerSpec(kind, horizon=T), PureSwapSchedule(8.0, T), T, 42_000 + s)
-            ).dynamic_regret
-            for s in range(SEEDS)
-        ]
-        means.append(float(np.mean(vals)))
+        runs = run_matches(EM2, LearnerSpec(kind, horizon=T), PureSwapSchedule(8.0, T), T, range(42_000, 42_000 + SEEDS))
+        means.append(float(np.mean([compute_metrics(tr).dynamic_regret for tr in runs])))
     return means
 
 
@@ -51,15 +46,10 @@ def test_pure_swap_family_separates_the_learners():
 def test_hedge_fails_two_round_batches():
     # batches of length 2: copying survives, reweighting does not
     T = 1024
-    hedge_vals, clone_vals = [], []
-    for s in range(10):
-        sched = PureSwapSchedule(T / 2.0, T)
-        hedge_vals.append(
-            compute_metrics(run_match(EM2, LearnerSpec("hedge"), sched, T, 52_000 + s)).u_avg
-        )
-        clone_vals.append(
-            compute_metrics(run_match(EM2, LearnerSpec("clone"), sched, T, 52_000 + s)).u_avg
-        )
+    sched = PureSwapSchedule(T / 2.0, T)
+    seeds = range(52_000, 52_010)
+    hedge_vals = [compute_metrics(tr).u_avg for tr in run_matches(EM2, LearnerSpec("hedge"), sched, T, seeds)]
+    clone_vals = [compute_metrics(tr).u_avg for tr in run_matches(EM2, LearnerSpec("clone"), sched, T, seeds)]
     assert float(np.mean(hedge_vals)) <= -0.1
     v = T / 2.0
     sigma = float(np.std(clone_vals, ddof=1)) / np.sqrt(len(clone_vals))

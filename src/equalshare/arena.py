@@ -7,7 +7,8 @@ is the construction that separates the adaptive learners from each other.
 
 Nothing in a match reacts to the learner's play, so `run_matches` draws
 each seed's randomness for the whole match up front and runs the learner's
-whole-match form, which for SAOL is batched over the seeds.  `run_match` is
+whole-match form, which for SAOL is batched over the seeds (in batches of
+bounded size, so memory does not grow with the seed count).  `run_match` is
 `run_matches` with one seed.  A seed's transcript does not depend on the
 other seeds in the call, and is byte-identical to a round-by-round loop over
 the single-step learner API, which the tests keep as reference.
@@ -15,6 +16,7 @@ the single-step learner API, which the tests keep as reference.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,46 +244,51 @@ def _draw_match(game: SymmetricGame, schedule: Schedule, T: int, seed: int):
     return ys, opp_actions, realized_payoff_vectors(game, opp_actions), rngs["learner"]
 
 
+SAOL_BATCH_ENTRIES = 2**20  # entries of the (R, T, A) gains of one SAOL batch
+
+
 def run_matches(
     game: SymmetricGame,
     learner: LearnerSpec,
     schedule: Schedule,
     T: int,
     seeds,
-) -> list[Transcript]:
-    """Play T rounds of learner vs schedule once per seed.  Each seed's
-    transcript is deterministic given the seed alone: it does not depend on
-    the other seeds or their order.  SAOL runs the seeds as one batch."""
+) -> Iterator[Transcript]:
+    """Play T rounds of learner vs schedule once per seed, and yield each
+    seed's transcript in seed order.  A transcript is deterministic given
+    its seed alone: it does not depend on the other seeds or their order.
+    Hedge and clone play one seed at a time, and SAOL batches of at most
+    SAOL_BATCH_ENTRIES // (T * A) seeds, so a caller that keeps only each
+    transcript's metrics holds one batch at a time, however many seeds."""
     A = game.A
     seeds = list(seeds)
-    draws = [_draw_match(game, schedule, T, seed) for seed in seeds]
-    if not draws:
-        return []
-    if learner.kind == "hedge":
-        strategies = [hedge_strategies(gains / game.scale, learner.eta, learner.rule) for _, _, gains, _ in draws]
-    elif learner.kind == "saol":
-        gains = np.stack([gains for _, _, gains, _ in draws]) / game.scale
-        strategies = list(saol_strategies(gains, learner.horizon or T, learner.eta))
-    else:
-        strategies = [clone_strategies(opp[:, 0], A) for _, opp, _, _ in draws]
-    out = []
-    for seed, (ys, opp_actions, gains_raw, rng), x in zip(seeds, draws, strategies):
-        actions = actions_from_uniforms(x, rng.random((T, 1)))[:, 0]
-        u_vectors = _payoff_vectors_by_row(game, ys)
-        out.append(Transcript(
-            game.name,
-            learner.describe(),
-            schedule.describe(),
-            seed,
-            x,
-            actions,
-            opp_actions,
-            gains_raw[np.arange(T), actions],
-            ys,
-            u_vectors,
-            np.vecdot(x, u_vectors),
-        ))
-    return out
+    size = max(1, SAOL_BATCH_ENTRIES // max(1, T * A)) if learner.kind == "saol" else 1
+    for first in range(0, len(seeds), size):
+        batch = seeds[first : first + size]
+        draws = [_draw_match(game, schedule, T, seed) for seed in batch]
+        if learner.kind == "hedge":
+            strategies = [hedge_strategies(draws[0][2] / game.scale, learner.eta, learner.rule)]
+        elif learner.kind == "saol":
+            gains = np.stack([gains for _, _, gains, _ in draws]) / game.scale
+            strategies = saol_strategies(gains, learner.horizon or T, learner.eta)
+        else:
+            strategies = [clone_strategies(draws[0][1][:, 0], A)]
+        for seed, (ys, opp_actions, gains_raw, rng), x in zip(batch, draws, strategies):
+            actions = actions_from_uniforms(x, rng.random((T, 1)))[:, 0]
+            u_vectors = _payoff_vectors_by_row(game, ys)
+            yield Transcript(
+                game.name,
+                learner.describe(),
+                schedule.describe(),
+                seed,
+                x,
+                actions,
+                opp_actions,
+                gains_raw[np.arange(T), actions],
+                ys,
+                u_vectors,
+                np.vecdot(x, u_vectors),
+            )
 
 
 def run_match(
@@ -292,7 +299,7 @@ def run_match(
     seed: int,
 ) -> Transcript:
     """run_matches with one seed."""
-    return run_matches(game, learner, schedule, T, [seed])[0]
+    return next(run_matches(game, learner, schedule, T, [seed]))
 
 
 def replay_of(transcript: Transcript) -> ReplaySchedule:

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,23 +40,23 @@ EXIT_INVARIANT = 3
 EXIT_SIZE_CAP = 4
 
 
-def _thread_count(args) -> int:
-    """--threads, else EQS_THREADS, else 1; anything but a positive integer
-    is a config error."""
+def _check_threads(args) -> None:
+    """--threads, else EQS_THREADS, must be a positive integer when set; a
+    bad value is a config error.  The value has no other effect: simulate
+    plays its matches in one thread."""
     if args.threads is not None:
         if args.threads < 1:
             raise ValueError(f"--threads must be a positive integer, got {args.threads}")
-        return args.threads
+        return
     env = os.environ.get("EQS_THREADS")
     if not env:
-        return 1
+        return
     try:
         threads = int(env)
     except ValueError:
         threads = 0
     if threads < 1:
         raise ValueError(f"EQS_THREADS must be a positive integer, got {env!r}")
-    return threads
 
 
 def _load_cli_game(args) -> SymmetricGame:
@@ -90,25 +89,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def cmd_simulate(args, threads: int) -> int:
+def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out or cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    def play(seeds: list[int]):
-        return run_matches(cfg.game, cfg.learner, cfg.schedule, cfg.T, seeds)
-
-    # one run_matches call per contiguous group of seeds, a group per thread
-    threads = min(threads, len(cfg.seeds))
-    size, extra = divmod(len(cfg.seeds), threads)
-    bounds = [i * size + min(i, extra) for i in range(threads + 1)]
-    groups = [cfg.seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            transcripts = [tr for part in pool.map(play, groups) for tr in part]
-    else:
-        transcripts = play(cfg.seeds)
-
+    transcripts = run_matches(cfg.game, cfg.learner, cfg.schedule, cfg.T, cfg.seeds)
     metrics_rows = []
     for tr in transcripts:
         (out / f"transcript_seed{tr.seed}.csv").write_text(tr.to_csv())
@@ -301,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="simulate: worker threads, each running a contiguous group of seeds (or EQS_THREADS)")
+                        help="simulate: a positive integer (or EQS_THREADS); accepted and ignored, matches run in one thread")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_game_args(p):
@@ -343,14 +328,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _thread_count(args)
         if args.verb == "verify":
             return cmd_verify(args)
         if args.verb == "simulate":
             if not args.config:
                 print("simulate needs --config", file=sys.stderr)
                 return EXIT_CONFIG
-            return cmd_simulate(args, threads)
+            _check_threads(args)  # before simulate writes anything
+            return cmd_simulate(args)
         if args.verb == "reproduce":
             return cmd_reproduce(args)
         if args.verb == "analyze":

@@ -107,28 +107,14 @@ def hedge_strategies(gains: np.ndarray, eta: float = 1.0, rule: str = "sqrt_deca
 # Strongly adaptive meta-learner over a geometric interval cover.
 # ---------------------------------------------------------------------------
 
-def cover_intervals_starting_at(s: int, horizon: int) -> list[tuple[int, int]]:
-    """Intervals [q*2^k, (q+1)*2^k - 1] of the dyadic cover that start at s,
-    truncated to the horizon.  Truncation can make several nominal intervals
-    coincide near the horizon; duplicates are dropped."""
-    out = []
-    length = 1
-    while s % length == 0 and length <= s:
-        end = min(s + length - 1, horizon)
-        if end >= s and (not out or out[-1][1] != end):
-            out.append((s, end))
-        length *= 2
-    return out
-
-
 def cover_slots(rounds, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cover by level slot: (..., L) starts and ends of the interval of
-    level k (nominal length 2^k) live at each round, L = floor(log2 horizon)
-    + 1.  A level holds at most one live interval at a time; the intervals
-    are cover_intervals_starting_at's, with the same truncation and dedup,
-    computed for all rounds at once.  A slot with no live interval (before
-    round 2^k, after its truncated duplicate was dropped, past the horizon)
-    has start and end 0."""
+    """The dyadic cover by level slot: (..., L) starts and ends of the
+    interval of level k live at each round, L = floor(log2 horizon) + 1.
+    Level k holds the intervals [q*2^k, (q+1)*2^k - 1] for q >= 1, truncated
+    to the horizon; truncation can make a level's interval coincide with the
+    one below it that starts at the same round, and then only the lower
+    level keeps it.  A slot with no live interval (before round 2^k, as such
+    a duplicate, past the horizon) has start and end 0."""
     t = np.asarray(rounds, dtype=np.int64)[..., None]
     size = np.int64(1) << np.arange(int(horizon).bit_length(), dtype=np.int64)
     starts = t // size * size
@@ -226,22 +212,22 @@ class SAOLState:
 
 
 def _advance(state: SAOLState, experts: np.ndarray, weights: np.ndarray, keep: np.ndarray) -> SAOLState:
-    """The state of round t+1: a fresh expert per cover interval starting at
-    t+1, then the kept rows of the updated experts and weights.  Intervals
-    born at t+1 are the levels below every survivor's, so this is level
-    order."""
-    born = cover_intervals_starting_at(state.t + 1, state.horizon)
-    spans = np.array(born, dtype=np.int64).reshape(-1, 2)
-    rates = _meta_rates(spans[:, 1] - spans[:, 0] + 1)
+    """The state of round t+1: a fresh expert per cover_slots interval
+    starting at t+1, then the kept rows of the updated experts and weights.
+    Intervals born at t+1 are the levels below every survivor's, so this is
+    level order."""
+    starts, ends = cover_slots(state.t + 1, state.horizon)
+    born = starts == state.t + 1
+    rates = _meta_rates(ends[born] - starts[born] + 1)
     return SAOLState(
         state.horizon,
         state.t + 1,
         state.expert_rates,
-        np.concatenate([np.zeros((len(born), experts.shape[1])), experts[keep]]),
+        np.concatenate([np.zeros((len(rates), experts.shape[1])), experts[keep]]),
         np.concatenate([rates, weights[keep]]),
         np.concatenate([rates, state.rates[keep]]),
-        np.concatenate([spans[:, 0], state.starts[keep]]),
-        np.concatenate([spans[:, 1], state.ends[keep]]),
+        np.concatenate([starts[born], state.starts[keep]]),
+        np.concatenate([ends[born], state.ends[keep]]),
     )
 
 

@@ -35,6 +35,7 @@ from equalshare.learners import (
     hedge_observe,
     saol_act,
     saol_observe,
+    saol_strategies,
 )
 from equalshare.sampling import counts_from_actions, role_rngs, sample_actions
 
@@ -218,7 +219,7 @@ def test_run_matches_rows_equal_run_match_per_seed(kind):
     ]
     for game, spec, schedule in cases:
         for seeds in ([4], [4, 17], [9, 0, 4, 31, 2]):
-            rows = run_matches(game, spec, schedule, T, seeds)
+            rows = list(run_matches(game, spec, schedule, T, seeds))
             assert [tr.seed for tr in rows] == seeds
             for seed, tr in zip(seeds, rows):
                 _assert_same_transcript(tr, run_match(game, spec, schedule, T, seed), (schedule.describe(), seeds, seed))
@@ -227,11 +228,32 @@ def test_run_matches_rows_equal_run_match_per_seed(kind):
 def test_run_matches_row_does_not_depend_on_its_batch():
     g, T = eq.extended_majority(3, 2), 300
     spec, schedule = LearnerSpec("saol", horizon=T), BiasedCoinSchedule(8.0, T)
-    alone = run_matches(g, spec, schedule, T, [7])[0]
+    alone = run_match(g, spec, schedule, T, 7)
     for seeds in ([7, 1, 2], [3, 7], [5, 6, 8, 9, 7], [7, 7]):
-        rows = run_matches(g, spec, schedule, T, seeds)
+        rows = list(run_matches(g, spec, schedule, T, seeds))
         _assert_same_transcript(rows[seeds.index(7)], alone, seeds)
-    assert run_matches(g, spec, schedule, T, []) == []
+    assert list(run_matches(g, spec, schedule, T, [])) == []
+
+
+def test_run_matches_plays_saol_in_batches_bounded_by_the_entry_budget(monkeypatch):
+    from equalshare import arena
+
+    g, T = eq.extended_majority(3, 2), 300
+    spec, schedule = LearnerSpec("saol", horizon=T), BiasedCoinSchedule(8.0, T)
+    seeds = [9, 0, 4, 31, 2]
+    whole = list(run_matches(g, spec, schedule, T, seeds))
+    batch_sizes = []
+
+    def spy(gains, horizon, eta):
+        batch_sizes.append(gains.shape[0])
+        return saol_strategies(gains, horizon, eta)
+
+    monkeypatch.setattr(arena, "saol_strategies", spy)
+    monkeypatch.setattr(arena, "SAOL_BATCH_ENTRIES", 2 * T * g.A + 1)
+    split = list(run_matches(g, spec, schedule, T, seeds))
+    assert batch_sizes == [2, 2, 1]
+    for got, want in zip(split, whole, strict=True):
+        _assert_same_transcript(got, want, got.seed)
 
 
 def test_run_match_rejects_non_arena_learners_and_short_saol_horizons():

@@ -22,7 +22,6 @@ from equalshare.learners import (
     clone_act,
     clone_observe,
     clone_strategy,
-    cover_intervals_starting_at,
     cover_slots,
     exploiter_current,
     exploiter_step,
@@ -112,6 +111,20 @@ def test_hedge_static_regret_envelope():
 # ---------------------------------------------------------------------------
 # The strongly adaptive meta-learner.
 # ---------------------------------------------------------------------------
+
+def cover_intervals_starting_at(s, horizon):
+    """Reference for cover_slots: the intervals [q*2^k, (q+1)*2^k - 1] of
+    the dyadic cover that start at s, truncated to the horizon, with the
+    duplicates that truncation makes near the horizon dropped."""
+    out = []
+    length = 1
+    while s % length == 0 and length <= s:
+        end = min(s + length - 1, horizon)
+        if end >= s and (not out or out[-1][1] != end):
+            out.append((s, end))
+        length *= 2
+    return out
+
 
 def _born_at(s, horizon):
     starts, ends = cover_slots(s, horizon)

@@ -181,6 +181,26 @@ def test_lowerbound_sweep_rows():
     assert row.u_avg_mean >= -(16.0 + 1) / 256 - 3 * row.u_avg_std
 
 
+def test_lowerbound_sweep_memory_does_not_grow_with_the_seed_count():
+    import tracemalloc
+
+    # one transcript at T = 2^15 is about 2.9 MB, so holding every seed's
+    # transcript at once would take about 70 MB at 24 seeds
+    T = 1 << 15
+    config = [("pure_swap", 32.0, T)]
+    for kind in ("hedge", "clone"):
+        peaks = []
+        for seeds in (2, 24):
+            tracemalloc.start()
+            try:
+                lowerbound_sweep(eq.extended_majority(3, 2), config, kinds=(kind,), seeds=seeds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**20, (kind, peaks)
+        assert peaks[1] < 16 * 2**20, (kind, peaks)
+
+
 def test_fit_scaling_exponent_smoke():
     g = eq.extended_majority(3, 2)
     slope, means = fit_scaling_exponent(g, "clone", horizons=(256, 512, 1024), seeds=3)

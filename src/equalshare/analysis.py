@@ -5,7 +5,9 @@ Everything here is a verifier or a grid search, not a solver: candidate
 strategies and small simplices are enumerated and measured.  Inner
 maximizations over the learner's own strategy are always exact over pure
 actions (the payoff is linear in it), so only opponent variables get
-gridded.
+gridded.  The grid oracles (minimax, grid exploitability) share one search,
+`_grid_search`: a scan of the simplex grid, then one rescan at 10x
+resolution around its first minimum.
 """
 
 from __future__ import annotations
@@ -61,19 +63,39 @@ def _default_grid(game: SymmetricGame, grid: SimplexGrid | None) -> SimplexGrid:
     return grid
 
 
-def _refine_near(point: np.ndarray, resolution: int, factor: int = 10) -> np.ndarray:
-    """Simplex points at `factor`-times finer resolution within one coarse
-    step of `point` (always includes `point` itself).
+REFINE_FACTOR = 10  # resolution of the refinement pass, in multiples of the grid's
+
+
+def _refine_near(point: np.ndarray, resolution: int) -> np.ndarray:
+    """Simplex points at REFINE_FACTOR-times finer resolution within one
+    coarse step of `point` (always includes `point` itself).
 
     Only the integer box one fine step wider than that neighbourhood is
     enumerated; the float test then keeps the same rows, in the same order,
     as filtering the whole fine grid would."""
-    fine_res = resolution * factor
+    fine_res = resolution * REFINE_FACTOR
     lo = np.floor((point - 1.0 / resolution) * fine_res).astype(np.int64) - 1
     hi = np.ceil((point + 1.0 / resolution) * fine_res).astype(np.int64) + 1
     fine = compositions(fine_res, point.shape[0], lo, hi) / fine_res
     mask = np.max(np.abs(fine - point[None, :]), axis=1) <= 1.0 / resolution + 1e-12
     return fine[mask]
+
+
+def _grid_search(score, grid: SimplexGrid, dims: int = 1) -> tuple[float, list[np.ndarray], tuple]:
+    """Minimize score over dims-tuples of grid points, with one refinement.
+
+    score takes dims (N_i, A) arrays of candidate points and returns their
+    (N_1, ..., N_dims) scores.  The first minimum in C order of the grid
+    scan is refined coordinate by coordinate (_refine_near) and rescored;
+    returns the refined minimum, its points, and its index into the refined
+    candidates."""
+    pts = grid.points()
+    coarse = score(*(pts,) * dims)
+    best = np.unravel_index(np.argmin(coarse), coarse.shape)
+    candidates = [_refine_near(pts[i], grid.resolution) for i in best]
+    vals = score(*candidates)
+    k = np.unravel_index(np.argmin(vals), vals.shape)
+    return float(vals[k]), [c[i] for c, i in zip(candidates, k)], k
 
 
 def minimax_identical(
@@ -84,32 +106,29 @@ def minimax_identical(
     minmax: min over meta-strategies x of max_a u(a | x^(n-1)); the inner
     max is exact because a best response can be pure.
     maxmin: max over learner strategies x1 of min over meta-strategies x of
-    the learner's payoff; both sides gridded.
-    Each search does one local refinement pass at 10x resolution.
+    the learner's payoff; both sides gridded, the outer search minimizing
+    the negated inner minimum.
     """
     grid = _default_grid(game, grid)
-    pts = grid.points()
     if which == "minmax":
-        def best(ys):
-            vals = payoff_vectors_batch(game, ys).max(axis=1)
-            k = int(np.argmin(vals))
-            return float(vals[k]), ys[k]
-
-        value, y = best(pts)
-        value, y = best(_refine_near(y, grid.resolution))
+        value, (y,), _ = _grid_search(lambda ys: payoff_vectors_batch(game, ys).max(axis=1), grid)
         return value, {"meta_strategy": y}
     if which == "maxmin":
+        pts = grid.points()
         pv = payoff_vectors_batch(game, pts)  # (Ny, A): payoff of pure a vs each y
+        product = None
 
-        def best_x1(x1s):
-            vals = x1s @ pv.T  # (Nx, Ny)
-            mins = vals.min(axis=1)
-            k = int(np.argmax(mins))
-            return float(mins[k]), x1s[k], pts[int(np.argmin(vals[k]))]
+        def score(x1s):
+            nonlocal product
+            product = None  # free the coarse pass's product before the next is built
+            product = x1s @ pv.T  # (Nx, Ny)
+            return -product.min(axis=1)
 
-        value, x1, worst_y = best_x1(pts)
-        value, x1, worst_y = best_x1(_refine_near(x1, grid.resolution))
-        return value, {"learner_strategy": x1, "worst_meta_strategy": worst_y}
+        value, (x1,), (k,) = _grid_search(score, grid)
+        # read the worst meta-strategy off the row the search scored: a
+        # one-row product x1 @ pv.T can round differently
+        worst_y = pts[int(np.argmin(product[k]))]
+        return -value, {"learner_strategy": x1, "worst_meta_strategy": worst_y}
     raise ValueError(f"which must be 'minmax' or 'maxmin', got {which!r}")
 
 
@@ -140,37 +159,21 @@ def minimax_independent(
             f"independent-opponent search over {len(grid)} grid points needs {len(grid) ** 3} "
             f"values, more than the cap of {MAX_ARRAY_ENTRIES}"
         )
-    pts = grid.points()
     M = _pair_payoff_tensor(game)
 
     def pure_vals(y2s, y3s):
         # V[a, i, j] = payoff of pure a vs (y2s[i], y3s[j])
         return np.einsum("abc,ib,jc->aij", M, y2s, y3s, optimize=True)
 
-    V = pure_vals(pts, pts)
-
     # minmax: min over (x2, x3) of max_a
-    top = V.max(axis=0)
-    i, j = np.unravel_index(np.argmin(top), top.shape)
-    y2, y3 = pts[i], pts[j]
-    pairs2 = _refine_near(y2, grid.resolution)
-    pairs3 = _refine_near(y3, grid.resolution)
-    Vr = pure_vals(pairs2, pairs3).max(axis=0)
-    ri, rj = np.unravel_index(np.argmin(Vr), Vr.shape)
-    minmax = (float(Vr[ri, rj]), {"y2": pairs2[ri], "y3": pairs3[rj]})
+    value, (y2, y3), _ = _grid_search(lambda y2s, y3s: pure_vals(y2s, y3s).max(axis=0), grid, dims=2)
+    minmax = (value, {"y2": y2, "y3": y3})
 
     # maxmin: max over x1 of min over (x2, x3)
-    flat = V.reshape(game.A, -1)
-
-    def best_x1(x1s, flat_vals):
-        mins = (x1s @ flat_vals).min(axis=1)
-        k = int(np.argmax(mins))
-        return float(mins[k]), x1s[k]
-
-    val, x1 = best_x1(pts, flat)
-    x1s = _refine_near(x1, grid.resolution)
-    val, x1 = best_x1(x1s, flat)
-    maxmin = (val, {"learner_strategy": x1})
+    pts = grid.points()
+    flat = pure_vals(pts, pts).reshape(game.A, -1)
+    value, (x1,), _ = _grid_search(lambda x1s: -(x1s @ flat).min(axis=1), grid)
+    maxmin = (-value, {"learner_strategy": x1})
     return {"maxmin": maxmin, "minmax": minmax}
 
 
@@ -196,10 +199,6 @@ class EquilibriumReport:
 
     def __str__(self):
         return f"{self.concept}: epsilon={self.epsilon:.3g} -> {'pass' if self.verdict else 'FAIL'} at tol {self.tol:g}"
-
-
-def _axes_except(n: int, i: int) -> tuple[int, ...]:
-    return tuple(ax for ax in range(n) if ax != i)
 
 
 def check_equilibrium(dense: DenseGame, dist, concept: str, tol: float = 1e-9) -> EquilibriumReport:
@@ -293,16 +292,7 @@ def exploitability(
     if method == "auto":
         method = "grid" if game.A <= 3 else "exploiter"
     if method == "grid":
-        grid = _default_grid(game, grid)
-        pts = grid.points()
-
-        def best(ys):
-            vals = payoff_vectors_batch(game, ys) @ xv
-            k = int(np.argmin(vals))
-            return float(vals[k]), ys[k]
-
-        value, y = best(pts)
-        value, y = best(_refine_near(y, grid.resolution))
+        value, (y,), _ = _grid_search(lambda ys: payoff_vectors_batch(game, ys) @ xv, _default_grid(game, grid))
         return value, y
     if method == "exploiter":
         best_val, best_y = 0.0, xv.copy()

@@ -134,31 +134,27 @@ def realize_schedule(
             raise ScheduleError(
                 "the +/-eps hard schedule is tied to the pairwise majority family"
             )
-        if T != schedule.horizon:
-            raise ScheduleError("schedule horizon does not match T")
-        _check_budget(schedule.v_budget, T)
-        delta = schedule.batch_length()
+        coins = _batch_coins(schedule, T, rng)
         eps = schedule.epsilon()
-        num_batches = -(-T // delta)
-        coins = rng.integers(0, 2, size=num_batches)
         y_cases = np.zeros((2, A))
         y_cases[0, 0], y_cases[0, 1] = 0.5 - eps, 0.5 + eps
         y_cases[1, 0], y_cases[1, 1] = 0.5 + eps, 0.5 - eps
-        idx = coins[np.arange(T) // delta]
-        return y_cases[idx]
+        return y_cases[coins]
     if isinstance(schedule, PureSwapSchedule):
-        if T != schedule.horizon:
-            raise ScheduleError("schedule horizon does not match T")
-        _check_budget(schedule.v_budget, T)
-        delta = schedule.batch_length()
-        num_batches = -(-T // delta)
-        coins = rng.integers(0, 2, size=num_batches)
-        y_cases = np.zeros((2, A))
-        y_cases[0, 0] = 1.0
-        y_cases[1, 1] = 1.0
-        idx = coins[np.arange(T) // delta]
-        return y_cases[idx]
+        return np.eye(2, A)[_batch_coins(schedule, T, rng)]
     raise TypeError(f"unknown schedule {schedule!r}")
+
+
+def _batch_coins(schedule: BiasedCoinSchedule | PureSwapSchedule, T: int, rng: np.random.Generator) -> np.ndarray:
+    """The (T,) coin of each round of a batched coin schedule: one fair coin
+    per batch of schedule.batch_length() rounds, after the horizon and
+    budget checks."""
+    if T != schedule.horizon:
+        raise ScheduleError("schedule horizon does not match T")
+    _check_budget(schedule.v_budget, T)
+    delta = schedule.batch_length()
+    coins = rng.integers(0, 2, size=-(-T // delta))
+    return coins[np.arange(T) // delta]
 
 
 def _payoff_vectors_by_row(game: SymmetricGame, ys: np.ndarray) -> np.ndarray:

@@ -24,6 +24,8 @@ from . import analysis
 from .arena import compute_metrics, run_matches
 from .config import ConfigError, load_config
 from .games import (
+    DENSE_MAX_ACTIONS,
+    DENSE_MAX_PLAYERS,
     SizeCapExceeded,
     SymmetricGame,
     as_strategy,
@@ -32,7 +34,7 @@ from .games import (
     validate,
     validate_dense,
 )
-from .reproduce import fit_scaling_exponent, lowerbound_sweep, mv_table, sdg_table
+from .reproduce import SCALING_V_BUDGET, fit_scaling_exponent, lowerbound_sweep, mv_table, sdg_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +84,7 @@ def cmd_verify(args) -> int:
     report = validate(game)
     print(report)
     ok = report.passed
-    if game.n <= 4 and game.A <= 8:
+    if game.n <= DENSE_MAX_PLAYERS and game.A <= DENSE_MAX_ACTIONS:
         dense_report = validate_dense(dense_from_symmetric(game))
         print(dense_report)
         ok = ok and dense_report.passed
@@ -188,7 +190,7 @@ def cmd_reproduce(args) -> int:
         for kind in ("saol", "hedge"):
             slope, means = fit_scaling_exponent(game, kind, seeds=args.runs or 20, base_seed=seed)
             results[kind] = {"slope": slope, "dreg_by_T": {str(t): m for t, m in means}}
-        _emit({"v_budget": 8.0, **results}, str(out), "scaling.json")
+        _emit({"v_budget": SCALING_V_BUDGET, **results}, str(out), "scaling.json")
         lines = ["kind,T,dreg_mean"]
         for kind, res in results.items():
             for t, m in res["dreg_by_T"].items():
@@ -218,7 +220,7 @@ def cmd_analyze(args) -> int:
             "value": value,
             "argument": {k: list(map(float, np.atleast_1d(v))) for k, v in arg.items()},
             "tolerance": 2.0 * game.scale / analysis.default_resolution(game.A),
-            "method": "simplex grid with 10x local refinement",
+            "method": f"simplex grid with {analysis.REFINE_FACTOR}x local refinement",
             "seed": seed,
         }
         _emit(doc, args.out, "minimax.json")

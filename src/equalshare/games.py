@@ -164,9 +164,12 @@ class CountTable:
         return np.exp(self.log_coeffs + self.counts @ logy)
 
     def weights_batch(self, ys: np.ndarray) -> np.ndarray:
-        """Weights for many strategies at once: (Ny, A) -> (Ny, K)."""
+        """Weights for many strategies at once: (Ny, A) -> (Ny, K), built in
+        place in one (Ny, K) array."""
         logy = np.where(ys > 0.0, np.log(np.where(ys > 0.0, ys, 1.0)), LOG_ZERO)
-        return np.exp(self.log_coeffs[None, :] + logy @ self.counts.T)
+        w = logy @ self.counts.T
+        w += self.log_coeffs
+        return np.exp(w, out=w)
 
 
 @dataclass
@@ -193,27 +196,22 @@ class SymmetricGame:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
-    def count_table(self, total: int | None = None) -> CountTable:
-        if total is None:
-            total = self.n - 1
-        key = ("table", total)
-        if key not in self._cache:
-            self._cache[key] = CountTable.build(total, self.A)
-        return self._cache[key]
+    def count_table(self) -> CountTable:
+        """The CountTable of the n-1 opponents' counts, built once."""
+        if "table" not in self._cache:
+            self._cache["table"] = CountTable.build(self.n - 1, self.A)
+        return self._cache["table"]
 
-    def payoff_matrix(self, total: int | None = None) -> np.ndarray:
-        """(A, K) array of payoff(a, counts) over a CountTable's rows."""
-        if total is None:
-            total = self.n - 1
-        key = ("payoffs", total)
-        if key not in self._cache:
-            table = self.count_table(total)
-            mat = np.empty((self.A, table.counts.shape[0]))
+    def payoff_matrix(self) -> np.ndarray:
+        """(A, K) array of payoff(a, counts) over count_table()'s rows, built once."""
+        if "payoffs" not in self._cache:
+            counts = self.count_table().counts
+            mat = np.empty((self.A, counts.shape[0]))
             for a in range(self.A):
-                for k, row in enumerate(table.counts):
+                for k, row in enumerate(counts):
                     mat[a, k] = self.payoff(a, tuple(int(v) for v in row))
-            self._cache[key] = mat
-        return self._cache[key]
+            self._cache["payoffs"] = mat
+        return self._cache["payoffs"]
 
 
 def profile_payoff(game: SymmetricGame, a: int, others: Sequence[int]) -> float:
@@ -354,12 +352,17 @@ class DenseValidationReport:
         )
 
 
-def dense_from_symmetric(game: SymmetricGame, max_n: int = 4, max_actions: int = 8) -> DenseGame:
+# The largest games dense_from_symmetric expands: A^n joint actions per player.
+DENSE_MAX_PLAYERS = 4
+DENSE_MAX_ACTIONS = 8
+
+
+def dense_from_symmetric(game: SymmetricGame) -> DenseGame:
     """Expand an opponent-count game into per-player joint-action tensors."""
-    if game.n > max_n or game.A > max_actions:
+    if game.n > DENSE_MAX_PLAYERS or game.A > DENSE_MAX_ACTIONS:
         raise SizeCapExceeded(
             f"dense expansion refused for n={game.n}, A={game.A} "
-            f"(caps: n<={max_n}, A<={max_actions})"
+            f"(caps: n<={DENSE_MAX_PLAYERS}, A<={DENSE_MAX_ACTIONS})"
         )
     n, A = game.n, game.A
     joints = np.indices((A,) * n).reshape(n, -1).T  # every joint action, in C order

@@ -55,13 +55,8 @@ class RateSchedule:
         return self.eta * np.sqrt(math.log(self.num_actions) / np.asarray(t))
 
 
-def _softmax(log_weights: np.ndarray) -> np.ndarray:
-    w = np.exp(log_weights - np.max(log_weights))
-    return w / w.sum()
-
-
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """_softmax applied to each row of a (R, A) array."""
+    """The softmax of each row of a (R, A) array, shifted by the row's max."""
     w = np.exp(scores - scores.max(axis=1, keepdims=True))
     return w / w.sum(axis=1, keepdims=True)
 
@@ -84,7 +79,7 @@ class HedgeState:
 
 
 def hedge_act(state: HedgeState) -> np.ndarray:
-    return _softmax(state.log_weights)
+    return softmax_rows(state.log_weights[None])[0]
 
 
 def hedge_observe(state: HedgeState, gains: np.ndarray) -> HedgeState:
@@ -394,18 +389,14 @@ def batch_hedge_vs_fixed(
     """Final strategies of `runs` independent hedge runs against opponents
     i.i.d. from a fixed meta-strategy.  Fully vectorized: the opponent count
     vector of every round is drawn from its exact multinomial law."""
-    table = game.count_table()
-    weights = table.weights(np.asarray(y, dtype=float))
-    cdf = np.minimum(np.cumsum(weights), 1.0)
-    cdf[-1] = 1.0
+    weights = game.count_table().weights(np.asarray(y, dtype=float))
     gains = _gains_table(game, normalize=True)
     eta_t = RateSchedule(eta, rule, game.A).rates(np.arange(1, T + 1))
     log_w = np.zeros((runs, game.A))
     chunk = max(1, 2_000_000 // max(runs, 1))
     for start in range(0, T, chunk):
         stop = min(start + chunk, T)
-        u = rng.random((stop - start, runs))
-        idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(weights) - 1)
+        idx = sample_actions(rng, weights, (stop - start, runs))
         log_w += np.einsum("t,tra->ra", eta_t[start:stop], gains[idx], optimize=True)
     return softmax_rows(log_w)
 

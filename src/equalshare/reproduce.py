@@ -23,14 +23,16 @@ from .games import SymmetricGame, expected_payoff_mixed
 from .learners import LearnerSpec, batch_exploiter, batch_hedge_vs_fixed, batch_self_play
 
 CONVERGENCE_THRESHOLD = 0.99
+REGULARIZATION_STRENGTHS = (1e-5, 1e-4, 1e-3, 1e-2)  # the roster's sp_bc_reg rows
+SCALING_V_BUDGET = 8.0  # variation budget of the scaling fit's biased-coin schedule
 
 
-def classify(finals: np.ndarray, threshold: float = CONVERGENCE_THRESHOLD) -> np.ndarray:
-    """Pure-strategy label per run: argmax when its mass clears the
-    threshold, else -1 for unconverged."""
+def classify(finals: np.ndarray) -> np.ndarray:
+    """Pure-strategy label per run: argmax when its mass clears
+    CONVERGENCE_THRESHOLD, else -1 for unconverged."""
     top = finals.max(axis=1)
     labels = finals.argmax(axis=1)
-    return np.where(top >= threshold, labels, -1)
+    return np.where(top >= CONVERGENCE_THRESHOLD, labels, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +128,9 @@ def _limit_shares(labels: np.ndarray, A: int) -> dict[str, float]:
     return shares
 
 
-def roster(lams=(1e-5, 1e-4, 1e-3, 1e-2)) -> list[tuple[str, dict]]:
+def roster() -> list[tuple[str, dict]]:
     entries = [("sp_scratch", {"mode": "scratch"}), ("sp_bc", {"mode": "bc_init"})]
-    entries += [(f"sp_bc_reg({lam:g})", {"mode": "regularized", "lam": lam}) for lam in lams]
+    entries += [(f"sp_bc_reg({lam:g})", {"mode": "regularized", "lam": lam}) for lam in REGULARIZATION_STRENGTHS]
     entries.append(("hedge", {}))
     return entries
 
@@ -255,14 +257,14 @@ def lowerbound_sweep(
     kinds=("hedge", "saol", "clone"),
     seeds: int = 20,
     base_seed: int = 0,
-    eta: float = 1.0,
 ) -> list[SweepRow]:
-    """Run each learner against each (schedule kind, V, T) configuration."""
+    """Run each learner, at eta 1, against each (schedule kind, V, T)
+    configuration."""
     rows = []
     for sched_kind, v, T in configs:
         sched = (BiasedCoinSchedule if sched_kind == "biased_coin" else PureSwapSchedule)(v, T)
         for kind in kinds:
-            runs = run_matches(game, LearnerSpec(kind, eta=eta, horizon=T), sched, T,
+            runs = run_matches(game, LearnerSpec(kind, horizon=T), sched, T,
                                [base_seed * 1_000_003 + s for s in range(seeds)])
             metrics = [compute_metrics(tr) for tr in runs]
             uavg = [m.u_avg for m in metrics]
@@ -280,16 +282,15 @@ def lowerbound_sweep(
 def fit_scaling_exponent(
     game: SymmetricGame,
     kind: str,
-    v_budget: float = 8.0,
     horizons=(1024, 2048, 4096, 8192, 16384),
     seeds: int = 20,
     base_seed: int = 0,
 ) -> tuple[float, list[tuple[int, float]]]:
     """Log-log slope of the seed-averaged dynamic regret against the
-    +/-eps hard schedule at fixed variation budget."""
+    +/-eps hard schedule at variation budget SCALING_V_BUDGET."""
     means = []
     for T in horizons:
-        runs = run_matches(game, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(v_budget, T), T,
+        runs = run_matches(game, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(SCALING_V_BUDGET, T), T,
                            [base_seed * 7_777_777 + s for s in range(seeds)])
         vals = [compute_metrics(tr).dynamic_regret for tr in runs]
         means.append((T, float(np.mean(vals))))

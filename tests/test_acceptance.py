@@ -19,7 +19,14 @@ import pytest
 import equalshare as eq
 from equalshare.analysis import check_equilibrium, exploitability, minimax_identical, minimax_independent, monte_carlo_utility
 from equalshare.arena import FixedSchedule, BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
-from equalshare.games import dense_from_symmetric, expected_payoff_mixed, validate, validate_dense
+from equalshare.games import (
+    DENSE_MAX_ACTIONS,
+    DENSE_MAX_PLAYERS,
+    dense_from_symmetric,
+    expected_payoff_mixed,
+    validate,
+    validate_dense,
+)
 from equalshare.learners import LearnerSpec
 from equalshare.reproduce import (
     batch_hedge_vs_fixed,
@@ -282,7 +289,7 @@ def test_c9_structural_invariants():
     games = [MV, eq.minority3(), SDG, eq.extended_majority(3, 3)]
     for game in games:
         assert validate(game).passed, game.name
-        if game.n <= 4 and game.A <= 8:
+        if game.n <= DENSE_MAX_PLAYERS and game.A <= DENSE_MAX_ACTIONS:
             assert validate_dense(dense_from_symmetric(game)).passed, game.name
 
     rng = np.random.default_rng(909)

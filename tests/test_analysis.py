@@ -28,6 +28,7 @@ from equalshare.games import (
     dense_from_symmetric,
     expected_payoff_mixed,
     game_to_json,
+    payoff_vectors_batch,
     validate,
 )
 
@@ -152,6 +153,90 @@ def test_pair_payoff_tensor_equals_the_payoff_loop():
 def test_minimax_identical_bad_which():
     with pytest.raises(ValueError):
         minimax_identical(MV, "neither")
+
+
+def _per_oracle_searches(game, grid, xs, independent):
+    """Each grid oracle's own coarse-then-refine search, written out: the
+    reference for the shared search.  Returns {oracle: (value, *arguments)}."""
+    pts = grid.points()
+    out = {}
+
+    def best(score, ys):
+        vals = score(ys)
+        k = int(np.argmin(vals))
+        return float(vals[k]), ys[k]
+
+    def minmax(ys):
+        return payoff_vectors_batch(game, ys).max(axis=1)
+
+    value, y = best(minmax, pts)
+    out["minmax"] = best(minmax, _refine_near(y, grid.resolution))
+    for i, x in enumerate(xs):
+        def against(ys, x=x):
+            return payoff_vectors_batch(game, ys) @ x
+
+        value, y = best(against, pts)
+        out[f"exploit{i}"] = best(against, _refine_near(y, grid.resolution))
+
+    pv = payoff_vectors_batch(game, pts)
+
+    def best_x1(x1s):
+        vals = x1s @ pv.T
+        mins = vals.min(axis=1)
+        k = int(np.argmax(mins))
+        return float(mins[k]), x1s[k], pts[int(np.argmin(vals[k]))]
+
+    value, x1, _ = best_x1(pts)
+    out["maxmin"] = best_x1(_refine_near(x1, grid.resolution))
+    if not independent:
+        return out
+
+    M = _pair_payoff_tensor(game)
+
+    def pure_vals(y2s, y3s):
+        return np.einsum("abc,ib,jc->aij", M, y2s, y3s, optimize=True)
+
+    V = pure_vals(pts, pts)
+    i, j = np.unravel_index(np.argmin(V.max(axis=0)), (len(pts), len(pts)))
+    pairs2, pairs3 = _refine_near(pts[i], grid.resolution), _refine_near(pts[j], grid.resolution)
+    Vr = pure_vals(pairs2, pairs3).max(axis=0)
+    ri, rj = np.unravel_index(np.argmin(Vr), Vr.shape)
+    out["minmax_independent"] = (float(Vr[ri, rj]), pairs2[ri], pairs3[rj])
+    flat = V.reshape(game.A, -1)
+
+    def best_flat(x1s):
+        mins = (x1s @ flat).min(axis=1)
+        k = int(np.argmax(mins))
+        return float(mins[k]), x1s[k]
+
+    value, x1 = best_flat(pts)
+    out["maxmin_independent"] = best_flat(_refine_near(x1, grid.resolution))
+    return out
+
+
+@pytest.mark.parametrize("make", [eq.majority3, eq.minority3, lambda: eq.sdg(5), lambda: eq.extended_majority(3, 3)])
+def test_grid_oracles_equal_the_per_oracle_search(make):
+    game = make()
+    xs = list(np.eye(game.A)) + list(np.random.default_rng(game.A).dirichlet(np.ones(game.A), 3))
+    independent = game.name in ("majority3", "minority3")
+    for m in (7, 13):
+        grid = SimplexGrid(game.A, m)
+        got = {
+            "minmax": minimax_identical(game, "minmax", grid),
+            "maxmin": minimax_identical(game, "maxmin", grid),
+        }
+        got.update({f"exploit{i}": exploitability(game, x, "grid", grid) for i, x in enumerate(xs)})
+        if independent:
+            both = minimax_independent(game, grid)
+            got["minmax_independent"] = both["minmax"]
+            got["maxmin_independent"] = both["maxmin"]
+        want = _per_oracle_searches(game, grid, xs, independent)
+        assert sorted(got) == sorted(want)
+        for key, (value, arg) in got.items():
+            args = list(arg.values()) if isinstance(arg, dict) else [arg]
+            ref = want[key]
+            assert np.float64(value).tobytes() == np.float64(ref[0]).tobytes(), (game.name, m, key)
+            assert [a.tobytes() for a in args] == [r.tobytes() for r in ref[1:]], (game.name, m, key)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,14 @@ def check_equilibrium(dense: DenseGame, dist, concept: str, tol: float = 1e-9) -
 # Exploitability.
 # ---------------------------------------------------------------------------
 
+def exploitability_method(method: str, num_actions: int) -> str:
+    """The method `exploitability` runs: "auto" is "grid" for at most 3
+    actions, else "exploiter"; any other method is itself."""
+    if method == "auto":
+        return "grid" if num_actions <= 3 else "exploiter"
+    return method
+
+
 def exploitability(
     game: SymmetricGame,
     x,
@@ -281,16 +289,16 @@ def exploitability(
     pure strategies); "exploiter" is the exploiter protocol: one
     `learners.batch_exploiter` call of `runs` runs x `steps` steps against
     x, driven by `np.random.default_rng(seed)` (seed an int or a
-    SeedSequence), keeping the most damaging final strategy; "auto" picks
-    grid for A <= 3.  Always <= 0 in a symmetric zero-sum game since y = x
-    recovers the all-identical expectation 0.  The exploiter is a local
-    learner and can stall where its sampled gains are flat (on sdg(200)
-    against x = B, every action gains -1 from the uniform start), so
-    y = x, at exactly 0, is always a candidate.
+    SeedSequence), keeping the most damaging final strategy; "auto" is
+    one of the two, by `exploitability_method`.  Always <= 0 in a
+    symmetric zero-sum game since y = x recovers the all-identical
+    expectation 0.  The exploiter is a local learner and can stall where
+    its sampled gains are flat (on sdg(200) against x = B, every action
+    gains -1 from the uniform start), so y = x, at exactly 0, is always a
+    candidate.
     """
     xv = as_strategy(x, game.A)
-    if method == "auto":
-        method = "grid" if game.A <= 3 else "exploiter"
+    method = exploitability_method(method, game.A)
     if method == "grid":
         value, (y,), _ = _grid_search(lambda ys: payoff_vectors_batch(game, ys) @ xv, _default_grid(game, grid))
         return value, y

@@ -15,8 +15,8 @@ functions would play.  SAOL's whole-match form is batched over runs, on
 (R, T, A) gains, and shares its meta step with `saol_observe`; a run's rows
 do not depend on the rest of the batch.  Self-play, hedge against a fixed
 meta-strategy and the exploiter have one implementation each, the batched
-trainers (`batch_*`), which advance many runs in lockstep; runs=1 is the
-sequential case.  `exploiter_step` steps one exploiter run with the batched
+trainers (`batch_*`), which advance many runs in lockstep at the
+"sqrt_decay" rate; runs=1 is the sequential case.  `exploiter_step` steps one exploiter run with the batched
 rule.
 """
 
@@ -384,14 +384,13 @@ def batch_hedge_vs_fixed(
     runs: int,
     eta: float,
     rng: np.random.Generator,
-    rule: str = "sqrt_decay",
 ) -> np.ndarray:
     """Final strategies of `runs` independent hedge runs against opponents
     i.i.d. from a fixed meta-strategy.  Fully vectorized: the opponent count
     vector of every round is drawn from its exact multinomial law."""
     weights = game.count_table().weights(np.asarray(y, dtype=float))
     gains = _gains_table(game, normalize=True)
-    eta_t = RateSchedule(eta, rule, game.A).rates(np.arange(1, T + 1))
+    eta_t = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1))
     log_w = np.zeros((runs, game.A))
     chunk = max(1, 2_000_000 // max(runs, 1))
     for start in range(0, T, chunk):
@@ -410,7 +409,6 @@ def batch_self_play(
     mode: str = "scratch",
     lam: float = 0.0,
     y_meta: np.ndarray | None = None,
-    rule: str = "sqrt_decay",
 ) -> np.ndarray:
     """Final strategies of `runs` self-play runs advanced in lockstep.
 
@@ -438,7 +436,7 @@ def batch_self_play(
         if np.any(y_meta <= 0):
             raise ValueError(f"{mode} takes log of the meta-strategy; entries must be positive")
         log_x0 = np.log(y_meta)
-    eta_by_step = RateSchedule(eta, rule, A).rates(np.arange(1, T + 1))
+    eta_by_step = RateSchedule(eta, "sqrt_decay", A).rates(np.arange(1, T + 1))
     table = game.count_table()
     gains = _gains_table(game, normalize=False)
 
@@ -484,7 +482,6 @@ def batch_exploiter(
     runs: int,
     eta: float,
     rng: np.random.Generator,
-    rule: str = "sqrt_decay",
 ) -> np.ndarray:
     """Final strategies of `runs` exploiter runs against a fixed target.
 
@@ -493,7 +490,7 @@ def batch_exploiter(
     from its current strategy, and takes a hedge step on exploiter_gains.
     """
     target = np.asarray(target, dtype=float)
-    eta_by_step = RateSchedule(eta, rule, game.A).rates(np.arange(1, T + 1))
+    eta_by_step = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1))
     log_w = np.zeros((runs, game.A))
     for eta_t in eta_by_step:
         x = softmax_rows(log_w)

@@ -116,7 +116,7 @@ class RunReport:
         for r in self.rows:
             for i, (lab, row) in enumerate(zip(r.labels, r.finals)):
                 mass = row.max()
-                lines.append(f"{r.label},{i},{int(lab)},{mass!r}")
+                lines.append(f"{r.label},{i},{int(lab)},{float(mass)!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -56,6 +56,17 @@ def test_analyze_exploitability(capsys):
     assert "-29" in out
 
 
+def test_analyze_exploitability_auto_on_four_actions_reports_no_grid_tolerance(tmp_path):
+    # auto runs the exploiter protocol above 3 actions, which has no grid
+    # tolerance; an explicit grid run on the same game has one
+    game = ("--game", "extended_majority", "--n", "3", "--num-actions", "4", "--x", "1,0,0,0")
+    for method, tolerance in (("auto", None), ("exploiter", None), ("grid", 2.0 / 8)):
+        out = tmp_path / method
+        assert run_cli("--out", str(out), "analyze", "exploitability", *game, "--method", method) == EXIT_OK
+        doc = json.loads((out / "exploitability.json").read_text())
+        assert (doc["method"], doc["tolerance"]) == (method, tolerance)
+
+
 def test_analyze_equilibrium_product(capsys):
     rc = run_cli("analyze", "equilibrium", "--game", "majority3", "--concept", "ne",
                  "--product", "0.5,0.5;0.5,0.5;0.5,0.5")
@@ -143,7 +154,55 @@ def test_simulate_rejects_unknown_top_level_keys(tmp_path, capsys):
 
 
 def test_simulate_requires_config(capsys):
-    assert run_cli("simulate") == EXIT_CONFIG
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate")
+    assert exc.value.code == EXIT_CONFIG
+    assert "required: --config" in capsys.readouterr().err
+
+
+# each table and quantity refuses the options it does not read
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "scaling", "--horizon", "64"),
+    ("reproduce", "scaling", "--self-audit"),
+    ("reproduce", "scaling", "--eval-games", "5"),
+    ("reproduce", "lowerbound", "--eval-games", "5"),
+    ("reproduce", "lowerbound", "--exploit-runs", "5"),
+    ("reproduce", "mv", "--horizon", "64"),
+    ("reproduce", "sdg", "--horizon", "64"),
+    ("analyze", "minimax", "--game", "majority3", "--x", "1,0"),
+    ("analyze", "minimax", "--game", "majority3", "--method", "grid"),
+    ("analyze", "pooling", "--game", "majority3", "--population", "p.json", "--z", "1,0", "--tol", "0.1"),
+    ("analyze", "exploitability", "--game", "majority3", "--x", "1,0", "--which", "maxmin-identical"),
+    ("analyze", "exploitability", "--game", "majority3", "--x", "1,0", "--concept", "ce"),
+    ("analyze", "equilibrium", "--game", "majority3", "--product", "1,0;1,0;1,0", "--z", "1,0"),
+    ("verify", "--game", "majority3", "--runs", "3"),
+    ("simulate", "--config", "c.json", "--runs", "3"),
+])
+def test_unread_options_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "exploitability", "--game", "majority3"), "required: --x"),
+    (("analyze", "pooling", "--game", "majority3", "--z", "1,0"), "required: --population"),
+    (("analyze", "pooling", "--game", "majority3", "--population", "p.json"), "required: --z"),
+    (("analyze", "equilibrium", "--game", "majority3"), "one of the arguments --product --dist is required"),
+    (("analyze", "equilibrium", "--game", "majority3", "--product", "1,0;1,0;1,0", "--dist", "d.json"), "not allowed with"),
+    (("analyze", "minimax", "--which", "maxmin-identical"), "required: --game"),
+    (("analyze", "minimax", "--game", "majority3", "--which", "maxmin"), "invalid choice"),
+    (("analyze", "exploitability", "--game", "majority3", "--x", "1,0", "--method", "exact"), "invalid choice"),
+    (("reproduce", "lowerbound", "--runs", "0"), "must be a positive integer, got 0"),
+    (("reproduce",), "required: table"),
+])
+def test_missing_or_bad_options_exit_2_without_a_traceback(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_reproduce_lowerbound_and_determinism(tmp_path):
@@ -237,7 +296,10 @@ def test_reproduce_mv_end_to_end(tmp_path):
     assert rows["hedge"]["limit_shares"]["pure_1"] == 1.0
     assert rows["hedge"]["exploitability_grid"] == pytest.approx(-1.0, abs=1e-9)
     assert (tmp_path / "mv_summary.md").exists()
-    assert (tmp_path / "mv_convergence.csv").exists()
+    lines = (tmp_path / "mv_convergence.csv").read_text().splitlines()
+    assert lines[0] == "algorithm,run,label,mass_on_label"
+    masses = [float(line.split(",")[3]) for line in lines[1:]]
+    assert len(masses) == 7 * 6 and all(0.0 < m <= 1.0 for m in masses)
 
 
 def test_replay_document_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -41,3 +42,46 @@ def test_private_names_are_used():
             if not used:
                 unused.append(node.name)
     assert unused == []
+
+
+def _subcommands(parser, path=(), options=()):
+    """(path, parser, options) of every leaf subcommand under `parser`,
+    with the options of the parsers on its path."""
+    options += tuple(a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction))
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield path, parser, options
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _subcommands(sub, path + (name,), options)
+
+
+def test_every_cli_option_is_read():
+    # an option that is parsed but never read has no effect: every option a
+    # leaf subcommand accepts must be read as args.<dest> by its run
+    # function or by a cli function that it calls
+    from equalshare import cli
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        if name in seen or name not in functions:
+            return set()
+        seen.add(name)
+        found = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+                found.add(node.attr)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                found |= reads(node.func.id, seen)
+        return found
+
+    exempt = {"seed", "out", "threads"}  # global, given before the verb
+    leaves = list(_subcommands(cli.build_parser()))
+    assert len(leaves) == 10
+    unread = []
+    for path, parser, options in leaves:
+        read = reads(parser.get_default("run").__name__, set())
+        unread += [(" ".join(path), a.dest) for a in options if a.dest not in exempt | read]
+    assert unread == []

@@ -24,6 +24,7 @@ import numpy as np
 from .games import (
     SymmetricGame,
     as_strategy,
+    check_fields,
     payoff_vector,
     realized_payoff_vectors,
 )
@@ -158,10 +159,13 @@ def _batch_coins(schedule: BiasedCoinSchedule | PureSwapSchedule, T: int, rng: n
 
 
 def _payoff_vectors_by_row(game: SymmetricGame, ys: np.ndarray) -> np.ndarray:
-    """payoff_vector of each row of a (T, A) schedule, once per distinct row
-    (payoff_vectors_batch would round differently)."""
-    distinct, row_of = np.unique(ys, axis=0, return_inverse=True)
-    return np.array([payoff_vector(game, y) for y in distinct]).reshape(-1, game.A)[row_of.reshape(-1)]
+    """payoff_vector of each row of a (T, A) schedule, once per distinct row among the
+    first rows of its runs of equal rows (payoff_vectors_batch would round differently)."""
+    starts = np.ones(len(ys), dtype=bool)
+    np.any(ys[1:] != ys[:-1], axis=1, out=starts[1:])
+    distinct, row_of = np.unique(ys[starts], axis=0, return_inverse=True)
+    vectors = np.array([payoff_vector(game, y) for y in distinct]).reshape(-1, game.A)
+    return vectors[row_of.reshape(-1)[np.cumsum(starts) - 1]]
 
 
 @dataclass
@@ -381,16 +385,21 @@ def compute_metrics(transcript: Transcript) -> Metrics:
     )
 
 
+# the fields each schedule kind reads, every one required
+SCHEDULE_FIELDS = {"fixed": ("y",), "sequence": ("ys",),
+                   "biased_coin": ("v_budget", "horizon"), "pure_swap": ("v_budget", "horizon")}
+
+
 def schedule_from_json(doc: dict) -> Schedule:
-    """Schedule documents: {"kind": "fixed", "y": [...]} | {"kind": "biased_coin" |
-    "pure_swap", "v_budget": V, "horizon": T} | {"kind": "sequence", "ys": [...]}."""
+    """Schedule documents: {"kind": K, **fields}, with exactly the fields of SCHEDULE_FIELDS[K]."""
     kind = doc.get("kind")
+    if kind not in SCHEDULE_FIELDS:
+        raise ScheduleError(f"unknown schedule kind {kind!r}; choose from {tuple(SCHEDULE_FIELDS)}")
+    check_fields(doc, ("kind", *SCHEDULE_FIELDS[kind]), kind)
     if kind == "fixed":
         return FixedSchedule(tuple(float(v) for v in doc["y"]))
     if kind == "sequence":
         return SequenceSchedule(tuple(tuple(float(v) for v in y) for y in doc["ys"]))
     if kind == "biased_coin":
         return BiasedCoinSchedule(float(doc["v_budget"]), int(doc["horizon"]))
-    if kind == "pure_swap":
-        return PureSwapSchedule(float(doc["v_budget"]), int(doc["horizon"]))
-    raise ScheduleError(f"unknown schedule kind {kind!r}")
+    return PureSwapSchedule(float(doc["v_budget"]), int(doc["horizon"]))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,25 +44,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_SIZE_CAP = 4
-
-
-def _check_threads(args) -> None:
-    """--threads, else EQS_THREADS, must be a positive integer when set; a
-    bad value is a config error.  The value has no other effect: simulate
-    plays its matches in one thread."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be a positive integer, got {args.threads}")
-        return
-    env = os.environ.get("EQS_THREADS")
-    if not env:
-        return
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"EQS_THREADS must be a positive integer, got {env!r}")
 
 
 def _count(text: str) -> int:
@@ -137,7 +117,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_threads(args)  # before simulate writes anything
     cfg = load_config(args.config)
     out = Path(args.out or cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,11 +166,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    out = _reproduce_dir(args)
     game = extended_majority(3, 2)
     T = args.horizon
     configs = [("pure_swap", 32.0, T), ("pure_swap", T / 4.0, T), ("biased_coin", 8.0, T)]
     rows = [r.as_dict() for r in lowerbound_sweep(game, configs, base_seed=args.seed, **_given(seeds=args.runs))]
+    out = _reproduce_dir(args)
     _emit({"game": game.name, "rows": rows}, out, "lowerbound.json")
     (out / "lowerbound.csv").write_text(_csv(rows))
     if args.self_audit and not all(r["u_avg_std"] >= 0 and r["dreg_std"] >= 0 for r in rows):
@@ -243,7 +222,11 @@ def cmd_equilibrium(args) -> int:
         dist = [as_strategy([float(v) for v in part.split(",")], game.A) for part in args.product.split(";")]
     else:
         with open(args.dist) as fh:
-            arr = np.asarray(json.load(fh), dtype=float)
+            doc = json.load(fh)
+        try:
+            arr = np.asarray(doc, dtype=float)
+        except TypeError as exc:  # a JSON object, or null among the numbers
+            raise ValueError(f"--dist must hold a JSON array of numbers: {exc}") from exc
         dist = arr if args.concept != "ne" else [as_strategy(row, game.A) for row in arr]
     report = analysis.check_equilibrium(dense, dist, args.concept, tol=args.tol)
     _document(args, f"equilibrium:{args.concept}", report.epsilon, {"verdict": bool(report.verdict)},
@@ -271,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="simulate: a positive integer (or EQS_THREADS); accepted and ignored, matches run in one thread")
+    parser.add_argument("--threads", type=_count, default=None,
+                        help="a positive integer, accepted and ignored: matches run in one thread")
     verbs = parser.add_subparsers(dest="verb", required=True)
 
     game = argparse.ArgumentParser(add_help=False)

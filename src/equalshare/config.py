@@ -1,18 +1,15 @@
 """Experiment configuration documents.
 
-A config is a JSON object:
+A config is a JSON object with the keys game, learner, schedule, T, seeds
+and out (default "."), e.g.
 
-    {
-      "game": {"name": "majority3"} | {"name": "sdg", "n": 30} | {"custom": ...},
-      "learner": {"kind": "hedge" | "saol" | "clone", "eta": 1.0, "rule": "sqrt_decay"},
-      "schedule": {"kind": "fixed", "y": [0.49, 0.51]},
-      "T": 10000,
-      "seeds": [0, 1, 2] | {"count": 10, "base": 0},
-      "out": "results/"
-    }
+    {"game": {"name": "majority3"}, "learner": {"kind": "hedge", "eta": 1.0},
+     "schedule": {"kind": "fixed", "y": [0.49, 0.51]}, "T": 10000,
+     "seeds": {"count": 10, "base": 0}, "out": "results/"}
 
-Validation collects every problem before refusing, so a config error
-reports the full list at once.  Keys other than the six above are refused.
+Each section has one parser (PARSERS), in the module that owns its format,
+which takes only the fields its kind reads.  Every problem is collected
+before refusing, so a config error reports the full list at once.
 """
 
 from __future__ import annotations
@@ -21,8 +18,8 @@ import json
 from dataclasses import dataclass
 
 from .arena import Schedule, schedule_from_json
-from .games import SymmetricGame, game_from_json
-from .learners import LearnerSpec
+from .games import SymmetricGame, check_fields, game_from_json
+from .learners import LearnerSpec, learner_from_json
 
 
 class ConfigError(ValueError):
@@ -41,67 +38,47 @@ class ExperimentConfig:
     out: str = "."
 
 
-KEYS = ("game", "learner", "schedule", "T", "seeds", "out")
+def _positive_int(value) -> int:
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"must be a positive integer, got {value!r}")
+    return value
+
+
+def seeds_from_json(doc) -> list[int]:
+    """Seed documents: a non-empty list of ints, or {"count": N, "base": B}
+    for the N >= 1 seeds from the int B (default 0)."""
+    if isinstance(doc, dict):
+        check_fields(doc, ("count", "base"), "a seed range")
+        count, base = doc.get("count"), doc.get("base", 0)
+        if isinstance(count, int) and count >= 1 and isinstance(base, int):
+            return list(range(base, base + count))
+    elif isinstance(doc, list) and doc and all(isinstance(s, int) for s in doc):
+        return doc
+    raise ValueError(f"must be a non-empty list of ints or {{count, base}} of ints, count >= 1, got {doc!r}")
+
+
+# every key but "out" (default ".") is required
+PARSERS = {"game": game_from_json, "learner": learner_from_json, "schedule": schedule_from_json,
+           "T": _positive_int, "seeds": seeds_from_json}
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     problems = []
-    game = learner = schedule = None
-
-    unknown = sorted(set(doc) - set(KEYS))
+    unknown = sorted(set(doc) - {*PARSERS, "out"})
     if unknown:
         problems.append(f"unknown top-level fields {unknown}")
-
-    if "game" not in doc:
-        problems.append("missing 'game'")
-    else:
+    parsed = {}
+    for key, parse in PARSERS.items():
+        if key not in doc:
+            problems.append(f"missing {key!r}")
+            continue
         try:
-            game = game_from_json(doc["game"])
-        except Exception as exc:
-            problems.append(f"game: {exc}")
-
-    if "learner" not in doc:
-        problems.append("missing 'learner'")
-    else:
-        spec = dict(doc["learner"])
-        kind = spec.pop("kind", None)
-        try:
-            learner = LearnerSpec(
-                kind,
-                eta=float(spec.pop("eta", 1.0)),
-                rule=spec.pop("rule", "sqrt_decay"),
-                horizon=spec.pop("horizon", None),
-            )
-            if spec:
-                problems.append(f"learner: unknown fields {sorted(spec)}")
-        except Exception as exc:
-            problems.append(f"learner: {exc}")
-
-    if "schedule" not in doc:
-        problems.append("missing 'schedule'")
-    else:
-        try:
-            schedule = schedule_from_json(doc["schedule"])
-        except Exception as exc:
-            problems.append(f"schedule: {exc}")
-
-    T = doc.get("T")
-    if not isinstance(T, int) or T < 1:
-        problems.append(f"T must be a positive integer, got {T!r}")
-
-    seeds_doc = doc.get("seeds")
-    seeds: list[int] = []
-    if isinstance(seeds_doc, list) and seeds_doc and all(isinstance(s, int) for s in seeds_doc):
-        seeds = seeds_doc
-    elif isinstance(seeds_doc, dict) and isinstance(seeds_doc.get("count"), int) and seeds_doc["count"] > 0:
-        base = int(seeds_doc.get("base", 0))
-        seeds = list(range(base, base + seeds_doc["count"]))
-    else:
-        problems.append(f"seeds must be a non-empty list of ints or {{count, base}}, got {seeds_doc!r}")
-
+            parsed[key] = parse(doc[key])
+        except Exception as exc:  # every problem is reported, not just the first
+            problems.append(f"{key}: {exc}")
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(game, learner, schedule, T, seeds, doc.get("out", "."))
+    return ExperimentConfig(**parsed, out=doc.get("out", "."))
 
 
 def load_config(path: str) -> ExperimentConfig:

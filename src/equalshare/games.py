@@ -568,14 +568,23 @@ def game_to_json(game: SymmetricGame) -> dict:
     return {"custom": {"n": game.n, "A": game.A, "payoff_table": payoffs}}
 
 
+def check_fields(doc: dict, reads, owner: str) -> None:
+    """Refuse, naming them, the fields of a document its owner does not read."""
+    unread = sorted(set(doc) - set(reads))
+    if unread:
+        raise ValueError(f"unknown fields {unread}: {owner} reads only {sorted(reads)}")
+
+
 def game_from_json(doc: dict) -> SymmetricGame:
-    """Inverse of game_to_json."""
+    """Inverse of game_to_json; a custom game takes no other field."""
     if "name" in doc:
         params = {k: v for k, v in doc.items() if k != "name"}
         return builtin_game(doc["name"], **params)
     if "custom" not in doc:
         raise ValueError("game document needs either 'name' or 'custom'")
+    check_fields(doc, ("custom",), "a custom game document")
     spec = doc["custom"]
+    check_fields(spec, ("n", "A", "payoff_table"), "a custom game")
     n, A = int(spec["n"]), int(spec["A"])
     table = {}
     for key, value in spec["payoff_table"].items():

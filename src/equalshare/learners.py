@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .games import SymmetricGame
+from .games import SymmetricGame, check_fields
 from .sampling import sample_actions
 
 
@@ -266,6 +266,9 @@ def saol_strategies(gains: np.ndarray, horizon: int, eta: float = 1.0) -> np.nda
     level whose interval spans blocks carries its running row into the next
     block's cumsum, so the bytes do not depend on where blocks fall.  Only
     the (R, L) meta-weight recursion steps round by round.
+
+    At a round 2^K every live interval of the geometric cover starts fresh, so
+    the strategy is uniform there (Daniely, Gonen & Shalev-Shwartz, ICML 2015).
     """
     R, T, A = gains.shape
     if T > horizon:
@@ -531,18 +534,33 @@ def exploiter_step(
 # The arena's view of a learner.
 # ---------------------------------------------------------------------------
 
+# the fields each learner kind reads; SAOL's horizon defaults to the match's T
+LEARNER_FIELDS = {"hedge": ("eta", "rule"), "saol": ("eta", "horizon"), "clone": ()}
+
+
 @dataclass
 class LearnerSpec:
+    """A learner kind and its parameters; built in Python, it takes every field."""
+
     kind: str
     eta: float = 1.0
     rule: str = "sqrt_decay"
     horizon: int | None = None
 
-    KINDS = ("hedge", "saol", "clone")
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown learner kind {self.kind!r}; choose from {self.KINDS}")
+        if self.kind not in LEARNER_FIELDS:
+            raise ValueError(f"unknown learner kind {self.kind!r}; choose from {tuple(LEARNER_FIELDS)}")
+        RateSchedule(self.eta, self.rule)  # a bad eta or rule fails here, before any match
 
     def describe(self) -> str:
-        return f"{self.kind} eta={self.eta:g} {self.rule}"
+        """The kind and the fields it reads: "hedge eta=1 sqrt_decay", "saol eta=1", "clone"."""
+        shown = {"eta": f"eta={self.eta:g}", "rule": self.rule, "horizon": self.horizon and f"horizon={self.horizon}"}
+        return " ".join([self.kind, *filter(None, (shown[f] for f in LEARNER_FIELDS[self.kind]))])
+
+
+def learner_from_json(doc: dict) -> LearnerSpec:
+    """Learner documents: {"kind": K, **fields}, fields optional and only those of LEARNER_FIELDS[K]."""
+    spec = LearnerSpec(doc.get("kind"))
+    reads = LEARNER_FIELDS[spec.kind]
+    check_fields(doc, ("kind", *reads), spec.kind)
+    return replace(spec, **{field: doc[field] for field in reads if field in doc})

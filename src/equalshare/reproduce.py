@@ -259,12 +259,14 @@ def lowerbound_sweep(
     base_seed: int = 0,
 ) -> list[SweepRow]:
     """Run each learner, at eta 1, against each (schedule kind, V, T)
-    configuration."""
+    configuration; a row's stds need at least two seeds."""
+    if seeds < 2:
+        raise ValueError(f"a std needs at least two seeds, got {seeds}")
     rows = []
     for sched_kind, v, T in configs:
         sched = (BiasedCoinSchedule if sched_kind == "biased_coin" else PureSwapSchedule)(v, T)
         for kind in kinds:
-            runs = run_matches(game, LearnerSpec(kind, horizon=T), sched, T,
+            runs = run_matches(game, LearnerSpec(kind), sched, T,
                                [base_seed * 1_000_003 + s for s in range(seeds)])
             metrics = [compute_metrics(tr) for tr in runs]
             uavg = [m.u_avg for m in metrics]
@@ -290,7 +292,7 @@ def fit_scaling_exponent(
     +/-eps hard schedule at variation budget SCALING_V_BUDGET."""
     means = []
     for T in horizons:
-        runs = run_matches(game, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(SCALING_V_BUDGET, T), T,
+        runs = run_matches(game, LearnerSpec(kind), BiasedCoinSchedule(SCALING_V_BUDGET, T), T,
                            [base_seed * 7_777_777 + s for s in range(seeds)])
         vals = [compute_metrics(tr).dynamic_regret for tr in runs]
         means.append((T, float(np.mean(vals))))

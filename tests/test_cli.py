@@ -132,7 +132,7 @@ def test_simulate_config_errors_are_exhaustive(tmp_path, capsys):
     rc = run_cli("simulate", "--config", str(path))
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
-    for fragment in ("missing 'game'", "zorp", "T must be", "seeds must be"):
+    for fragment in ("missing 'game'", "zorp", "T: must be", "seeds: must be"):
         assert fragment in err
 
 
@@ -221,23 +221,8 @@ def test_unknown_arguments_rejected():
         run_cli("bogus-verb")
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    cfg = {
-        "game": {"name": "majority3"},
-        "learner": {"kind": "clone"},
-        "schedule": {"kind": "fixed", "y": [0.5, 0.5]},
-        "T": 100,
-        "seeds": [1, 2],
-        "out": str(tmp_path / "env"),
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    monkeypatch.setenv("EQS_THREADS", "2")
-    assert run_cli("simulate", "--config", str(path), "--self-audit") == EXIT_OK
-    assert (tmp_path / "env" / "replay_seed1.json").exists()
-
-
-def _threads_config(tmp_path):
+@pytest.mark.parametrize("threads", ["-3", "0"])
+def test_threads_below_one_is_refused(threads, tmp_path, capsys):
     cfg = {
         "game": {"name": "majority3"},
         "learner": {"kind": "clone"},
@@ -248,35 +233,46 @@ def _threads_config(tmp_path):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    return path
-
-
-def test_threads_below_one_is_a_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("EQS_THREADS", raising=False)
-    assert run_cli("--threads", "-3", "simulate", "--config", str(_threads_config(tmp_path))) == EXIT_CONFIG
-    assert "--threads must be a positive integer, got -3" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--threads", threads, "simulate", "--config", str(path))
+    assert exc.value.code == EXIT_CONFIG
+    assert f"must be a positive integer, got {threads}" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
 
 
-def test_threads_zero_does_not_fall_back_to_the_environment(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EQS_THREADS", "2")
-    assert run_cli("--threads", "0", "simulate", "--config", str(_threads_config(tmp_path))) == EXIT_CONFIG
-    assert "--threads must be a positive integer, got 0" in capsys.readouterr().err
+def test_simulate_refuses_every_field_its_kinds_do_not_read(tmp_path, capsys):
+    cfg = {
+        "game": {"name": "majority3"},
+        "learner": {"kind": "clone", "eta": 5, "rule": "fixed", "horizon": 9},
+        "schedule": {"kind": "fixed", "y": [0.49, 0.51], "v_budget": 8, "horizon": 3, "ys": [[1, 0]]},
+        "T": 16,
+        "seeds": {"count": 2, "bsae": 7},
+        "out": str(tmp_path / "sim"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("simulate", "--config", str(path)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "learner: unknown fields ['eta', 'horizon', 'rule']" in err
+    assert "schedule: unknown fields ['horizon', 'v_budget', 'ys']" in err
+    assert "seeds: unknown fields ['bsae']" in err
     assert not (tmp_path / "sim").exists()
 
 
-def test_threads_environment_must_be_a_positive_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EQS_THREADS", "abc")
-    assert run_cli("simulate", "--config", str(_threads_config(tmp_path))) == EXIT_CONFIG
-    assert "EQS_THREADS must be a positive integer, got 'abc'" in capsys.readouterr().err
-    assert not (tmp_path / "sim").exists()
+def test_reproduce_lowerbound_refuses_a_single_seed(tmp_path, capsys):
+    # the sweep reports a std over the seeds, which one seed cannot give
+    out = tmp_path / "lb"
+    assert run_cli("--out", str(out), "reproduce", "lowerbound", "--runs", "1", "--horizon", "64", "--self-audit") == EXIT_CONFIG
+    assert "a std needs at least two seeds, got 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_threads_environment_is_checked_by_simulate_only(capsys, monkeypatch):
-    # the value only matters to simulate, so a stray one stops no other verb
-    monkeypatch.setenv("EQS_THREADS", "abc")
-    assert run_cli("verify", "--game", "majority3") == EXIT_OK
-    assert run_cli("--threads", "0", "verify", "--game", "majority3") == EXIT_OK
+@pytest.mark.parametrize("doc", [{"a": 1}, [[0.5, {"a": 1}], [0.5, 0.5], [0.5, 0.5]], [1, [0.5, 0.5]]])
+def test_analyze_equilibrium_refuses_a_dist_that_is_not_an_array_of_numbers(doc, tmp_path, capsys):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("analyze", "equilibrium", "--game", "majority3", "--dist", str(path)) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_analyze_size_cap_exit(capsys):

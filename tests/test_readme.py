@@ -1,10 +1,13 @@
-"""The README's library quick tour runs as written, and its command lines parse."""
+"""The README's library quick tour runs as written, and its command lines and
+config parse."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 from equalshare import cli
+from equalshare.config import parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +27,8 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for line in commands:
         parser.parse_args(shlex.split(line)[1:])  # exits 2 on an unrecognized argument
+
+
+def test_readme_config_parses():
+    block = re.search(r"```json\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1)
+    parse_config(json.loads(block))

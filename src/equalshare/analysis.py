@@ -232,7 +232,7 @@ def check_equilibrium(dense: DenseGame, dist, concept: str, tol: float = 1e-9) -
     joint = np.asarray(dist, dtype=float)
     if joint.shape != (A,) * n:
         raise ValueError(f"joint distribution must have shape {(A,) * n}")
-    if abs(joint.sum() - 1.0) > 1e-9 or np.any(joint < 0):
+    if not (abs(joint.sum() - 1.0) <= 1e-9 and np.all(joint >= 0)):  # NaN fails both
         raise ValueError("joint distribution must be a probability array")
 
     if concept == "cce":

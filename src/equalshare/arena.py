@@ -25,6 +25,7 @@ from .games import (
     SymmetricGame,
     as_strategy,
     check_fields,
+    json_field,
     payoff_vector,
     realized_payoff_vectors,
 )
@@ -385,9 +386,9 @@ def compute_metrics(transcript: Transcript) -> Metrics:
     )
 
 
-# the fields each schedule kind reads, every one required
-SCHEDULE_FIELDS = {"fixed": ("y",), "sequence": ("ys",),
-                   "biased_coin": ("v_budget", "horizon"), "pure_swap": ("v_budget", "horizon")}
+# the fields each schedule kind reads, every one required, and their JSON types
+SCHEDULE_FIELDS = {"fixed": {"y": list}, "sequence": {"ys": list},
+                   "biased_coin": {"v_budget": float, "horizon": int}, "pure_swap": {"v_budget": float, "horizon": int}}
 
 
 def schedule_from_json(doc: dict) -> Schedule:
@@ -396,10 +397,11 @@ def schedule_from_json(doc: dict) -> Schedule:
     if kind not in SCHEDULE_FIELDS:
         raise ScheduleError(f"unknown schedule kind {kind!r}; choose from {tuple(SCHEDULE_FIELDS)}")
     check_fields(doc, ("kind", *SCHEDULE_FIELDS[kind]), kind)
+    fields = {name: json_field(doc, name, json_type) for name, json_type in SCHEDULE_FIELDS[kind].items()}
     if kind == "fixed":
-        return FixedSchedule(tuple(float(v) for v in doc["y"]))
+        return FixedSchedule(tuple(float(v) for v in fields["y"]))
     if kind == "sequence":
-        return SequenceSchedule(tuple(tuple(float(v) for v in y) for y in doc["ys"]))
+        return SequenceSchedule(tuple(tuple(float(v) for v in y) for y in fields["ys"]))
     if kind == "biased_coin":
-        return BiasedCoinSchedule(float(doc["v_budget"]), int(doc["horizon"]))
-    return PureSwapSchedule(float(doc["v_budget"]), int(doc["horizon"]))
+        return BiasedCoinSchedule(float(fields["v_budget"]), fields["horizon"])
+    return PureSwapSchedule(float(fields["v_budget"]), fields["horizon"])

@@ -119,10 +119,11 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out or cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     transcripts = run_matches(cfg.game, cfg.learner, cfg.schedule, cfg.T, cfg.seeds)
     metrics_rows = []
     for tr in transcripts:
+        # made only now: a config that parses can still fail its first match
+        out.mkdir(parents=True, exist_ok=True)
         (out / f"transcript_seed{tr.seed}.csv").write_text(tr.to_csv())
         (out / f"replay_seed{tr.seed}.json").write_text(json.dumps(tr.replay_document()) + "\n")
         metrics_rows.append({"seed": tr.seed, **compute_metrics(tr).as_dict()})

@@ -8,8 +8,10 @@ and out (default "."), e.g.
      "seeds": {"count": 10, "base": 0}, "out": "results/"}
 
 Each section has one parser (PARSERS), in the module that owns its format,
-which takes only the fields its kind reads.  Every problem is collected
-before refusing, so a config error reports the full list at once.
+which takes only the fields its kind reads, each of its JSON type: T, seeds,
+horizons and game sizes are integers (a bool or a float is refused), eta and
+v_budget numbers.  Every problem is collected before refusing, so a config
+error reports the full list at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from dataclasses import dataclass
 
 from .arena import Schedule, schedule_from_json
-from .games import SymmetricGame, check_fields, game_from_json
+from .games import SymmetricGame, check_fields, game_from_json, is_json
 from .learners import LearnerSpec, learner_from_json
 
 
@@ -39,7 +41,7 @@ class ExperimentConfig:
 
 
 def _positive_int(value) -> int:
-    if not isinstance(value, int) or value < 1:
+    if not is_json(value, int) or value < 1:
         raise ValueError(f"must be a positive integer, got {value!r}")
     return value
 
@@ -50,9 +52,9 @@ def seeds_from_json(doc) -> list[int]:
     if isinstance(doc, dict):
         check_fields(doc, ("count", "base"), "a seed range")
         count, base = doc.get("count"), doc.get("base", 0)
-        if isinstance(count, int) and count >= 1 and isinstance(base, int):
+        if is_json(count, int) and count >= 1 and is_json(base, int):
             return list(range(base, base + count))
-    elif isinstance(doc, list) and doc and all(isinstance(s, int) for s in doc):
+    elif isinstance(doc, list) and doc and all(is_json(s, int) for s in doc):
         return doc
     raise ValueError(f"must be a non-empty list of ints or {{count, base}} of ints, count >= 1, got {doc!r}")
 

@@ -38,25 +38,26 @@ class SizeCapExceeded(RuntimeError):
     """An enumeration was refused because it exceeds the configured cap."""
 
 
-# The most entries a dense lookup or search array may have: the count
-# index, and minimax_independent's (Nx, Ny^2) value matrix.
+# The most entries a dense lookup or search array may have: the count index,
+# the exploiter's gain table and minimax_independent's (Nx, Ny^2) values.
 MAX_ARRAY_ENTRIES = 2**25
 
 
 def as_strategy(probs: Sequence[float], num_actions: int | None = None) -> np.ndarray:
     """Validate and return a mixed strategy as a float64 array.
 
-    Entries must be non-negative and sum to 1 within 1e-9 (absolute).
+    Entries must be non-negative and sum to 1 within 1e-9 (absolute); a NaN
+    entry fails both checks.
     """
     x = np.asarray(probs, dtype=float)
     if x.ndim != 1:
         raise InvalidStrategyError(f"strategy must be a vector, got shape {x.shape}")
     if num_actions is not None and x.shape[0] != num_actions:
         raise DimensionError(f"strategy has {x.shape[0]} entries, expected {num_actions}")
-    if np.any(x < 0):
-        raise InvalidStrategyError(f"negative probability in {x}")
+    if not np.all(x >= 0):
+        raise InvalidStrategyError(f"negative or NaN probability in {x}")
     s = float(x.sum())
-    if abs(s - 1.0) > PROB_TOL:
+    if not abs(s - 1.0) <= PROB_TOL:
         raise InvalidStrategyError(f"probabilities sum to {s}, not 1")
     return x
 
@@ -141,13 +142,6 @@ class CountTable:
     def rows(self, counts: np.ndarray) -> np.ndarray:
         """Row numbers of count vectors of this table's total: (..., A) -> (...)."""
         return self._index[counts @ self._radix]
-
-    def switch_rows(self, counts: np.ndarray) -> np.ndarray:
-        """(..., A) -> (..., A, A): entry [b, a] is the row of counts - e_b + e_a.
-        Where counts[b] == 0 that vector does not exist and the entry is an
-        arbitrary row, for the caller to mask."""
-        codes = (counts @ self._radix)[..., None, None] - self._radix[:, None] + self._radix
-        return self._index[np.minimum(np.maximum(codes, 0), len(self._index) - 1)]
 
     def index(self, counts: Sequence[int]) -> int:
         c = np.asarray(counts, dtype=np.int64)
@@ -575,19 +569,43 @@ def check_fields(doc: dict, reads, owner: str) -> None:
         raise ValueError(f"unknown fields {unread}: {owner} reads only {sorted(reads)}")
 
 
+# the JSON type each Python type stands for when a document is read
+_JSON_TYPES = {int: "a JSON integer", float: "a JSON number", str: "a JSON string",
+               list: "a JSON array", dict: "a JSON object"}
+
+
+def is_json(value, kind: type) -> bool:
+    """Whether a value parsed from JSON has the JSON type `kind` stands for:
+    int an integer, float any number, str, list or dict.  A bool is neither
+    an integer nor a number."""
+    return isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+
+
+def json_field(doc: dict, name: str, kind: type):
+    """The field `name` of a parsed JSON document, refused, naming it, when
+    it is missing or does not have the JSON type of `kind` (is_json)."""
+    if name not in doc:
+        raise ValueError(f"missing field {name!r}")
+    value = doc[name]
+    if not is_json(value, kind):
+        raise ValueError(f"field {name!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def game_from_json(doc: dict) -> SymmetricGame:
     """Inverse of game_to_json; a custom game takes no other field."""
     if "name" in doc:
-        params = {k: v for k, v in doc.items() if k != "name"}
+        # every parameter of a built-in game is an integer
+        params = {k: json_field(doc, k, int) for k in doc if k != "name"}
         return builtin_game(doc["name"], **params)
     if "custom" not in doc:
         raise ValueError("game document needs either 'name' or 'custom'")
     check_fields(doc, ("custom",), "a custom game document")
-    spec = doc["custom"]
+    spec = json_field(doc, "custom", dict)
     check_fields(spec, ("n", "A", "payoff_table"), "a custom game")
-    n, A = int(spec["n"]), int(spec["A"])
+    n, A = json_field(spec, "n", int), json_field(spec, "A", int)
     table = {}
-    for key, value in spec["payoff_table"].items():
+    for key, value in json_field(spec, "payoff_table", dict).items():
         a_str, counts_str = key.split("|")
         counts = tuple(int(v) for v in counts_str.split(","))
         if len(counts) != A or sum(counts) != n - 1:

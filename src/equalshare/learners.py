@@ -16,8 +16,9 @@ functions would play.  SAOL's whole-match form is batched over runs, on
 do not depend on the rest of the batch.  Self-play, hedge against a fixed
 meta-strategy and the exploiter have one implementation each, the batched
 trainers (`batch_*`), which advance many runs in lockstep at the
-"sqrt_decay" rate; runs=1 is the sequential case.  `exploiter_step` steps one exploiter run with the batched
-rule.
+"sqrt_decay" rate; runs=1 is the sequential case.  Each reads its gains by
+count row from a table built once per game (the exploiter's is its gain
+table), and `exploiter_step` steps one exploiter run with the batched rule.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .games import SymmetricGame, check_fields
+from .games import MAX_ARRAY_ENTRIES, SizeCapExceeded, SymmetricGame, check_fields, json_field, num_compositions
 from .sampling import sample_actions
 
 
@@ -458,22 +459,21 @@ def batch_self_play(
     return strategies(cum_gain, cum_eta)
 
 
-def exploiter_gains(game: SymmetricGame, a1: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The exploiter's gains, one row per run: (runs,) target actions a1 and
-    (runs, A) opponent counts -> (runs, A).  Gain of action a is the negated
-    average, over the n-1 opponent seats, of the target's payoff when that
-    seat switches to a."""
-    mat = game.payoff_matrix()
-    # [r, b, a]: the counts after one seat playing b switches to a
-    switched = game.count_table().switch_rows(counts)
-    gains = np.zeros((len(counts), game.A))
+def exploiter_gain_table(game: SymmetricGame) -> np.ndarray:
+    """(A, K, A) exploiter gains: entry [a1, k, a] is the negated average, over
+    the n-1 opponent seats of count_table() row k, of the target's payoff at
+    a1 when that seat switches to a.  Refused (SizeCapExceeded) before it is
+    built when its A^2 K entries exceed MAX_ARRAY_ENTRIES."""
+    size = game.A**2 * num_compositions(game.n - 1, game.A)
+    if size > MAX_ARRAY_ENTRIES:
+        raise SizeCapExceeded(f"exploiter gain table of {size} entries exceeds the cap of {MAX_ARRAY_ENTRIES}")
+    table, mat, eye = game.count_table(), game.payoff_matrix(), np.eye(game.A, dtype=np.int64)
+    gains = np.zeros((game.A, len(table.counts), game.A))
     for b in range(game.A):
-        cb = counts[:, b, None]
-        live = cb > 0
-        if not live.any():
-            continue
-        vals = mat[a1[:, None], switched[:, b]]
-        gains -= np.where(live, cb * vals, 0.0)
+        live = np.flatnonzero(table.counts[:, b] >= 1)
+        # [k, a]: the row of the counts after one seat playing b switches to a
+        switched = table.rows(table.counts[live, None] - eye[b] + eye)
+        gains[:, live] -= table.counts[live, b, None] * mat[:, switched]
     gains /= game.n - 1
     return gains
 
@@ -490,16 +490,17 @@ def batch_exploiter(
 
     The exploiter is one mixed strategy shared by all n-1 opponents.  Each
     round every run draws the target's action, then its opponents' counts
-    from its current strategy, and takes a hedge step on exploiter_gains.
+    from its current strategy, and takes a hedge step on its gain table row.
     """
     target = np.asarray(target, dtype=float)
+    gains, table = exploiter_gain_table(game), game.count_table()
     eta_by_step = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1))
     log_w = np.zeros((runs, game.A))
     for eta_t in eta_by_step:
         x = softmax_rows(log_w)
         a1 = sample_actions(rng, target, runs)
         counts = rng.multinomial(game.n - 1, x)
-        log_w += eta_t * exploiter_gains(game, a1, counts)
+        log_w += eta_t * gains[a1, table.rows(counts)]
     return softmax_rows(log_w)
 
 
@@ -511,10 +512,11 @@ class ExploiterState:
 
     hedge: HedgeState
     target: np.ndarray
+    gains: np.ndarray  # the game's exploiter_gain_table
 
     @classmethod
-    def fresh(cls, game: SymmetricGame, target: np.ndarray, eta: float = 1.0, rule: str = "sqrt_decay") -> "ExploiterState":
-        return cls(HedgeState.fresh(game.A, eta, rule), np.asarray(target, dtype=float))
+    def fresh(cls, game: SymmetricGame, target: np.ndarray, eta: float = 1.0) -> "ExploiterState":
+        return cls(HedgeState.fresh(game.A, eta), np.asarray(target, dtype=float), exploiter_gain_table(game))
 
 
 def exploiter_current(state: ExploiterState) -> np.ndarray:
@@ -526,7 +528,7 @@ def exploiter_step(
 ) -> tuple[ExploiterState, np.ndarray]:
     a1 = sample_actions(rng, state.target, 1)
     counts = rng.multinomial(game.n - 1, exploiter_current(state)[None])
-    new = replace(state, hedge=hedge_observe(state.hedge, exploiter_gains(game, a1, counts)[0]))
+    new = replace(state, hedge=hedge_observe(state.hedge, state.gains[a1, game.count_table().rows(counts)][0]))
     return new, exploiter_current(new)
 
 
@@ -534,8 +536,8 @@ def exploiter_step(
 # The arena's view of a learner.
 # ---------------------------------------------------------------------------
 
-# the fields each learner kind reads; SAOL's horizon defaults to the match's T
-LEARNER_FIELDS = {"hedge": ("eta", "rule"), "saol": ("eta", "horizon"), "clone": ()}
+# each learner kind's fields and their JSON types; SAOL's horizon defaults to T
+LEARNER_FIELDS = {"hedge": {"eta": float, "rule": str}, "saol": {"eta": float, "horizon": int}, "clone": {}}
 
 
 @dataclass
@@ -563,4 +565,4 @@ def learner_from_json(doc: dict) -> LearnerSpec:
     spec = LearnerSpec(doc.get("kind"))
     reads = LEARNER_FIELDS[spec.kind]
     check_fields(doc, ("kind", *reads), spec.kind)
-    return replace(spec, **{field: doc[field] for field in reads if field in doc})
+    return replace(spec, **{f: json_field(doc, f, kind) for f, kind in reads.items() if f in doc})

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import exploitability, monte_carlo_utility
 from .arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
-from .games import SymmetricGame, expected_payoff_mixed
+from .games import SymmetricGame, payoff_vector
 # batch_exploiter is not called here; callers of reproduce.batch_* still import it from here.
 from .learners import LearnerSpec, batch_exploiter, batch_hedge_vs_fixed, batch_self_play
 
@@ -179,12 +179,8 @@ def run_table_experiment(
         converged = labels[labels >= 0]
         if converged.size:
             # worst converged limit by exact utility against the meta-strategy
-            candidates = sorted(set(int(v) for v in converged))
-            utils = {}
-            for a in candidates:
-                pure = np.zeros(game.A)
-                pure[a] = 1.0
-                utils[a] = expected_payoff_mixed(game, pure, y_meta)
+            payoffs = payoff_vector(game, y_meta)
+            utils = {a: float(payoffs[a]) for a in sorted(set(int(v) for v in converged))}
             worst_action = min(utils, key=utils.get)
             worst = np.zeros(game.A)
             worst[worst_action] = 1.0

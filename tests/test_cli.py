@@ -275,6 +275,38 @@ def test_analyze_equilibrium_refuses_a_dist_that_is_not_an_array_of_numbers(doc,
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dist, concept", [
+    ([[0.5, None], [0.5, 0.5], [0.5, 0.5]], "ne"),
+    ([[[0.125, 0.125], [0.125, 0.125]], [[0.125, 0.125], [0.125, None]]], "cce"),
+], ids=["product", "cce-joint"])
+def test_analyze_equilibrium_refuses_a_nan_probability(dist, concept, tmp_path, capsys):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(dist))  # null reads as NaN
+    rc = run_cli("analyze", "equilibrium", "--game", "majority3", "--concept", concept, "--dist", str(path))
+    assert rc == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_analyze_exploitability_refuses_a_nan_probability(capsys):
+    assert run_cli("analyze", "exploitability", "--game", "majority3", "--x", "nan,1") == EXIT_CONFIG
+    assert "NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("learner, schedule", [
+    ({"kind": "saol", "horizon": 4}, {"kind": "fixed", "y": [0.5, 0.5]}),
+    ({"kind": "hedge"}, {"kind": "sequence", "ys": [[0.5, 0.5]]}),
+    ({"kind": "hedge"}, {"kind": "biased_coin", "v_budget": 2, "horizon": 16}),
+    ({"kind": "hedge"}, {"kind": "fixed", "y": [float("nan"), 1.0]}),
+], ids=["saol-horizon-below-T", "sequence-too-short", "coin-horizon-above-T", "fixed-nan"])
+def test_simulate_that_fails_before_its_first_transcript_leaves_no_directory(learner, schedule, tmp_path):
+    cfg = {"game": {"name": "extended_majority", "n": 3, "num_actions": 2}, "learner": learner,
+           "schedule": schedule, "T": 8, "seeds": [0], "out": str(tmp_path / "sim")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))  # a NaN is written as the literal NaN, which json reads back
+    assert run_cli("simulate", "--config", str(path)) == EXIT_CONFIG
+    assert not (tmp_path / "sim").exists()
+
+
 def test_analyze_size_cap_exit(capsys):
     rc = run_cli("analyze", "minimax", "--game", "sdg", "--n", "30", "--which", "maxmin-independent")
     assert rc == EXIT_SIZE_CAP

@@ -1,9 +1,12 @@
 """Config documents: each section takes exactly the fields its kind reads."""
 
+import json
+
 import numpy as np
 import pytest
 
 from equalshare.arena import SCHEDULE_FIELDS, realize_schedule, run_match
+from equalshare.cli import EXIT_CONFIG, main
 from equalshare.config import ConfigError, parse_config
 from equalshare.games import extended_majority
 from equalshare.learners import LEARNER_FIELDS
@@ -93,3 +96,27 @@ def test_custom_game_fields():
         with pytest.raises(ConfigError) as err:
             parse_config({**BASE, "game": game, "schedule": {"kind": "fixed", "y": [0.5, 0.5]}})
         assert err.value.problems[0].startswith(f"game: unknown fields [{field!r}]")
+
+
+@pytest.mark.parametrize("section, value, problem", [
+    ("T", True, "T: must be a positive integer, got True"),
+    ("learner", {"kind": "saol", "horizon": "x"}, "learner: field 'horizon' must be a JSON integer, got 'x'"),
+    ("game", {"name": "sdg", "n": 30.5}, "game: field 'n' must be a JSON integer, got 30.5"),
+    ("learner", {"kind": "saol", "horizon": 2.5}, "learner: field 'horizon' must be a JSON integer, got 2.5"),
+    ("schedule", {"kind": "biased_coin", "v_budget": 8, "horizon": 8.9}, "schedule: field 'horizon' must be a JSON integer, got 8.9"),
+    ("schedule", {"kind": "biased_coin", "v_budget": "2", "horizon": T}, "schedule: field 'v_budget' must be a JSON number, got '2'"),
+    ("learner", {"kind": "hedge", "eta": True}, "learner: field 'eta' must be a JSON number, got True"),
+    ("seeds", [True, False], "got [True, False]"),
+    ("schedule", {"kind": "fixed"}, "schedule: missing field 'y'"),
+], ids=["T-bool", "saol-horizon-str", "game-n-float", "saol-horizon-float", "schedule-horizon-float",
+        "v_budget-str", "eta-bool", "seeds-bools", "fixed-missing-y"])
+def test_a_scalar_of_the_wrong_json_type_is_refused_at_parse_time(section, value, problem, tmp_path, capsys):
+    doc = {**BASE, section: value}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert len(err.value.problems) == 1 and problem in err.value.problems[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**doc, "out": str(tmp_path / "sim")}))
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()

@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 import equalshare as eq
-from equalshare.games import expected_payoff_mixed, realized_payoff_vector
-from equalshare.learners import RateSchedule, batch_exploiter, batch_hedge_vs_fixed, batch_self_play
+from equalshare import learners
+from equalshare.games import SizeCapExceeded, expected_payoff_mixed, num_compositions, realized_payoff_vector
+from equalshare.learners import (
+    RateSchedule,
+    batch_exploiter,
+    batch_hedge_vs_fixed,
+    batch_self_play,
+    exploiter_gain_table,
+)
 from equalshare.reproduce import (
     classify,
     fit_scaling_exponent,
@@ -86,6 +93,24 @@ def test_batch_regularized_matches_manual_replay():
     np.testing.assert_allclose(finals[0], readout(), rtol=1e-10, atol=1e-12)
 
 
+def _insertion_average_gains(game, a1, counts):
+    """The exploiter's gain of each action against target action a1 and
+    opponent counts: the negated average, over the opponent seats, of the
+    target's payoff when that seat switches to the action."""
+    gains = np.zeros(game.A)
+    for a in range(game.A):
+        total = 0.0
+        for b in range(game.A):
+            if counts[b] == 0:
+                continue
+            swapped = counts.copy()
+            swapped[b] -= 1
+            swapped[a] += 1
+            total += counts[b] * game.payoff(a1, tuple(int(v) for v in swapped))
+        gains[a] = -total / (game.n - 1)
+    return gains
+
+
 def test_batch_exploiter_matches_functional_gain_rule():
     # one step from uniform: the batch gain computation must equal the
     # insertion-average rule evaluated directly
@@ -99,22 +124,36 @@ def test_batch_exploiter_matches_functional_gain_rule():
     tcdf[-1] = 1.0
     a1 = int(np.searchsorted(tcdf, rng2.random(1), side="right").clip(0, 2)[0])
     counts = rng2.multinomial(4, np.ones((1, 3)) / 3)[0]
-    gains = np.zeros(3)
-    for a in range(3):
-        total = 0.0
-        for b in range(3):
-            if counts[b] == 0:
-                continue
-            swapped = counts.copy()
-            swapped[b] -= 1
-            swapped[a] += 1
-            total += counts[b] * g.payoff(a1, tuple(int(v) for v in swapped))
-        gains[a] = -total / 4
+    gains = _insertion_average_gains(g, a1, counts)
     sched = RateSchedule(2.0, "sqrt_decay", 3)
     lw = sched.rate(1) * gains
     manual = np.exp(lw - lw.max())
     manual /= manual.sum()
     np.testing.assert_allclose(final[0], manual, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "game", [eq.majority3(), eq.minority3(), eq.sdg(5), eq.extended_majority(4, 3)],
+    ids=["majority3", "minority3", "sdg5", "em43"],
+)
+def test_exploiter_gain_table_entries_are_the_insertion_average_rule(game):
+    gains = exploiter_gain_table(game)
+    counts = game.count_table().counts
+    assert gains.shape == (game.A, len(counts), game.A)
+    for a1 in range(game.A):
+        for k, c in enumerate(counts):
+            np.testing.assert_array_equal(gains[a1, k], _insertion_average_gains(game, a1, c))
+
+
+def test_exploiter_gain_table_is_refused_before_it_is_built(monkeypatch):
+    game = eq.sdg(5)
+    size = game.A**2 * num_compositions(game.n - 1, game.A)
+    monkeypatch.setattr(learners, "MAX_ARRAY_ENTRIES", size - 1)
+    with pytest.raises(SizeCapExceeded, match=f"table of {size} entries"):
+        exploiter_gain_table(game)
+    assert game._cache == {}  # neither the count table nor the payoff matrix was built
+    monkeypatch.setattr(learners, "MAX_ARRAY_ENTRIES", size)
+    assert exploiter_gain_table(game).size == size
 
 
 def test_classify_threshold():

@@ -30,7 +30,7 @@ from .games import (
     payoff_vectors_batch,
 )
 from .learners import batch_exploiter
-from .sampling import counts_from_actions, sample_actions
+from .sampling import action_cdf, counts_from_actions, sample_actions
 
 
 def default_resolution(num_actions: int) -> int:
@@ -370,6 +370,10 @@ def pooling_check(game: SymmetricGame, population, z, max_tuples: int = 200_000)
 # Monte Carlo utility estimation.
 # ---------------------------------------------------------------------------
 
+# opponents' rows per Monte Carlo draw: bounds memory at one chunk's uniforms
+MC_CHUNK_ROWS = 65_536
+
+
 def monte_carlo_utility(
     game: SymmetricGame, x, y, num_games: int, rng: np.random.Generator | int = 0
 ) -> tuple[float, float]:
@@ -382,8 +386,17 @@ def monte_carlo_utility(
     xv = as_strategy(x, game.A)
     yv = as_strategy(y, game.A)
     a1 = sample_actions(rng, xv, num_games)
-    opp = sample_actions(rng, yv, (num_games, game.n - 1))
-    payoffs = game.payoff_matrix()[a1, game.count_table().rows(counts_from_actions(opp, game.A))]
+    # the opponents' uniforms, drawn row chunk by row chunk (the same doubles as
+    # one (num_games, n-1) draw), are counted per action without an action array
+    cdf, mat, table = action_cdf(yv), game.payoff_matrix(), game.count_table()
+    payoffs = np.empty(num_games)
+    for start in range(0, num_games, MC_CHUNK_ROWS):
+        stop = min(start + MC_CHUNK_ROWS, num_games)
+        u = rng.random((stop - start, game.n - 1))
+        # opponents playing an action <= a, for a < A-1; all n-1 play one <= A-1
+        at_most = np.stack([(u < cdf[a]).sum(1) for a in range(game.A - 1)], axis=1)
+        counts = np.diff(at_most, axis=1, prepend=0, append=game.n - 1)
+        payoffs[start:stop] = mat[a1[start:stop], table.rows(counts)]
     mean = float(payoffs.mean())
     se = float(payoffs.std(ddof=1) / math.sqrt(num_games)) if num_games > 1 else float("inf")
     return mean, se

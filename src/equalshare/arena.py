@@ -25,6 +25,7 @@ from .games import (
     SymmetricGame,
     as_strategy,
     check_fields,
+    is_json,
     json_field,
     payoff_vector,
     realized_payoff_vectors,
@@ -391,6 +392,13 @@ SCHEDULE_FIELDS = {"fixed": {"y": list}, "sequence": {"ys": list},
                    "biased_coin": {"v_budget": float, "horizon": int}, "pure_swap": {"v_budget": float, "horizon": int}}
 
 
+def _numbers(values, name: str) -> tuple[float, ...]:
+    """A JSON array of numbers as floats, refused, naming its field, otherwise."""
+    if not is_json(values, list) or not all(is_json(v, float) for v in values):
+        raise ScheduleError(f"field {name!r}: {values!r} is not an array of JSON numbers")
+    return tuple(float(v) for v in values)
+
+
 def schedule_from_json(doc: dict) -> Schedule:
     """Schedule documents: {"kind": K, **fields}, with exactly the fields of SCHEDULE_FIELDS[K]."""
     kind = doc.get("kind")
@@ -399,9 +407,9 @@ def schedule_from_json(doc: dict) -> Schedule:
     check_fields(doc, ("kind", *SCHEDULE_FIELDS[kind]), kind)
     fields = {name: json_field(doc, name, json_type) for name, json_type in SCHEDULE_FIELDS[kind].items()}
     if kind == "fixed":
-        return FixedSchedule(tuple(float(v) for v in fields["y"]))
+        return FixedSchedule(_numbers(fields["y"], "y"))
     if kind == "sequence":
-        return SequenceSchedule(tuple(tuple(float(v) for v in y) for y in fields["ys"]))
+        return SequenceSchedule(tuple(_numbers(y, "ys") for y in fields["ys"]))
     if kind == "biased_coin":
         return BiasedCoinSchedule(float(fields["v_budget"]), fields["horizon"])
     return PureSwapSchedule(float(fields["v_budget"]), fields["horizon"])

@@ -129,10 +129,9 @@ class CountTable:
                 f"exceeds the cap of {MAX_ARRAY_ENTRIES}"
             )
         counts = compositions(total, num_actions)
-        lg = math.lgamma(total + 1)
-        log_coeffs = lg - np.sum(
-            np.vectorize(math.lgamma)(counts + 1.0), axis=1
-        )
+        # log c! for every count c a row can hold, looked up rather than evaluated per entry
+        log_factorial = np.array([math.lgamma(c + 1.0) for c in range(total + 1)])
+        log_coeffs = math.lgamma(total + 1) - np.sum(log_factorial[counts], axis=1)
         radix = np.zeros(num_actions, dtype=np.int64)
         radix[:-1] = (total + 1) ** np.arange(num_actions - 2, -1, -1, dtype=np.int64)
         index = np.zeros(size, dtype=np.int64)
@@ -199,11 +198,11 @@ class SymmetricGame:
     def payoff_matrix(self) -> np.ndarray:
         """(A, K) array of payoff(a, counts) over count_table()'s rows, built once."""
         if "payoffs" not in self._cache:
-            counts = self.count_table().counts
-            mat = np.empty((self.A, counts.shape[0]))
+            rows = self.count_table().counts.tolist()
+            mat = np.empty((self.A, len(rows)))
             for a in range(self.A):
-                for k, row in enumerate(counts):
-                    mat[a, k] = self.payoff(a, tuple(int(v) for v in row))
+                # one tuple per call: a held list of K tuples fragments the heap
+                mat[a] = [self.payoff(a, tuple(r)) for r in rows]
             self._cache["payoffs"] = mat
         return self._cache["payoffs"]
 

@@ -553,6 +553,8 @@ class LearnerSpec:
         if self.kind not in LEARNER_FIELDS:
             raise ValueError(f"unknown learner kind {self.kind!r}; choose from {tuple(LEARNER_FIELDS)}")
         RateSchedule(self.eta, self.rule)  # a bad eta or rule fails here, before any match
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
 
     def describe(self) -> str:
         """The kind and the fields it reads: "hedge eta=1 sqrt_decay", "saol eta=1", "clone"."""

@@ -20,14 +20,19 @@ def role_rngs(seed: int) -> dict[str, np.random.Generator]:
     return {role: np.random.default_rng(ss) for role, ss in zip(ROLES, children)}
 
 
-def sample_actions(rng: np.random.Generator, probs: np.ndarray, size: int | None = None):
-    """Inverse-CDF sampling of action indices in stored order.
+def action_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums of strategies along the last axis, clamped to 1 and
+    ending in exactly 1, so a strategy summing to 1 - 1e-9 can still emit
+    its last action.  A uniform u in [0, 1) plays the action
+    #{a : cdf[a] <= u}, so u < cdf[a] exactly when that action is <= a."""
+    cdf = np.minimum(np.cumsum(probs, axis=-1), 1.0)
+    cdf[..., -1] = 1.0
+    return cdf
 
-    Cumulative sums are clamped to 1 so a strategy summing to 1 - 1e-9 can
-    still emit its last action.
-    """
-    cdf = np.minimum(np.cumsum(probs), 1.0)
-    cdf[-1] = 1.0
+
+def sample_actions(rng: np.random.Generator, probs: np.ndarray, size: int | None = None):
+    """Inverse-CDF sampling of action indices in stored order, on action_cdf."""
+    cdf = action_cdf(probs)
     if size is None:
         return int(np.minimum(np.searchsorted(cdf, rng.random(), side="right"), len(probs) - 1))
     u = rng.random(size)
@@ -41,8 +46,7 @@ def actions_from_uniforms(probs_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     Entry u[t, j] is read against the clamped CDF of probs_rows[t];
     (T, A), (T, m) -> (T, m) int action indices.
     """
-    cdf = np.minimum(np.cumsum(probs_rows, axis=1), 1.0)
-    cdf[:, -1] = 1.0
+    cdf = action_cdf(probs_rows)
     # the right-sided search counts the CDF entries <= u; the last is 1 > u
     actions = np.zeros(u.shape, dtype=np.int64)
     for a in range(probs_rows.shape[1] - 1):

@@ -9,6 +9,7 @@ import pytest
 
 import equalshare as eq
 from equalshare.analysis import (
+    MC_CHUNK_ROWS,
     SimplexGrid,
     _pair_payoff_tensor,
     _refine_near,
@@ -31,6 +32,7 @@ from equalshare.games import (
     payoff_vectors_batch,
     validate,
 )
+from equalshare.sampling import counts_from_actions, sample_actions
 
 MV = eq.majority3()
 MINORITY = eq.minority3()
@@ -434,6 +436,30 @@ def test_monte_carlo_unbiased_across_seeds():
         ses.append(s)
     pooled_se = np.sqrt(np.mean(np.square(ses)) / len(means))
     assert abs(np.mean(means) - exact) <= 3 * pooled_se
+
+
+def _monte_carlo_from_actions(game, x, y, num_games, rng):
+    """monte_carlo_utility through the full (num_games, n-1) opponent action
+    array: the reference for the counts read from CDF comparisons."""
+    a1 = sample_actions(rng, np.asarray(x, dtype=float), num_games)
+    opp = sample_actions(rng, np.asarray(y, dtype=float), (num_games, game.n - 1))
+    payoffs = game.payoff_matrix()[a1, game.count_table().rows(counts_from_actions(opp, game.A))]
+    se = float(payoffs.std(ddof=1) / np.sqrt(num_games)) if num_games > 1 else float("inf")
+    return float(payoffs.mean()), se
+
+
+@pytest.mark.parametrize("game, x, y", [
+    (MV, [0.3, 0.7], [0.49, 0.51]),
+    (SDG30, [0, 0, 1], [0.399, 0.6, 0.001]),
+    (SDG30, [0.2, 0.3, 0.5], [0.4, 0.0, 0.6]),  # an action no opponent plays
+    (SDG30, [0, 1, 0], [0.3, 0.3, 0.4 - 5e-10]),  # the clamp lets the last action play
+], ids=["mv", "sdg-pure-x", "sdg-zero-y", "sdg-short-y"])
+@pytest.mark.parametrize("num_games", [1, 2, MC_CHUNK_ROWS + 100])
+def test_monte_carlo_counts_equal_the_action_array_form(game, x, y, num_games):
+    for seed in (0, 5):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert monte_carlo_utility(game, x, y, num_games, got_rng) == _monte_carlo_from_actions(game, x, y, num_games, ref_rng)
+        assert got_rng.random() == ref_rng.random()
 
 
 def test_monte_carlo_input_validation():

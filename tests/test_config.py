@@ -98,6 +98,19 @@ def test_custom_game_fields():
         assert err.value.problems[0].startswith(f"game: unknown fields [{field!r}]")
 
 
+def _assert_refused_at_parse_time(doc, problem, tmp_path, capsys):
+    """parse_config reports `problem` alone, and simulate exits 2 with it
+    before creating its output directory."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert len(err.value.problems) == 1 and problem in err.value.problems[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**doc, "out": str(tmp_path / "sim")}))
+    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 @pytest.mark.parametrize("section, value, problem", [
     ("T", True, "T: must be a positive integer, got True"),
     ("learner", {"kind": "saol", "horizon": "x"}, "learner: field 'horizon' must be a JSON integer, got 'x'"),
@@ -111,12 +124,21 @@ def test_custom_game_fields():
 ], ids=["T-bool", "saol-horizon-str", "game-n-float", "saol-horizon-float", "schedule-horizon-float",
         "v_budget-str", "eta-bool", "seeds-bools", "fixed-missing-y"])
 def test_a_scalar_of_the_wrong_json_type_is_refused_at_parse_time(section, value, problem, tmp_path, capsys):
-    doc = {**BASE, section: value}
-    with pytest.raises(ConfigError) as err:
-        parse_config(doc)
-    assert len(err.value.problems) == 1 and problem in err.value.problems[0]
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**doc, "out": str(tmp_path / "sim")}))
-    assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
-    assert problem in capsys.readouterr().err
-    assert not (tmp_path / "sim").exists()
+    _assert_refused_at_parse_time({**BASE, section: value}, problem, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("schedule, problem", [
+    ({"kind": "fixed", "y": ["0.5", "0.5"]}, "schedule: field 'y': ['0.5', '0.5'] is not an array of JSON numbers"),
+    ({"kind": "fixed", "y": [0.5, True]}, "schedule: field 'y': [0.5, True] is not an array of JSON numbers"),
+    ({"kind": "sequence", "ys": [[0.5, 0.5]] * (T - 1) + [["0.5", "0.5"]]},
+     "schedule: field 'ys': ['0.5', '0.5'] is not an array of JSON numbers"),
+    ({"kind": "sequence", "ys": [0.5] * T}, "schedule: field 'ys': 0.5 is not an array of JSON numbers"),
+], ids=["y-strings", "y-bool", "ys-strings", "ys-flat"])
+def test_a_schedule_entry_that_is_not_a_json_number_is_refused(schedule, problem, tmp_path, capsys):
+    _assert_refused_at_parse_time({**BASE, "schedule": schedule}, problem, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_a_saol_horizon_below_one_is_refused_at_parse_time(horizon, tmp_path, capsys):
+    problem = f"learner: horizon must be at least 1, got {horizon}"
+    _assert_refused_at_parse_time({**BASE, "learner": {"kind": "saol", "horizon": horizon}}, problem, tmp_path, capsys)

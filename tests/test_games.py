@@ -1,6 +1,7 @@
 """Game-core: exact payoff evaluation, validators, built-in games."""
 
 import json
+import math
 import time
 
 import numpy as np
@@ -169,6 +170,37 @@ def test_payoff_matrix_readers_equal_loops_over_the_payoff_function(n, A):
     want = {f"{a}|{','.join(map(str, c))}": game.payoff(a, tuple(int(v) for v in c))
             for a in range(A) for c in compositions(n - 1, A)}
     assert game_to_json(game)["custom"]["payoff_table"] == want
+
+
+def _payoff_matrix_per_entry(game):
+    """payoff_matrix as one numpy-row-to-tuple call per entry: the reference."""
+    counts = game.count_table().counts
+    mat = np.empty((game.A, counts.shape[0]))
+    for a in range(game.A):
+        for k, row in enumerate(counts):
+            mat[a, k] = game.payoff(a, tuple(int(v) for v in row))
+    return mat
+
+
+def _log_coeffs_per_entry(total, A):
+    """CountTable's log multinomial coefficients with lgamma per entry: the reference."""
+    counts = compositions(total, A)
+    return math.lgamma(total + 1) - np.sum(np.vectorize(math.lgamma)(counts + 1.0), axis=1)
+
+
+TABULATED_GAMES = [
+    *(eq.sdg(n) for n in (2, 3, 5, 6, 10, 29, 30, 31, 100, 200)),
+    eq.majority3(),
+    eq.minority3(),
+    *(eq.extended_majority(n, A) for n in (3, 4, 6, 9) for A in (2, 3, 4, 6)),
+    game_from_json(game_to_json(_random_game(4, 3, seed=1))),
+]
+
+
+@pytest.mark.parametrize("game", TABULATED_GAMES, ids=lambda g: g.name)
+def test_tabulated_payoffs_and_coefficients_equal_per_entry_evaluation(game):
+    assert game.payoff_matrix().tobytes() == _payoff_matrix_per_entry(game).tobytes()
+    assert game.count_table().log_coeffs.tobytes() == _log_coeffs_per_entry(game.n - 1, game.A).tobytes()
 
 
 def test_count_table_index_is_keyed_by_all_but_the_last_count():

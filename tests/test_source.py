@@ -21,6 +21,18 @@ def test_library_invariants_raise_instead_of_asserting():
     assert found == []
 
 
+def test_no_np_vectorize():
+    # np.vectorize is a per-element Python loop behind an array interface
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "vectorize"
+        or isinstance(node, ast.alias) and node.name == "vectorize"
+    ]
+    assert found == []
+
+
 def test_private_names_are_used():
     # a private top-level function or class that nothing else in the
     # package names is dead code

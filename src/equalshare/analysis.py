@@ -26,6 +26,7 @@ from .games import (
     as_strategy,
     compositions,
     expected_payoff_mixed,
+    map_row_chunks,
     payoff_vector,
     payoff_vectors_batch,
 )
@@ -169,10 +170,12 @@ def minimax_independent(
     value, (y2, y3), _ = _grid_search(lambda y2s, y3s: pure_vals(y2s, y3s).max(axis=0), grid, dims=2)
     minmax = (value, {"y2": y2, "y3": y3})
 
-    # maxmin: max over x1 of min over (x2, x3)
+    # maxmin: max over x1 of min over (x2, x3), each x1 row's Ny^2 payoffs
+    # built a bounded chunk of rows at a time
     pts = grid.points()
     flat = pure_vals(pts, pts).reshape(game.A, -1)
-    value, (x1,), _ = _grid_search(lambda x1s: -(x1s @ flat).min(axis=1), grid)
+    value, (x1,), _ = _grid_search(
+        lambda x1s: -map_row_chunks(lambda chunk: (chunk @ flat).min(axis=1), x1s, flat.shape[1]), grid)
     maxmin = (-value, {"learner_strategy": x1})
     return {"maxmin": maxmin, "minmax": minmax}
 

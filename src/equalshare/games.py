@@ -42,6 +42,11 @@ class SizeCapExceeded(RuntimeError):
 # the exploiter's gain table and minimax_independent's (Nx, Ny^2) values.
 MAX_ARRAY_ENTRIES = 2**25
 
+# The most entries (8 MB of float64) one chunk of a row-chunked product may
+# hold: grid scans build their (Ny, K) multinomial weights, and
+# minimax_independent its (Nx, Ny^2) payoffs, a chunk of rows at a time.
+CHUNK_ENTRIES = 2**20
+
 
 def as_strategy(probs: Sequence[float], num_actions: int | None = None) -> np.ndarray:
     """Validate and return a mixed strategy as a float64 array.
@@ -158,7 +163,7 @@ class CountTable:
 
     def weights_batch(self, ys: np.ndarray) -> np.ndarray:
         """Weights for many strategies at once: (Ny, A) -> (Ny, K), built in
-        place in one (Ny, K) array."""
+        place in one (Ny, K) array; payoff_vectors_batch bounds Ny."""
         logy = np.where(ys > 0.0, np.log(np.where(ys > 0.0, ys, 1.0)), LOG_ZERO)
         w = logy @ self.counts.T
         w += self.log_coeffs
@@ -234,10 +239,33 @@ def payoff_vector(game: SymmetricGame, y: Sequence[float]) -> np.ndarray:
     return game.payoff_matrix() @ game.count_table().weights(yv)
 
 
+def map_row_chunks(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, row_entries: int) -> np.ndarray:
+    """fn(rows), computed on nearly equal row chunks (np.array_split) and
+    written into one preallocated result.
+
+    fn maps an (N_i, ...) chunk to an (N_i, ...) result and allocates
+    row_entries entries per row it is given; a chunk has at most
+    CHUNK_ENTRIES // row_entries rows, and at least one.  When all the rows
+    fit, fn sees them as one chunk."""
+    per_chunk = max(1, CHUNK_ENTRIES // row_entries)
+    out, start = None, 0
+    for chunk in np.array_split(rows, max(1, -(-len(rows) // per_chunk))):
+        part = fn(chunk)
+        if out is None:
+            out = np.empty((len(rows),) + part.shape[1:], dtype=part.dtype)
+        out[start:start + len(chunk)] = part
+        start += len(chunk)
+    return out
+
+
 def payoff_vectors_batch(game: SymmetricGame, ys: np.ndarray) -> np.ndarray:
-    """payoff_vector for many meta-strategies at once: (Ny, A) -> (Ny, A)."""
-    w = game.count_table().weights_batch(np.asarray(ys, dtype=float))
-    return w @ game.payoff_matrix().T
+    """payoff_vector for many meta-strategies at once: (Ny, A) -> (Ny, A).
+
+    The (Ny, K) multinomial weights are built map_row_chunks' chunk at a
+    time, so a scan holds at most CHUNK_ENTRIES of them."""
+    table, mat = game.count_table(), game.payoff_matrix()
+    ys = np.asarray(ys, dtype=float)
+    return map_row_chunks(lambda chunk: table.weights_batch(chunk) @ mat.T, ys, table.counts.shape[0])
 
 
 def expected_payoff_mixed(game: SymmetricGame, x1: Sequence[float], y: Sequence[float]) -> float:

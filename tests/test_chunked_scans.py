@@ -1,0 +1,68 @@
+"""Grid scans hold a bounded chunk of rows, not the whole (Ny, K) matrix."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from equalshare import analysis, games
+from equalshare.games import CHUNK_ENTRIES, payoff_vector, payoff_vectors_batch
+
+# tracemalloc sees numpy's buffers; sdg(200)'s whole (Ny, K) weight matrix is 304 MB
+PEAK_BYTES = 32 * 2**20
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("exploitability_sdg200", lambda: analysis.exploitability(games.sdg(200), [0.0, 1.0, 0.0], method="grid")),
+    ("minimax_independent_majority3", lambda: analysis.minimax_independent(games.majority3())),
+])
+def test_grid_scan_traced_peak_is_bounded(name, call):
+    peak = _traced_peak(call)
+    assert peak < PEAK_BYTES, f"{name}: traced peak {peak / 2**20:.1f} MB"
+
+
+def test_chunked_payoff_vectors_equal_per_point_payoff_vectors(monkeypatch):
+    game = games.sdg(200)
+    K = game.count_table().counts.shape[0]
+    per_chunk = CHUNK_ENTRIES // K
+    rng = np.random.default_rng(7)
+    ys = np.vstack([np.eye(3), rng.dirichlet(np.ones(3), 2 * per_chunk + 3)])
+    chunks = []
+    weights_batch = games.CountTable.weights_batch
+
+    def spy(table, chunk):
+        chunks.append(len(chunk))
+        return weights_batch(table, chunk)
+
+    monkeypatch.setattr(games.CountTable, "weights_batch", spy)
+    batch = payoff_vectors_batch(game, ys)
+    assert len(chunks) >= 3 and len(set(chunks)) > 1 and max(chunks) <= per_chunk, chunks
+    assert sum(chunks) == len(ys)
+    single = np.array([payoff_vector(game, y) for y in ys])
+    np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12 * game.scale)
+
+
+def test_map_row_chunks_splits_only_rows_that_do_not_fit():
+    rows = np.arange(12.0).reshape(6, 2)
+    seen = []
+
+    def fn(chunk):
+        seen.append(chunk)
+        return chunk * 2
+
+    out = games.map_row_chunks(fn, rows, CHUNK_ENTRIES // 6)
+    assert [len(c) for c in seen] == [6]
+    np.testing.assert_array_equal(out, rows * 2)
+    seen.clear()
+    out = games.map_row_chunks(fn, rows, CHUNK_ENTRIES // 4)  # 4 rows per chunk: parts of 3 and 3
+    assert [len(c) for c in seen] == [3, 3]
+    np.testing.assert_array_equal(out, rows * 2)

@@ -90,6 +90,12 @@ def oracles() -> dict:
             out[f"exploitability/grid/{name}/pure{a}"] = analysis.exploitability(game, np.eye(game.A)[a], method="grid")
         if name in ("majority3", "minority3"):
             out[f"minimax_independent/{name}"] = analysis.minimax_independent(game)
+    # sdg(200)'s coarse scan is the one pinned scan that payoff_vectors_batch
+    # splits into row chunks (K = 20,100 count vectors per grid point)
+    sdg200 = games.sdg(200)
+    grid = analysis.SimplexGrid(3, analysis.default_resolution(3))
+    out["payoff_vectors_batch/sdg200/grid"] = games.payoff_vectors_batch(sdg200, grid.points())
+    out["exploitability/grid/sdg200/pure1"] = analysis.exploitability(sdg200, [0.0, 1.0, 0.0], method="grid")
     return out
 
 

@@ -33,6 +33,19 @@ def test_no_np_vectorize():
     assert found == []
 
 
+def test_weights_batch_is_called_only_by_payoff_vectors_batch():
+    # payoff_vectors_batch bounds the rows of each (Ny, K) weight matrix it
+    # builds; any other caller could build one of any size
+    callers = [
+        f"{path.name}:{getattr(top, 'name', top.lineno)}"
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "weights_batch"
+    ]
+    assert callers == ["games.py:payoff_vectors_batch"]
+
+
 def test_private_names_are_used():
     # a private top-level function or class that nothing else in the
     # package names is dead code

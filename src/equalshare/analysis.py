@@ -377,6 +377,14 @@ def pooling_check(game: SymmetricGame, population, z, max_tuples: int = 200_000)
 MC_CHUNK_ROWS = 65_536
 
 
+def _count_rows(flags: np.ndarray) -> np.ndarray:
+    """The True entries of each row of a 2-D bool array.  Rows shorter than
+    256 are summed as bytes, which is exact and faster than a bool sum."""
+    if flags.shape[1] < 256:
+        return np.einsum("ij->i", flags.view(np.uint8))
+    return np.count_nonzero(flags, axis=1)
+
+
 def monte_carlo_utility(
     game: SymmetricGame, x, y, num_games: int, rng: np.random.Generator | int = 0
 ) -> tuple[float, float]:
@@ -392,14 +400,18 @@ def monte_carlo_utility(
     # the opponents' uniforms, drawn row chunk by row chunk (the same doubles as
     # one (num_games, n-1) draw), are counted per action without an action array
     cdf, mat, table = action_cdf(yv), game.payoff_matrix(), game.count_table()
+    K = mat.shape[1]
     payoffs = np.empty(num_games)
     for start in range(0, num_games, MC_CHUNK_ROWS):
         stop = min(start + MC_CHUNK_ROWS, num_games)
         u = rng.random((stop - start, game.n - 1))
         # opponents playing an action <= a, for a < A-1; all n-1 play one <= A-1
-        at_most = np.stack([(u < cdf[a]).sum(1) for a in range(game.A - 1)], axis=1)
-        counts = np.diff(at_most, axis=1, prepend=0, append=game.n - 1)
-        payoffs[start:stop] = mat[a1[start:stop], table.rows(counts)]
+        counts = np.empty((stop - start, game.A), dtype=np.int64)
+        counts[:, -1] = game.n - 1
+        for a in range(game.A - 1):
+            counts[:, a] = _count_rows(u < cdf[a])
+        counts[:, 1:] -= counts[:, :-1]  # ufuncs read overlapping operands as copies
+        payoffs[start:stop] = mat.take(a1[start:stop] * K + table.rows(counts))
     mean = float(payoffs.mean())
     se = float(payoffs.std(ddof=1) / math.sqrt(num_games)) if num_games > 1 else float("inf")
     return mean, se

@@ -19,6 +19,10 @@ trainers (`batch_*`), which advance many runs in lockstep at the
 "sqrt_decay" rate; runs=1 is the sequential case.  Each reads its gains by
 count row from a table built once per game (the exploiter's is its gain
 table), and `exploiter_step` steps one exploiter run with the batched rule.
+Self-play's one update loop is `self_play_roster`, which stacks several
+rows (a mode, a strength and a generator each) into one state and draws
+each row's opponents from that row's own generator; `batch_self_play` is
+its one-row case.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .games import MAX_ARRAY_ENTRIES, SizeCapExceeded, SymmetricGame, check_fields, json_field, num_compositions
-from .sampling import sample_actions
+from .sampling import action_cdf, actions_from_cdf, sample_actions
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,12 @@ class RateSchedule:
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """The softmax of each row of a (R, A) array, shifted by the row's max."""
-    w = np.exp(scores - scores.max(axis=1, keepdims=True))
+    """The softmax of each row of a (R, A) array, shifted by the row's max
+    (a running maximum over the columns, as exact as a row reduction)."""
+    top = scores[:, 0]
+    for a in range(1, scores.shape[1]):
+        top = np.maximum(top, scores[:, a])
+    w = np.exp(scores - top[:, None])
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -400,8 +408,76 @@ def batch_hedge_vs_fixed(
     for start in range(0, T, chunk):
         stop = min(start + chunk, T)
         idx = sample_actions(rng, weights, (stop - start, runs))
-        log_w += np.einsum("t,tra->ra", eta_t[start:stop], gains[idx], optimize=True)
+        log_w += np.einsum("t,tra->ra", eta_t[start:stop], gains.take(idx, axis=0), optimize=True)
     return softmax_rows(log_w)
+
+
+SELF_PLAY_MODES = ("scratch", "bc_init", "regularized")
+
+
+def self_play_roster(
+    game: SymmetricGame,
+    T: int,
+    runs: int,
+    eta: float,
+    rows: list[tuple[str, float, np.random.Generator]],
+    y_meta: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Final strategies of self-play rows advanced in one lockstep loop:
+    row i is `runs` runs of mode rows[i][0] at strength rows[i][1], drawn
+    from its own generator rows[i][2].
+
+    Each run samples its n-1 opponents from its own current strategy and
+    takes an exponential-weights step on the realized per-action payoffs.
+    With cum_gain = sum_t eta_t * g_t and cum_eta = sum_t eta_t, a run's
+    strategy is the normalized exponential of
+
+        (log x0 + cum_gain + lam * cum_eta * log x0) / (1 + lam * cum_eta)
+
+    where x0 is uniform for mode "scratch" and y_meta for "bc_init" and
+    "regularized", and lam acts only in "regularized" (lam = 0 is
+    "bc_init").  Every row's strategies come from one softmax over the
+    stacked (rows * runs, A) state; each step then draws every row's counts
+    from its own generator, in row order, so a row's finals and draws are
+    those of training it alone.  Every row is checked before any draw.
+    """
+    log_y, lams, log_x0 = None, [], []
+    for mode, lam, _ in rows:
+        if mode not in SELF_PLAY_MODES:
+            raise ValueError(f"unknown self-play mode {mode!r}")
+        if lam < 0:
+            raise ValueError("lam must be >= 0")
+        if mode != "scratch" and log_y is None:
+            if y_meta is None:
+                raise ValueError(f"mode {mode!r} needs the opponents' meta-strategy")
+            y_meta = np.asarray(y_meta, dtype=float)
+            if np.any(y_meta <= 0):
+                raise ValueError(f"{mode} takes log of the meta-strategy; entries must be positive")
+            log_y = np.log(y_meta)
+        lams.append(lam if mode == "regularized" else 0.0)
+        log_x0.append(np.zeros(game.A) if mode == "scratch" else log_y)
+    log_x0 = np.repeat(np.array(log_x0), runs, axis=0)
+    lam = np.repeat(lams, runs)[:, None]
+    slices = [(rng, i * runs, (i + 1) * runs) for i, (_, _, rng) in enumerate(rows)]
+    eta_by_step = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1)).tolist()
+    table = game.count_table()
+    gains = _gains_table(game, normalize=False)
+
+    def strategies(cum_gain: np.ndarray, cum_eta: float) -> np.ndarray:
+        # with lam = 0 this is log x0 + cum_gain, byte for byte
+        reg = lam * cum_eta
+        return softmax_rows((log_x0 + cum_gain + reg * log_x0) / (1.0 + reg))
+
+    cum_gain = np.zeros(log_x0.shape)
+    counts = np.empty(log_x0.shape, dtype=np.int64)
+    cum_eta = 0.0
+    for eta_t in eta_by_step:
+        x = strategies(cum_gain, cum_eta)
+        for rng, lo, hi in slices:
+            counts[lo:hi] = rng.multinomial(game.n - 1, x[lo:hi])
+        cum_gain += eta_t * gains.take(table.rows(counts), axis=0)
+        cum_eta += eta_t
+    return np.split(strategies(cum_gain, cum_eta), len(rows))
 
 
 def batch_self_play(
@@ -414,49 +490,9 @@ def batch_self_play(
     lam: float = 0.0,
     y_meta: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Final strategies of `runs` self-play runs advanced in lockstep.
-
-    Each run samples its n-1 opponents from its own current strategy and
-    takes an exponential-weights step on the realized per-action payoffs.
-    With cum_gain = sum_t eta_t * g_t and cum_eta = sum_t eta_t, a run's
-    strategy is the normalized exponential of
-
-        (log x0 + cum_gain + lam * cum_eta * log y_meta) / (1 + lam * cum_eta)
-
-    where x0 is uniform for mode "scratch" and y_meta for "bc_init" and
-    "regularized", and lam acts only in "regularized" (lam = 0 is
-    "bc_init").  The arguments are checked before any draw.
-    """
-    if mode not in ("scratch", "bc_init", "regularized"):
-        raise ValueError(f"unknown self-play mode {mode!r}")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    A = game.A
-    log_x0 = np.zeros(A)
-    if mode != "scratch":
-        if y_meta is None:
-            raise ValueError(f"mode {mode!r} needs the opponents' meta-strategy")
-        y_meta = np.asarray(y_meta, dtype=float)
-        if np.any(y_meta <= 0):
-            raise ValueError(f"{mode} takes log of the meta-strategy; entries must be positive")
-        log_x0 = np.log(y_meta)
-    eta_by_step = RateSchedule(eta, "sqrt_decay", A).rates(np.arange(1, T + 1))
-    table = game.count_table()
-    gains = _gains_table(game, normalize=False)
-
-    def strategies(cum_gain: np.ndarray, cum_eta: float) -> np.ndarray:
-        score = log_x0 + cum_gain
-        if mode == "regularized":
-            score = (score + lam * cum_eta * log_x0) / (1.0 + lam * cum_eta)
-        return softmax_rows(score)
-
-    cum_gain = np.zeros((runs, A))
-    cum_eta = 0.0
-    for eta_t in eta_by_step:
-        counts = rng.multinomial(game.n - 1, strategies(cum_gain, cum_eta))
-        cum_gain += eta_t * gains[table.rows(counts)]
-        cum_eta += eta_t
-    return strategies(cum_gain, cum_eta)
+    """Final strategies of `runs` self-play runs advanced in lockstep: the
+    one-row self_play_roster."""
+    return self_play_roster(game, T, runs, eta, [(mode, lam, rng)], y_meta)[0]
 
 
 def exploiter_gain_table(game: SymmetricGame) -> np.ndarray:
@@ -492,15 +528,17 @@ def batch_exploiter(
     round every run draws the target's action, then its opponents' counts
     from its current strategy, and takes a hedge step on its gain table row.
     """
-    target = np.asarray(target, dtype=float)
+    cdf = action_cdf(np.asarray(target, dtype=float))
     gains, table = exploiter_gain_table(game), game.count_table()
-    eta_by_step = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1))
+    K = gains.shape[1]
+    flat = gains.reshape(-1, game.A)  # row a1 * K + k is gains[a1, k]
+    eta_by_step = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1)).tolist()
     log_w = np.zeros((runs, game.A))
     for eta_t in eta_by_step:
         x = softmax_rows(log_w)
-        a1 = sample_actions(rng, target, runs)
+        a1 = actions_from_cdf(cdf, rng.random(runs))
         counts = rng.multinomial(game.n - 1, x)
-        log_w += eta_t * gains[a1, table.rows(counts)]
+        log_w += eta_t * flat.take(a1 * K + table.rows(counts), axis=0)
     return softmax_rows(log_w)
 
 

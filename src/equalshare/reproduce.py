@@ -19,8 +19,8 @@ import numpy as np
 from .analysis import exploitability, monte_carlo_utility
 from .arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
 from .games import SymmetricGame, payoff_vector
-# batch_exploiter is not called here; callers of reproduce.batch_* still import it from here.
-from .learners import LearnerSpec, batch_exploiter, batch_hedge_vs_fixed, batch_self_play
+# batch_exploiter and batch_self_play are not called here; callers of reproduce.batch_* still import them from here.
+from .learners import LearnerSpec, batch_exploiter, batch_hedge_vs_fixed, batch_self_play, self_play_roster
 
 CONVERGENCE_THRESHOLD = 0.99
 REGULARIZATION_STRENGTHS = (1e-5, 1e-4, 1e-3, 1e-2)  # the roster's sp_bc_reg rows
@@ -154,24 +154,26 @@ def run_table_experiment(
 
     Self-play rows are evaluated at their worst observed limit, mirroring
     the worst-case reading of multi-limit convergence; hedge converges to a
-    single limit so its worst limit is its only one.
+    single limit so its worst limit is its only one.  Every row has its own
+    generators, seeded by its label, so the self-play rows train together
+    in one self_play_roster call before any row is evaluated.
     """
+    if eval_repeats < 2:
+        raise ValueError(f"a std over eval repeats needs at least two repeats, got {eval_repeats}")
     y_meta = np.asarray(y_meta, dtype=float)
+    # per label: the train, eval and exploiter seeds
+    seeds = {label: np.random.SeedSequence((seed, zlib.crc32(label.encode()))).spawn(3) for label, _ in roster()}
+    train = {label: np.random.default_rng(ss_train) for label, (ss_train, _, _) in seeds.items()}
+    self_play = [(label, cfg) for label, cfg in roster() if label != "hedge"]
+    sp_rows = [(cfg["mode"], cfg.get("lam", 0.0), train[label]) for label, cfg in self_play]
+    finals_by_label = dict(zip([label for label, _ in self_play],
+                               self_play_roster(game, sp_horizon, runs, eta, sp_rows, y_meta)))
+    finals_by_label["hedge"] = batch_hedge_vs_fixed(game, y_meta, hedge_horizon, runs, eta, train["hedge"])
+    horizons = {label: hedge_horizon if label == "hedge" else sp_horizon for label, _ in roster()}
     rows = []
-    horizons = {}
-    for label, cfg in roster():
-        label_key = zlib.crc32(label.encode())
-        ss_train, ss_eval, ss_exp = np.random.SeedSequence((seed, label_key)).spawn(3)
-        rng = np.random.default_rng(ss_train)
-        if label == "hedge":
-            finals = batch_hedge_vs_fixed(game, y_meta, hedge_horizon, runs, eta, rng)
-            horizons[label] = hedge_horizon
-        else:
-            finals = batch_self_play(
-                game, sp_horizon, runs, eta, rng,
-                mode=cfg["mode"], lam=cfg.get("lam", 0.0), y_meta=y_meta,
-            )
-            horizons[label] = sp_horizon
+    for label, _ in roster():
+        _, ss_eval, ss_exp = seeds[label]
+        finals = finals_by_label[label]
         labels = classify(finals)
         shares = _limit_shares(labels, game.A)
         result = AlgorithmResult(label, finals, labels, shares)

@@ -34,10 +34,43 @@ def sample_actions(rng: np.random.Generator, probs: np.ndarray, size: int | None
     """Inverse-CDF sampling of action indices in stored order, on action_cdf."""
     cdf = action_cdf(probs)
     if size is None:
-        return int(np.minimum(np.searchsorted(cdf, rng.random(), side="right"), len(probs) - 1))
-    u = rng.random(size)
-    # a right-sided search never returns below 0, so only the top needs a clamp
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(probs) - 1)
+        return int(cdf.searchsorted(rng.random(), side="right"))
+    return actions_from_cdf(cdf, rng.random(size))
+
+
+GUIDE_EXTRA_BITS = 6  # guide buckets per CDF entry, as a power of two: 2^6 = 64
+GUIDE_MAX_BITS = 16  # at most 2^16 guide buckets
+GUIDE_MIN_DRAWS = 4  # draws per guide bucket from which the guide is built
+GUIDE_CHUNK = 1 << 16  # draws looked up at a time, which bounds the temporaries
+
+
+def actions_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The action #{a : cdf[a] <= u} of each uniform in u, for one
+    action_cdf: a right-sided search, which never returns past the last
+    action because the CDF ends in 1 > u.
+
+    Many draws go through an indexed search (Chen & Asau 1974): a guide of
+    B = 2^b buckets holds the answer at each bucket edge j/B.  Both u * B
+    and j/B are exact in binary floating point, so a draw in bucket j has
+    its answer between guide[j] and guide[j+1], and only draws in buckets
+    where those differ (a CDF step lies inside) are searched."""
+    bits = min(GUIDE_MAX_BITS, len(cdf).bit_length() + GUIDE_EXTRA_BITS)
+    if u.size < GUIDE_MIN_DRAWS << bits:
+        return cdf.searchsorted(u, side="right")
+    buckets = 1 << bits
+    # the edge at 1 counts every entry; clamped, it still bounds the top bucket
+    guide = np.minimum(cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right"), len(cdf) - 1)
+    is_open = guide[1:] != guide[:-1]
+    actions = np.empty(u.shape, dtype=np.intp)
+    flat_u, flat_actions = u.reshape(-1), actions.reshape(-1)
+    for start in range(0, flat_u.size, GUIDE_CHUNK):
+        chunk = flat_u[start : start + GUIDE_CHUNK]
+        bucket = (chunk * buckets).astype(np.intp)
+        found = guide.take(bucket)
+        open_draws = np.flatnonzero(is_open.take(bucket))
+        found[open_draws] = cdf.searchsorted(chunk[open_draws], side="right")
+        flat_actions[start : start + GUIDE_CHUNK] = found
+    return actions
 
 
 def actions_from_uniforms(probs_rows: np.ndarray, u: np.ndarray) -> np.ndarray:

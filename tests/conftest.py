@@ -5,8 +5,17 @@ them, one PASS/FAIL line per criterion is printed so the gate can be read
 at a glance.
 """
 
+import os
 import re
 from collections import defaultdict
+
+# The float bytes of a BLAS product can depend on how many threads split it
+# (tests/golden.json pins some), so every test process, and every process it
+# starts, runs BLAS on one thread, whatever the host's core count.  This has
+# to happen before numpy is first imported.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ[_var] = "1"
 
 CRITERIA_TITLES = {
     1: "MV utility table",

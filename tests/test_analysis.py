@@ -462,6 +462,18 @@ def test_monte_carlo_counts_equal_the_action_array_form(game, x, y, num_games):
         assert got_rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("n, y", [(256, [1.0, 0.0]), (257, [1.0, 0.0]), (300, [0.4, 0.6])],
+                         ids=["255-all-first", "256-all-first", "299-mixed"])
+def test_monte_carlo_counts_of_many_opponents_equal_the_action_array_form(n, y):
+    # 255 opponents still fit a byte count; from 256 on the counts are summed wider
+    game = eq.extended_majority(n, 2)
+    for num_games in (1, 1000):
+        got_rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        got = monte_carlo_utility(game, [0.5, 0.5], y, num_games, got_rng)
+        assert got == _monte_carlo_from_actions(game, [0.5, 0.5], y, num_games, ref_rng)
+        assert got_rng.random() == ref_rng.random()
+
+
 def test_monte_carlo_input_validation():
     with pytest.raises(ValueError):
         monte_carlo_utility(MV, [0, 1], [0.49, 0.51], 0)

@@ -4,8 +4,9 @@
 seed) transcripts, tiny convergence tables, grid oracles, batch trainers and
 Monte Carlo estimates to the first 16 hex digits of a SHA-256 of its bytes.
 A change that moves an output fails here and names the key.  Float bytes
-depend on numpy and the BLAS build, so the file records both, and a failure
-says when they differ from the ones in use.
+depend on numpy, the BLAS build and the BLAS thread count (conftest.py pins
+it to one thread), so the file records all three, and a failure says when
+they differ from the ones in use.
 
 After a change that moves a hash on purpose, regenerate the file by hand:
 
@@ -14,7 +15,11 @@ After a change that moves a hash on purpose, regenerate the file by hand:
 
 import hashlib
 import json
+import os
 from pathlib import Path
+
+# before numpy: importing conftest pins BLAS to one thread, run as a script too
+from conftest import BLAS_THREAD_VARS
 
 import numpy as np
 import pytest
@@ -128,7 +133,8 @@ PARTS = {"transcripts": transcripts, "tables": tables, "oracles": oracles, "trai
 
 def _versions() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+    threads = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}", "blas_threads": threads}
 
 
 def regenerate(path: Path = GOLDEN) -> None:

@@ -30,6 +30,7 @@ from equalshare.learners import (
     saol_act,
     saol_observe,
     saol_strategies,
+    self_play_roster,
 )
 from equalshare import learners
 
@@ -388,6 +389,50 @@ def test_self_play_sdg_bc_init_converges_to_last_action():
     rng = np.random.default_rng(5)
     x = batch_self_play(g, 3000, 1, 2.0, rng, mode="bc_init", y_meta=np.array([0.399, 0.6, 0.001]))
     assert x[0, 2] >= 0.99
+
+
+ROSTER_ROWS = [("scratch", 0.0), ("bc_init", 0.0), ("regularized", 1e-4), ("regularized", 1e-2),
+               ("regularized", 0.0), ("bc_init", 0.5), ("regularized", 3.0)]
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+@pytest.mark.parametrize(
+    "game, y_meta, eta",
+    [(eq.majority3(), [0.49, 0.51], 1.0), (eq.sdg(30), [0.399, 0.6, 0.001], 2.0)],
+    ids=["majority3", "sdg30"],
+)
+def test_roster_rows_are_their_one_row_calls(game, y_meta, eta, order):
+    # each row, trained in the stacked loop, has the finals and leaves its
+    # generator where batch_self_play on that row alone does
+    T, runs = 120, 5
+    rows = [(mode, lam, 40 + i) for i, (mode, lam) in enumerate(ROSTER_ROWS)]
+    if order == "reversed":
+        rows = rows[::-1]
+    rngs = [np.random.default_rng(seed) for _, _, seed in rows]
+    finals = self_play_roster(game, T, runs, eta, [(m, lam, rng) for (m, lam, _), rng in zip(rows, rngs)], y_meta)
+    assert len(finals) == len(rows)
+    for (mode, lam, seed), got, rng in zip(rows, finals, rngs):
+        alone = np.random.default_rng(seed)
+        want = batch_self_play(game, T, runs, eta, alone, mode=mode, lam=lam, y_meta=np.array(y_meta))
+        assert got.shape == (runs, game.A)
+        assert got.tobytes() == want.tobytes(), (mode, lam)
+        assert rng.random(4).tobytes() == alone.random(4).tobytes(), (mode, lam)
+
+
+@pytest.mark.parametrize(
+    "bad, y_meta",
+    [(("bogus", 0.0), [0.5, 0.5]), (("regularized", -1.0), [0.5, 0.5]), (("scratch", -1.0), [0.5, 0.5]),
+     (("bc_init", 0.0), [1.0, 0.0]), (("regularized", 0.1), None)],
+    ids=["unknown-mode", "negative-lam", "scratch-negative-lam", "zero-meta", "no-meta"],
+)
+def test_a_bad_roster_row_is_refused_before_any_row_draws(bad, y_meta):
+    # the bad row comes last, so the rows before it would have drawn first
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    before = [rng.bit_generator.state for rng in rngs]
+    rows = [("scratch", 0.0, rngs[0]), ("scratch", 0.0, rngs[1]), (*bad, rngs[2])]
+    with pytest.raises(ValueError):
+        self_play_roster(eq.majority3(), 10, 2, 1.0, rows, y_meta)
+    assert [rng.bit_generator.state for rng in rngs] == before
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,21 @@ def test_sdg_table_small_smoke():
     assert by_label["hedge"].exploit_protocol <= -28.5
 
 
+@pytest.mark.parametrize("repeats", [0, 1])
+def test_a_table_with_fewer_than_two_eval_repeats_is_refused_before_training(repeats, monkeypatch):
+    # one repeat has no std and none has no mean; both are refused before
+    # any trainer runs
+    from equalshare import reproduce
+
+    def trained(*args, **kwargs):
+        raise AssertionError("a trainer ran")
+
+    monkeypatch.setattr(reproduce, "self_play_roster", trained)
+    monkeypatch.setattr(reproduce, "batch_hedge_vs_fixed", trained)
+    with pytest.raises(ValueError, match="at least two"):
+        mv_table(seed=0, runs=2, hedge_horizon=10, sp_horizon=10, eval_games=10, eval_repeats=repeats)
+
+
 def test_lowerbound_sweep_rows():
     g = eq.extended_majority(3, 2)
     rows = lowerbound_sweep(g, [("pure_swap", 16.0, 256)], kinds=("clone",), seeds=5)

@@ -1,8 +1,9 @@
 """Golden hashes: byte identity of transcripts, tables and oracle outputs.
 
 `golden.json` maps each key of a fixed grid of (game, learner, schedule, T,
-seed) transcripts, tiny convergence tables, grid oracles, batch trainers and
-Monte Carlo estimates to the first 16 hex digits of a SHA-256 of its bytes.
+seed) transcripts, tiny convergence tables, grid oracles, pooling checks,
+batch trainers and Monte Carlo estimates to the first 16 hex digits of a
+SHA-256 of its bytes.
 A change that moves an output fails here and names the key.  Float bytes
 depend on numpy, the BLAS build and the BLAS thread count (conftest.py pins
 it to one thread), so the file records all three, and a failure says when
@@ -38,6 +39,12 @@ ORACLE_GAMES = {
     "sdg30": lambda: games.sdg(30),
     "extended_majority3_3": lambda: games.extended_majority(3, 3),
 }
+# (name, game, population size) of the pinned pooling checks
+POOLING_CASES = (
+    ("majority3", games.majority3(), 6),
+    ("sdg5", games.sdg(5), 7),
+    ("extended_majority5_2", games.extended_majority(5, 2), 9),
+)
 TINY_TABLE = dict(runs=4, hedge_horizon=2_000, sp_horizon=1_000, eval_games=5_000, eval_repeats=2,
                   exploit_runs=2, exploit_steps=400)
 
@@ -101,6 +108,11 @@ def oracles() -> dict:
     grid = analysis.SimplexGrid(3, analysis.default_resolution(3))
     out["payoff_vectors_batch/sdg200/grid"] = games.payoff_vectors_batch(sdg200, grid.points())
     out["exploitability/grid/sdg200/pure1"] = analysis.exploitability(sdg200, [0.0, 1.0, 0.0], method="grid")
+    for name, game, size in POOLING_CASES:
+        rng = np.random.default_rng(16)
+        population, z = rng.dirichlet(np.ones(game.A), size=size), rng.dirichlet(np.ones(game.A))
+        report = analysis.pooling_check(game, population, z)
+        out[f"pooling_check/{name}/N{size}"] = (float(report.lhs), report.bound, bool(report.passed))
     return out
 
 

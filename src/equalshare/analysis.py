@@ -2,7 +2,8 @@
 verification, exploitability, population pooling, Monte Carlo utilities.
 
 Everything here is a verifier or a grid search, not a solver: candidate
-strategies and small simplices are enumerated and measured.  Inner
+strategies and simplex grids are measured, and the pooling check averages
+over opponent subsets exactly by a recursion over count vectors.  Inner
 maximizations over the learner's own strategy are always exact over pure
 actions (the payoff is linear in it), so only opponent variables get
 gridded.  The grid oracles (minimax, grid exploitability) share one search,
@@ -12,7 +13,6 @@ resolution around its first minimum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +27,7 @@ from .games import (
     compositions,
     expected_payoff_mixed,
     map_row_chunks,
+    num_compositions,
     payoff_vector,
     payoff_vectors_batch,
 )
@@ -321,50 +322,46 @@ def exploitability(
 
 @dataclass(frozen=True)
 class PoolingReport:
+    """`lhs` holds the gap, `bound` the lemma's 2(n-2)^2 / N, and `passed`
+    whether the gap is within the bound up to 1e-9 * scale."""
+
     lhs: float
     bound: float
     passed: bool
 
 
-def pooling_check(game: SymmetricGame, population, z, max_tuples: int = 200_000) -> PoolingReport:
-    """Compare facing n-1 distinct strategies sampled without replacement
-    from a population against facing the pooled average, exactly.
+def pooling_check(game: SymmetricGame, population, z) -> PoolingReport:
+    """The gap between facing n-1 distinct members of a population, drawn
+    without replacement, and facing their pooled average, exactly.
 
-    The gap is bounded by 2(n-2)^2 / N.  Exact enumeration over ordered
-    opponent tuples; refuses oversized enumerations.
+    The payoff depends only on the opponents' count vector, so the average
+    is one over (n-1)-subsets.  F[j], the count-vector law of j opponents
+    over the j-subsets of the first i members, steps per member as F[j] =
+    ((i-j) F[j] + j seat(F[j-1], p_i)) / i, seat adding an opponent playing
+    p_i: O(N n K A) work.  F[j] lives on count_table()'s last K_j rows (j
+    opponents, n-1-j added to the first count), so one map seats an
+    opponent at every level.  Refused (SizeCapExceeded) before anything is
+    built when the levels' entries exceed MAX_ARRAY_ENTRIES.
     """
     pop = [as_strategy(p, game.A) for p in population]
     zv = as_strategy(z, game.A)
-    N, n = len(pop), game.n
+    N, n, A = len(pop), game.n, game.A
     if N < n - 1:
         raise ValueError(f"population of {N} cannot seat {n - 1} opponents without replacement")
-    num_tuples = math.perm(N, n - 1)
-    if num_tuples * game.A ** (n - 1) > max_tuples:
-        raise SizeCapExceeded(
-            f"{num_tuples} opponent tuples x {game.A ** (n - 1)} joint actions exceed the cap"
-        )
-    # z-contracted payoff of a joint opponent action tuple
-    tuples = list(itertools.product(range(game.A), repeat=n - 1))
-    rows = game.count_table().rows(counts_from_actions(np.array(tuples), game.A))
-    mat = game.payoff_matrix()
-    joint_payoff = {
-        actions: float(sum(zv[a] * mat[a, k] for a in range(game.A) if zv[a] > 0))
-        for actions, k in zip(tuples, rows)
-    }
-
-    total = 0.0
-    for tup in itertools.permutations(range(N), n - 1):
-        val = 0.0
-        for actions in tuples:
-            prob = 1.0
-            for slot, a in enumerate(actions):
-                prob *= pop[tup[slot]][a]
-            if prob:
-                val += prob * joint_payoff[actions]
-        total += val
-    lhs_mean = total / num_tuples
-    pooled = np.mean(pop, axis=0)
-    gap = abs(lhs_mean - expected_payoff_mixed(game, zv, pooled))
+    sizes = [num_compositions(j, A) for j in range(n)]
+    if sum(sizes) > MAX_ARRAY_ENTRIES:
+        raise SizeCapExceeded(f"pooling levels of {sum(sizes)} entries exceed the cap of {MAX_ARRAY_ENTRIES}")
+    table = game.count_table()
+    below = table.counts[len(table.counts) - sizes[n - 2]:]  # first count >= 1
+    seat_map = table.rows(below[:, None, :] + np.eye(A, dtype=np.int64) - np.eye(A, dtype=np.int64)[0])
+    levels = [np.ones(1)] + [np.zeros(k) for k in sizes[1:]]
+    for i, p in enumerate(pop, start=1):
+        for j in range(min(i, n - 1), 0, -1):
+            targets = seat_map[len(seat_map) - sizes[j - 1]:] - (sizes[-1] - sizes[j])
+            seated = np.bincount(targets.ravel(), weights=(levels[j - 1][:, None] * p).ravel(), minlength=sizes[j])
+            levels[j] = ((i - j) * levels[j] + j * seated) / i
+    lhs = float(zv @ game.payoff_matrix() @ levels[-1])
+    gap = abs(lhs - expected_payoff_mixed(game, zv, np.mean(pop, axis=0)))
     bound = 2.0 * (n - 2) ** 2 / N
     return PoolingReport(gap, bound, gap <= bound + 1e-9 * game.scale)
 

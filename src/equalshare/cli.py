@@ -243,7 +243,7 @@ def cmd_pooling(args) -> int:
     z = as_strategy([float(v) for v in args.z.split(",")], game.A)
     report = analysis.pooling_check(game, pop, z)
     _document(args, "pooling", report.lhs, {"bound": report.bound, "pass": bool(report.passed)},
-              1e-9 * game.scale, "exact enumeration of ordered opponent tuples")
+              1e-9 * game.scale, "exact subset recursion over opponent count vectors")
     print(f"pooling gap {report.lhs:.6g} <= bound {report.bound:.6g}: {'pass' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_INVARIANT
 

@@ -38,9 +38,12 @@ class SizeCapExceeded(RuntimeError):
     """An enumeration was refused because it exceeds the configured cap."""
 
 
-# The most entries a dense lookup or search array may have: the count index,
-# the exploiter's gain table and minimax_independent's (Nx, Ny^2) values.
+# The most entries a dense array may have: the count index, the exploiter's
+# gain table, pooling_check's levels and minimax_independent's (Nx, Ny^2) values.
 MAX_ARRAY_ENTRIES = 2**25
+
+# The most full action profiles (count vectors of all n players) validate enumerates.
+MAX_PROFILES = 250_000
 
 # The most entries (8 MB of float64) one chunk of a row-chunked product may
 # hold: grid scans build their (Ny, K) multinomial weights, and
@@ -301,18 +304,17 @@ class ValidationReport:
         return msg
 
 
-def validate(game: SymmetricGame, max_profiles: int = 250_000) -> ValidationReport:
+def validate(game: SymmetricGame) -> ValidationReport:
     """Check the zero-sum identity over every full action profile.
 
     For each count vector c with total n, the payoffs of all n players must
     sum to zero:  sum_a c[a] * payoff(a, c - e_a) == 0 within 1e-9 * scale.
-    Refuses (rather than silently sampling) when the enumeration is too big.
+    Refuses (rather than silently sampling) when the enumeration exceeds
+    MAX_PROFILES.
     """
     num = num_compositions(game.n, game.A)
-    if num > max_profiles:
-        raise SizeCapExceeded(
-            f"{num} full profiles exceed the cap of {max_profiles}; validation refused"
-        )
+    if num > MAX_PROFILES:
+        raise SizeCapExceeded(f"{num} full profiles exceed the cap of {MAX_PROFILES}; validation refused")
     full = compositions(game.n, game.A)
     table = game.count_table()
     mat = game.payoff_matrix()

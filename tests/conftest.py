@@ -2,7 +2,10 @@
 
 Acceptance tests are named test_c<N>_...; after a run that included any of
 them, one PASS/FAIL line per criterion is printed so the gate can be read
-at a glance.
+at a glance.  A criterion's test can put its measured statistic on that
+line with pytest's record_property fixture:
+`record_property("max gap/bound", value)` prints
+`criterion  8 (...): PASS (max gap/bound 0.476)`.
 """
 
 import os
@@ -33,17 +36,25 @@ CRITERIA_TITLES = {
 _PATTERN = re.compile(r"test_c(\d+)[_\b]")
 
 
+def _measured(properties) -> str:
+    return ", ".join(f"{name} {value:.3g}" if isinstance(value, float) else f"{name} {value}"
+                     for name, value in properties)
+
+
 def pytest_terminal_summary(terminalreporter):
     outcomes = defaultdict(set)
+    properties = defaultdict(list)
     for status in ("passed", "failed", "error"):
         for report in terminalreporter.stats.get(status, []):
             m = _PATTERN.search(report.nodeid)
             if m and "test_acceptance" in report.nodeid:
                 outcomes[int(m.group(1))].add(status)
+                properties[int(m.group(1))] += report.user_properties
     if not outcomes:
         return
     terminalreporter.write_sep("-", "acceptance criteria")
     for num in sorted(outcomes):
         verdict = "PASS" if outcomes[num] == {"passed"} else "FAIL"
         title = CRITERIA_TITLES.get(num, "")
-        terminalreporter.write_line(f"criterion {num:2d} ({title}): {verdict}")
+        measured = _measured(properties[num])
+        terminalreporter.write_line(f"criterion {num:2d} ({title}): {verdict}" + (f" ({measured})" if measured else ""))

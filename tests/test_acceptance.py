@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 
 import equalshare as eq
-from equalshare.analysis import check_equilibrium, exploitability, minimax_identical, minimax_independent, monte_carlo_utility
+from equalshare.analysis import (
+    check_equilibrium,
+    exploitability,
+    minimax_identical,
+    minimax_independent,
+    monte_carlo_utility,
+    pooling_check,
+)
 from equalshare.arena import FixedSchedule, BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
 from equalshare.games import (
     DENSE_MAX_ACTIONS,
@@ -34,6 +41,8 @@ from equalshare.reproduce import (
     classify,
     mv_table,
 )
+
+from test_analysis import enumerated_pooling_gap  # the pooling recursion's reference
 
 MV = eq.majority3()
 Y_MV = np.array([0.49, 0.51])
@@ -267,9 +276,8 @@ def test_c7_cloning_floor(c7_sweep):
 # Criterion 8: pooling bound property suite (runtime < 1 min).
 # ---------------------------------------------------------------------------
 
-def test_c8_pooling_property_suite():
-    from equalshare.analysis import pooling_check
-
+def c8_pooling_cases():
+    """The 1,000 (game, population, z) cases of criterion 8."""
     games = [MV, eq.minority3(), eq.extended_majority(3, 2), eq.extended_majority(3, 3), eq.sdg(3)]
     rng = np.random.default_rng(808)
     for game in games:
@@ -277,8 +285,49 @@ def test_c8_pooling_property_suite():
             n_pop = int(rng.integers(2, 8))
             population = rng.dirichlet(np.ones(game.A), size=n_pop)
             z = rng.dirichlet(np.ones(game.A))
-            report = pooling_check(game, population, z)
-            assert report.lhs <= report.bound + 1e-9 * game.scale, (game.name, report)
+            yield game, population, z
+
+
+def test_c8_pooling_property_suite(record_property):
+    reports = [(game, pooling_check(game, population, z)) for game, population, z in c8_pooling_cases()]
+    record_property("max gap/bound", max(report.lhs / report.bound for _, report in reports))
+    for game, report in reports:
+        assert report.lhs <= report.bound + 1e-9 * game.scale, (game.name, report)
+
+
+def test_pooling_recursion_equals_the_enumeration_on_the_c8_cases():
+    for game, population, z in c8_pooling_cases():
+        want = enumerated_pooling_gap(game, population, z)
+        assert abs(pooling_check(game, population, z).lhs - want) <= 1e-12 * game.scale, game.name
+
+
+def test_pooling_bound_at_large_n():
+    """The lemma bites at large n, which criterion 8's 3-player games never
+    reach: n = 5, 10 and 30 with up to 200 members, mixed or pure.  Where
+    the ordered-tuple enumeration fits (at most 200,000 tuple-action
+    pairs), the recursion equals it."""
+    cases = [
+        (eq.sdg(5), (4, 8, 60)),
+        (eq.extended_majority(5, 2), (4, 12, 200)),
+        (eq.sdg(10), (9, 40, 200)),
+        (eq.extended_majority(10, 3), (50,)),
+        (eq.sdg(30), (29, 200)),
+        (eq.extended_majority(30, 2), (200,)),
+    ]
+    rng = np.random.default_rng(1616)
+    compared = 0
+    for game, sizes in cases:
+        for size in sizes:
+            pure = np.eye(game.A)[rng.integers(game.A, size=size)]
+            for population in (rng.dirichlet(np.ones(game.A), size=size), pure):
+                z = rng.dirichlet(np.ones(game.A))
+                report = pooling_check(game, population, z)
+                assert report.lhs <= report.bound + 1e-9 * game.scale, (game.name, size, report)
+                if math.perm(size, game.n - 1) * game.A ** (game.n - 1) <= 200_000:
+                    want = enumerated_pooling_gap(game, population, z)
+                    assert abs(report.lhs - want) <= 1e-12 * game.scale, (game.name, size)
+                    compared += 1
+    assert compared == 8
 
 
 # ---------------------------------------------------------------------------

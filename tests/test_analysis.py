@@ -2,12 +2,14 @@
 population pooling, Monte Carlo estimation."""
 
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
 
 import equalshare as eq
+from equalshare import analysis
 from equalshare.analysis import (
     MC_CHUNK_ROWS,
     SimplexGrid,
@@ -407,10 +409,48 @@ def test_pooling_requires_enough_strategies():
         pooling_check(MV, [[1, 0]], [1, 0])
 
 
-def test_pooling_size_cap():
-    pop = [[0.5, 0.5]] * 10
-    with pytest.raises(SizeCapExceeded):
-        pooling_check(MV, pop, [1, 0], max_tuples=10)
+def test_pooling_size_cap(monkeypatch):
+    # the levels hold the count vectors of 0, ..., n-1 opponents: C(n-1+A, A) entries
+    game = eq.sdg(5)
+    size = math.comb(game.n - 1 + game.A, game.A)
+    population = [np.full(game.A, 1.0 / game.A)] * game.n
+    monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", size - 1)
+    with pytest.raises(SizeCapExceeded, match=f"levels of {size} entries"):
+        pooling_check(game, population, [1, 0, 0])
+    assert game._cache == {}  # neither the count table nor the payoff matrix was built
+    monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", size)
+    assert pooling_check(game, population, [1, 0, 0]).passed
+
+
+def enumerated_pooling_gap(game: SymmetricGame, population, z) -> float:
+    """pooling_check's gap by exact enumeration over ordered opponent
+    tuples and their joint actions: the recursion's reference."""
+    pop = [eq.as_strategy(p, game.A) for p in population]
+    zv = eq.as_strategy(z, game.A)
+    N, n = len(pop), game.n
+    num_tuples = math.perm(N, n - 1)
+    # z-contracted payoff of a joint opponent action tuple
+    tuples = list(itertools.product(range(game.A), repeat=n - 1))
+    rows = game.count_table().rows(counts_from_actions(np.array(tuples), game.A))
+    mat = game.payoff_matrix()
+    joint_payoff = {
+        actions: float(sum(zv[a] * mat[a, k] for a in range(game.A) if zv[a] > 0))
+        for actions, k in zip(tuples, rows)
+    }
+
+    total = 0.0
+    for tup in itertools.permutations(range(N), n - 1):
+        val = 0.0
+        for actions in tuples:
+            prob = 1.0
+            for slot, a in enumerate(actions):
+                prob *= pop[tup[slot]][a]
+            if prob:
+                val += prob * joint_payoff[actions]
+        total += val
+    lhs_mean = total / num_tuples
+    pooled = np.mean(pop, axis=0)
+    return abs(lhs_mean - expected_payoff_mixed(game, zv, pooled))
 
 
 # ---------------------------------------------------------------------------

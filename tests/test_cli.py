@@ -85,6 +85,21 @@ def test_analyze_pooling(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_analyze_pooling_at_thirty_players(tmp_path, capsys):
+    # 200 members seat 29 opponents in about 6e65 ordered tuples: only the
+    # subset recursion runs this
+    pop_path = tmp_path / "pop.json"
+    pop_path.write_text(json.dumps(np.random.default_rng(30).dirichlet(np.ones(3), size=200).tolist()))
+    rc = run_cli("--out", str(tmp_path), "analyze", "pooling", "--game", "sdg", "--n", "30",
+                 "--population", str(pop_path), "--z", "0.2,0.3,0.5")
+    assert rc == EXIT_OK
+    assert "pass" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "pooling.json").read_text())
+    assert doc["argument"]["bound"] == pytest.approx(2 * 28**2 / 200)
+    assert doc["value"] <= doc["argument"]["bound"]
+    assert doc["method"] == "exact subset recursion over opponent count vectors"
+
+
 def test_simulate_writes_transcripts_and_metrics(tmp_path):
     cfg = {
         "game": {"name": "majority3"},

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import equalshare as eq
+from equalshare import games
 from equalshare.games import (
     CountTable,
     DimensionError,
@@ -497,9 +498,10 @@ def test_validator_catches_tampering():
     assert report.worst_profile == (1, 2)  # one player on 0, two on 1
 
 
-def test_validator_refuses_oversized_enumerations():
+def test_validator_refuses_oversized_enumerations(monkeypatch):
+    monkeypatch.setattr(games, "MAX_PROFILES", 100)
     with pytest.raises(SizeCapExceeded):
-        validate(eq.sdg(30), max_profiles=100)
+        validate(eq.sdg(30))
 
 
 def test_dense_majority_tensor_entry_by_entry():

@@ -33,6 +33,20 @@ def test_no_np_vectorize():
     assert found == []
 
 
+def test_no_function_takes_a_size_cap():
+    # size caps are module constants checked before anything is allocated;
+    # a per-call cap would let one caller build what another is refused
+    found = [
+        f"{path.name}:{node.lineno}:{arg.arg}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs + [node.args.vararg, node.args.kwarg]
+        if arg is not None and arg.arg.startswith("max_")
+    ]
+    assert found == []
+
+
 def test_weights_batch_is_called_only_by_payoff_vectors_batch():
     # payoff_vectors_batch bounds the rows of each (Ny, K) weight matrix it
     # builds; any other caller could build one of any size

@@ -6,7 +6,6 @@ from .games import (
     as_strategy,
     builtin_game,
     dense_from_symmetric,
-    expected_payoff_iid,
     expected_payoff_mixed,
     extended_majority,
     game_from_json,
@@ -16,7 +15,6 @@ from .games import (
     minority3,
     payoff_vector,
     payoff_vectors_batch,
-    profile_payoff,
     sdg,
     validate,
     validate_dense,
@@ -28,7 +26,6 @@ from .learners import (
     LearnerSpec,
     RateSchedule,
     SAOLState,
-    clone_act,
     clone_observe,
     exploiter_step,
     hedge_act,
@@ -39,16 +36,13 @@ from .learners import (
 from .arena import (
     FixedSchedule,
     Metrics,
-    ReplaySchedule,
     SequenceSchedule,
     BiasedCoinSchedule,
     PureSwapSchedule,
     Transcript,
     compute_metrics,
-    dynamic_oracle,
     dynamic_regret,
     realize_schedule,
-    replay_of,
     run_match,
     static_regret,
     variation_budget,

@@ -1,5 +1,5 @@
-"""Numerical oracles: minimax quantities, best responses, equilibrium
-verification, exploitability, population pooling, Monte Carlo utilities.
+"""Numerical oracles: minimax quantities, equilibrium verification,
+exploitability, population pooling, Monte Carlo utilities.
 
 Everything here is a verifier or a grid search, not a solver: candidate
 strategies and simplex grids are measured, and the pooling check averages
@@ -28,7 +28,6 @@ from .games import (
     expected_payoff_mixed,
     map_row_chunks,
     num_compositions,
-    payoff_vector,
     payoff_vectors_batch,
 )
 from .learners import batch_exploiter
@@ -179,12 +178,6 @@ def minimax_independent(
         lambda x1s: -map_row_chunks(lambda chunk: (chunk @ flat).min(axis=1), x1s, flat.shape[1]), grid)
     maxmin = (-value, {"learner_strategy": x1})
     return {"maxmin": maxmin, "minmax": minmax}
-
-
-def best_response_set(game: SymmetricGame, y, tol: float = 1e-9) -> list[int]:
-    """All actions whose payoff against y^(n-1) is within tol of the best."""
-    u = payoff_vector(game, y)
-    return [a for a in range(game.A) if u[a] >= u.max() - tol]
 
 
 # ---------------------------------------------------------------------------

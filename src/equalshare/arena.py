@@ -93,18 +93,7 @@ class PureSwapSchedule:
         return max(1, round(self.horizon / self.v_budget))
 
 
-@dataclass(frozen=True)
-class ReplaySchedule:
-    """Replays the opponent actions (and meta-strategies) of a prior match."""
-
-    opponent_actions: np.ndarray  # (T, n-1) ints
-    ys: np.ndarray  # (T, A)
-
-    def describe(self) -> str:
-        return f"replay(len={self.opponent_actions.shape[0]})"
-
-
-Schedule = FixedSchedule | SequenceSchedule | BiasedCoinSchedule | PureSwapSchedule | ReplaySchedule
+Schedule = FixedSchedule | SequenceSchedule | BiasedCoinSchedule | PureSwapSchedule
 
 
 def _check_budget(v: float, horizon: int):
@@ -128,10 +117,6 @@ def realize_schedule(
         if len(schedule.ys) != T:
             raise ScheduleError(f"sequence has {len(schedule.ys)} rounds, expected {T}")
         return np.stack([as_strategy(y, A) for y in schedule.ys])
-    if isinstance(schedule, ReplaySchedule):
-        if schedule.ys.shape != (T, A):
-            raise ScheduleError("replay length or action count mismatch")
-        return schedule.ys.copy()
     if isinstance(schedule, BiasedCoinSchedule):
         if game.kind not in ("extended_majority", "majority3"):
             raise ScheduleError(
@@ -174,8 +159,9 @@ def _payoff_vectors_by_row(game: SymmetricGame, ys: np.ndarray) -> np.ndarray:
 class Transcript:
     """Per-round record of a match; the substrate of every metric.
 
-    All expected quantities (u_vectors, expected) are recomputable from the
-    game and y_seq; verify_consistency checks that.
+    u_vectors and expected follow from the game, y_seq and the strategies.
+    y_seq, opponent_actions and u_vectors depend on the game, schedule, T
+    and seed alone: every learner kind faces the same opponents.
     """
 
     game_name: str
@@ -193,12 +179,6 @@ class Transcript:
     @property
     def T(self) -> int:
         return self.strategies.shape[0]
-
-    def verify_consistency(self, game: SymmetricGame) -> float:
-        """Max deviation between stored expectations and a recomputation."""
-        u_dev = np.abs(_payoff_vectors_by_row(game, self.y_seq) - self.u_vectors)
-        x_dev = np.abs(np.vecdot(self.strategies, self.u_vectors) - self.expected)
-        return float(max(u_dev.max(initial=0.0), x_dev.max(initial=0.0)))
 
     def to_csv(self) -> str:
         """One header line, then per round t, the strategy, the action, and
@@ -218,16 +198,6 @@ class Transcript:
         lines.append("")
         return "\n".join(lines)
 
-    def replay_document(self) -> dict:
-        """Everything a later match needs to face the same opponents."""
-        return {
-            "game": self.game_name,
-            "seed": self.seed,
-            "schedule": self.schedule_desc,
-            "opponent_actions": self.opponent_actions.tolist(),
-            "meta_strategies": self.y_seq.tolist(),
-        }
-
 
 def _draw_match(game: SymmetricGame, schedule: Schedule, T: int, seed: int):
     """One seed's meta-strategies, opponent actions and realized gains, and
@@ -235,14 +205,7 @@ def _draw_match(game: SymmetricGame, schedule: Schedule, T: int, seed: int):
     spawned stream, read in the order a round-by-round match reads it."""
     rngs = role_rngs(seed)
     ys = realize_schedule(schedule, game, T, rngs["schedule"])
-    if isinstance(schedule, ReplaySchedule):  # checked before any draw
-        opp_actions = schedule.opponent_actions.astype(np.int64)
-        if opp_actions.shape != (T, game.n - 1):
-            raise ScheduleError("replay opponent actions shape mismatch")
-        if np.any((opp_actions < 0) | (opp_actions >= game.A)):
-            raise ScheduleError(f"replay opponent action outside [0, {game.A})")
-    else:
-        opp_actions = actions_from_uniforms(ys, rngs["opponents"].random((T, game.n - 1)))
+    opp_actions = actions_from_uniforms(ys, rngs["opponents"].random((T, game.n - 1)))
     return ys, opp_actions, realized_payoff_vectors(game, opp_actions), rngs["learner"]
 
 
@@ -304,17 +267,6 @@ def run_match(
     return next(run_matches(game, learner, schedule, T, [seed]))
 
 
-def replay_of(transcript: Transcript) -> ReplaySchedule:
-    return ReplaySchedule(transcript.opponent_actions.copy(), transcript.y_seq.copy())
-
-
-def replay_from_document(doc: dict) -> ReplaySchedule:
-    return ReplaySchedule(
-        np.asarray(doc["opponent_actions"], dtype=np.int64),
-        np.asarray(doc["meta_strategies"], dtype=float),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Metrics.
 # ---------------------------------------------------------------------------
@@ -325,7 +277,7 @@ class Metrics:
     static_regret: float
     dynamic_regret: float
     best_fixed: float  # best single action's average payoff
-    dynamic_oracle: float  # average per-round best payoff
+    dynamic_oracle: float  # average per-round best payoff; >= 0, since playing y itself earns 0
     variation: float
     realized_avg: float
 
@@ -354,15 +306,6 @@ def static_regret(transcript: Transcript) -> float:
 def dynamic_regret(transcript: Transcript) -> float:
     """Gap to the per-round best action, on expected payoffs."""
     return float(transcript.u_vectors.max(axis=1).sum() - transcript.expected.sum())
-
-
-def dynamic_oracle(transcript: Transcript, scale: float = 1.0) -> float:
-    """Average per-round best payoff; non-negative in symmetric zero-sum
-    games because matching the opponents' meta-strategy already earns 0."""
-    val = float(transcript.u_vectors.max(axis=1).mean())
-    if val < -1e-9 * scale:
-        raise AssertionError(f"dynamic oracle {val} negative beyond tolerance")
-    return val
 
 
 def variation_budget(transcript_or_uvecs) -> float:

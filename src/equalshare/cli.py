@@ -64,6 +64,20 @@ def _load_cli_game(args) -> SymmetricGame:
     return load_game(args.game, **_given(n=args.n, num_actions=args.num_actions))
 
 
+def _json_array(path: str, option: str) -> np.ndarray:
+    """The float array in the JSON file of an array option, refused unless
+    the file holds a JSON array of numbers or of such arrays."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    try:
+        arr = np.asarray(doc)
+    except ValueError as exc:  # a ragged nesting
+        raise ValueError(f"{option} must hold a JSON array of numbers: {exc}") from exc
+    if arr.ndim == 0 or arr.dtype.kind not in "iuf":  # a bool, string, null or object is no number
+        raise ValueError(f"{option} must hold a JSON array of numbers, or of such arrays")
+    return arr.astype(float)
+
+
 def _emit(doc: dict, out: str | Path | None, name: str) -> None:
     text = json.dumps(doc, indent=2, default=float)
     if out:
@@ -125,7 +139,6 @@ def cmd_simulate(args) -> int:
         # made only now: a config that parses can still fail its first match
         out.mkdir(parents=True, exist_ok=True)
         (out / f"transcript_seed{tr.seed}.csv").write_text(tr.to_csv())
-        (out / f"replay_seed{tr.seed}.json").write_text(json.dumps(tr.replay_document()) + "\n")
         metrics_rows.append({"seed": tr.seed, **compute_metrics(tr).as_dict()})
     (out / "metrics.csv").write_text(_csv(metrics_rows))
     agg = {
@@ -222,12 +235,7 @@ def cmd_equilibrium(args) -> int:
     if args.product is not None:
         dist = [as_strategy([float(v) for v in part.split(",")], game.A) for part in args.product.split(";")]
     else:
-        with open(args.dist) as fh:
-            doc = json.load(fh)
-        try:
-            arr = np.asarray(doc, dtype=float)
-        except TypeError as exc:  # a JSON object, or null among the numbers
-            raise ValueError(f"--dist must hold a JSON array of numbers: {exc}") from exc
+        arr = _json_array(args.dist, "--dist")
         dist = arr if args.concept != "ne" else [as_strategy(row, game.A) for row in arr]
     report = analysis.check_equilibrium(dense, dist, args.concept, tol=args.tol)
     _document(args, f"equilibrium:{args.concept}", report.epsilon, {"verdict": bool(report.verdict)},
@@ -238,8 +246,7 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_pooling(args) -> int:
     game = _load_cli_game(args)
-    with open(args.population) as fh:
-        pop = json.load(fh)
+    pop = _json_array(args.population, "--population")
     z = as_strategy([float(v) for v in args.z.split(",")], game.A)
     report = analysis.pooling_check(game, pop, z)
     _document(args, "pooling", report.lhs, {"bound": report.bound, "pass": bool(report.passed)},

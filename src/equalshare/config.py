@@ -65,6 +65,8 @@ PARSERS = {"game": game_from_json, "learner": learner_from_json, "schedule": sch
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    if not is_json(doc, dict):
+        raise ConfigError([f"a config must be a JSON object, got {doc!r}"])
     problems = []
     unknown = sorted(set(doc) - {*PARSERS, "out"})
     if unknown:

@@ -9,6 +9,7 @@ terms instead of A^(n-1) joint actions.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -213,27 +214,6 @@ class SymmetricGame:
                 mat[a] = [self.payoff(a, tuple(r)) for r in rows]
             self._cache["payoffs"] = mat
         return self._cache["payoffs"]
-
-
-def profile_payoff(game: SymmetricGame, a: int, others: Sequence[int]) -> float:
-    """Payoff of action `a` against opponents with the given action counts."""
-    c = np.asarray(others, dtype=np.int64)
-    if c.shape != (game.A,):
-        raise DimensionError(f"count vector has shape {c.shape}, expected ({game.A},)")
-    if np.any(c < 0):
-        raise ValueError(f"negative count in {others}")
-    if int(c.sum()) != game.n - 1:
-        raise ValueError(f"opponent counts sum to {int(c.sum())}, expected {game.n - 1}")
-    if not 0 <= a < game.A:
-        raise ValueError(f"action {a} outside [0, {game.A})")
-    return float(game.payoff(a, tuple(int(v) for v in c)))
-
-
-def expected_payoff_iid(game: SymmetricGame, a: int, y: Sequence[float]) -> float:
-    """Exact expected payoff of action `a` against n-1 opponents i.i.d. ~ y."""
-    yv = as_strategy(y, game.A)
-    table = game.count_table()
-    return float(game.payoff_matrix()[a] @ table.weights(yv))
 
 
 def payoff_vector(game: SymmetricGame, y: Sequence[float]) -> np.ndarray:
@@ -570,6 +550,7 @@ def builtin_game(name: str, **params) -> SymmetricGame:
     }
     if name not in builders:
         raise ValueError(f"unknown game {name!r}; choose from {sorted(builders)}")
+    check_fields(params, inspect.signature(builders[name]).parameters, f"game {name!r}")
     return builders[name](**params)
 
 
@@ -623,6 +604,8 @@ def json_field(doc: dict, name: str, kind: type):
 
 def game_from_json(doc: dict) -> SymmetricGame:
     """Inverse of game_to_json; a custom game takes no other field."""
+    if not is_json(doc, dict):
+        raise ValueError(f"a game document must be a JSON object, got {doc!r}")
     if "name" in doc:
         # every parameter of a built-in game is an integer
         params = {k: json_field(doc, k, int) for k in doc if k != "name"}

@@ -50,9 +50,6 @@ class RateSchedule:
         if self.rule not in ("fixed", "sqrt_decay"):
             raise ValueError(f"unknown rate rule {self.rule!r}")
 
-    def rate(self, t: int) -> float:
-        return float(self.rates(t))
-
     def rates(self, t) -> np.ndarray:
         """The rate at each round in t (an int or an int array)."""
         if self.rule == "fixed":
@@ -93,7 +90,7 @@ def hedge_act(state: HedgeState) -> np.ndarray:
 
 def hedge_observe(state: HedgeState, gains: np.ndarray) -> HedgeState:
     t = state.t + 1
-    eta_t = state.schedule.rate(t)
+    eta_t = float(state.schedule.rates(t))
     return replace(state, log_weights=state.log_weights + eta_t * np.asarray(gains, dtype=float), t=t)
 
 
@@ -354,12 +351,6 @@ def clone_strategy(state: CloneState) -> np.ndarray:
     x = np.zeros(state.num_actions)
     x[state.last_seen] = 1.0
     return x
-
-
-def clone_act(state: CloneState, rng: np.random.Generator) -> int:
-    if state.last_seen is None:
-        return sample_actions(rng, clone_strategy(state))
-    return state.last_seen
 
 
 def clone_observe(state: CloneState, second_player_action: int) -> CloneState:

@@ -15,7 +15,6 @@ from equalshare.analysis import (
     SimplexGrid,
     _pair_payoff_tensor,
     _refine_near,
-    best_response_set,
     check_equilibrium,
     default_resolution,
     exploitability,
@@ -241,16 +240,6 @@ def test_grid_oracles_equal_the_per_oracle_search(make):
             ref = want[key]
             assert np.float64(value).tobytes() == np.float64(ref[0]).tobytes(), (game.name, m, key)
             assert [a.tobytes() for a in args] == [r.tobytes() for r in ref[1:]], (game.name, m, key)
-
-
-# ---------------------------------------------------------------------------
-# Best responses.
-# ---------------------------------------------------------------------------
-
-def test_best_response_sets():
-    assert best_response_set(MV, [0.49, 0.51]) == [1]
-    assert best_response_set(MV, [0.5, 0.5]) == [0, 1]
-    assert best_response_set(SDG30, [0.399, 0.6, 0.001]) == [1]
 
 
 # ---------------------------------------------------------------------------

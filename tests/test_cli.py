@@ -31,6 +31,21 @@ def test_verify_tampered_game_fails(tmp_path, capsys):
     assert "FAIL" in out and "(1, 2)" in out  # violating profile named
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (("--game", "sdg", "--num-actions", "3"), None),
+    (("--game", "majority3", "--n", "5"), None),
+    ((), {"name": "sdg", "n": 30, "extra": 1}),
+    ((), 7),
+], ids=["sdg-num-actions", "majority3-n", "file-extra-field", "file-not-an-object"])
+def test_verify_refuses_a_game_parameter_its_builder_does_not_take(argv, doc, tmp_path, capsys):
+    if doc is not None:
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        argv = ("--game", f"file:{path}")
+    assert run_cli("verify", *argv) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_verify_size_cap_exit_code():
     assert run_cli("verify", "--game", "sdg", "--n", "1500") == EXIT_SIZE_CAP
 
@@ -113,8 +128,8 @@ def test_simulate_writes_transcripts_and_metrics(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli("simulate", "--config", str(cfg_path)) == EXIT_OK
     outdir = tmp_path / "sim"
-    for seed in (0, 1, 2):
-        assert (outdir / f"transcript_seed{seed}.csv").exists()
+    transcripts = [f"transcript_seed{seed}.csv" for seed in (0, 1, 2)]
+    assert sorted(path.name for path in outdir.iterdir()) == ["metrics.csv", "summary.json", *transcripts]
     metrics = (outdir / "metrics.csv").read_text().strip().split("\n")
     assert len(metrics) == 4
     assert metrics[0].startswith("seed,u_avg,")
@@ -166,6 +181,13 @@ def test_simulate_rejects_unknown_top_level_keys(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert "unknown top-level fields ['T_max', 'evaluation', 'seed']" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("7")
+    assert run_cli("simulate", "--config", str(path)) == EXIT_CONFIG
+    assert "a config must be a JSON object, got 7" in capsys.readouterr().err
 
 
 def test_simulate_requires_config(capsys):
@@ -290,6 +312,20 @@ def test_analyze_equilibrium_refuses_a_dist_that_is_not_an_array_of_numbers(doc,
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (("pooling", "--z", "1,0", "--population"), [{"a": 1}, [0.5, 0.5]]),
+    (("pooling", "--z", "1,0", "--population"), 7),
+    (("pooling", "--z", "1,0", "--population"), [["1", "0"], ["1", "0"], ["0", "1"], ["0", "1"]]),
+    (("equilibrium", "--concept", "ne", "--dist"), 7),
+], ids=["population-object-member", "population-number", "population-strings", "dist-number"])
+def test_analyze_refuses_an_array_file_that_holds_no_array(argv, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("analyze", *argv, str(path), "--game", "majority3") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "must hold a JSON array of numbers" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("dist, concept", [
     ([[0.5, None], [0.5, 0.5], [0.5, 0.5]], "ne"),
     ([[[0.125, 0.125], [0.125, 0.125]], [[0.125, 0.125], [0.125, None]]], "cce"),
@@ -343,17 +379,6 @@ def test_reproduce_mv_end_to_end(tmp_path):
     assert lines[0] == "algorithm,run,label,mass_on_label"
     masses = [float(line.split(",")[3]) for line in lines[1:]]
     assert len(masses) == 7 * 6 and all(0.0 < m <= 1.0 for m in masses)
-
-
-def test_replay_document_roundtrip(tmp_path):
-    from equalshare.arena import FixedSchedule, replay_from_document, run_match
-    from equalshare.learners import LearnerSpec
-
-    g = eq.majority3()
-    tr = run_match(g, LearnerSpec("hedge"), FixedSchedule((0.49, 0.51)), 50, seed=5)
-    doc = json.loads(json.dumps(tr.replay_document()))
-    tr2 = run_match(g, LearnerSpec("clone"), replay_from_document(doc), 50, seed=99)
-    np.testing.assert_array_equal(tr.opponent_actions, tr2.opponent_actions)
 
 
 def test_reproduce_mv_determinism_across_processes(tmp_path):

@@ -232,21 +232,21 @@ def test_multinomial_weights_handle_zero_probabilities_exactly():
 # Exact expectations on the majority game.
 # ---------------------------------------------------------------------------
 
-def test_expected_payoff_iid_majority_hand_enumeration():
+def test_payoff_vector_majority_hand_enumeration():
     # Opponent pairs (0,0), (0,1)/(1,0), (1,1) under y = [0.49, 0.51].
     g = eq.majority3()
     p00, pmix, p11 = 0.49**2, 2 * 0.49 * 0.51, 0.51**2
     exp_a1 = p00 * (-1.0) + pmix * 0.5 + p11 * 0.0
     exp_a0 = p00 * 0.0 + pmix * 0.5 + p11 * (-1.0)
-    assert eq.expected_payoff_iid(g, 1, [0.49, 0.51]) == pytest.approx(exp_a1, abs=1e-15)
-    assert eq.expected_payoff_iid(g, 0, [0.49, 0.51]) == pytest.approx(exp_a0, abs=1e-15)
+    assert eq.payoff_vector(g, [0.49, 0.51])[1] == pytest.approx(exp_a1, abs=1e-15)
+    assert eq.payoff_vector(g, [0.49, 0.51])[0] == pytest.approx(exp_a0, abs=1e-15)
     assert exp_a1 == pytest.approx(0.0098, abs=1e-12)
     assert exp_a0 == pytest.approx(-0.0102, abs=1e-12)
 
 
 def test_expected_payoff_point_mass_is_unanimity_payoff():
     g = eq.majority3()
-    assert eq.expected_payoff_iid(g, 0, [1.0, 0.0]) == 0.0
+    assert eq.payoff_vector(g, [1.0, 0.0])[0] == 0.0
     assert np.allclose(eq.payoff_vector(g, [1.0, 0.0]), [0.0, -1.0])
 
 
@@ -288,7 +288,7 @@ def test_monte_carlo_agreement(game, a, y):
     rng = np.random.default_rng(11)
     samples = rng.multinomial(game.n - 1, y, size=100_000)
     vals = np.array([game.payoff(a, tuple(int(v) for v in c)) for c in samples])
-    exact = eq.expected_payoff_iid(game, a, y)
+    exact = eq.payoff_vector(game, y)[a]
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - exact) <= 3 * max(se, 1e-12)
 
@@ -348,27 +348,27 @@ def test_payoff_vectors_batch_matches_single():
 
 
 # ---------------------------------------------------------------------------
-# profile_payoff and the switch dominance game.
+# Payoff tables and the switch dominance game.
 # ---------------------------------------------------------------------------
 
-def test_profile_payoff_majority_table():
+def test_majority_payoff_table():
     g = eq.majority3()
-    assert eq.profile_payoff(g, 0, [0, 2]) == -1.0
-    assert eq.profile_payoff(g, 1, [1, 1]) == 0.5
+    assert realized_payoff_vector(g, [0, 2])[0] == -1.0
+    assert realized_payoff_vector(g, [1, 1])[1] == 0.5
     with pytest.raises(ValueError):
-        eq.profile_payoff(g, 0, [1, 2])  # wrong total
+        realized_payoff_vector(g, [1, 2])  # wrong total
     with pytest.raises(DimensionError):
-        eq.profile_payoff(g, 0, [1, 1, 0])
+        realized_payoff_vector(g, [1, 1, 0])
 
 
 def test_sdg_printed_formula_cases():
     g = eq.sdg(30)
     # no A players: C > B > A, so a B player against 29 C loses their ratio
-    assert eq.profile_payoff(g, 1, [0, 0, 29]) == -29.0
+    assert realized_payoff_vector(g, [0, 0, 29])[1] == -29.0
     # enough A players: B > A > C, top action earns the indicator
-    assert eq.profile_payoff(g, 1, [12, 17, 0]) == 1.0
+    assert realized_payoff_vector(g, [12, 17, 0])[1] == 1.0
     # middle action pays the guarded ratio
-    assert eq.profile_payoff(g, 0, [6, 23, 0]) == pytest.approx(-23.0 / 7.0)
+    assert realized_payoff_vector(g, [6, 23, 0])[0] == pytest.approx(-23.0 / 7.0)
 
 
 def test_sdg_dominance_threshold_is_exact():
@@ -376,10 +376,10 @@ def test_sdg_dominance_threshold_is_exact():
     # the first action keeps C > B > A, 7 flips to B > A > C.
     g = eq.sdg(30)
     # the learner's own action counts toward the threshold
-    assert eq.profile_payoff(g, 0, [5, 24, 0]) == pytest.approx(-24.0 / 6.0)  # n_A = 6, bottom rank
-    assert eq.profile_payoff(g, 0, [6, 23, 0]) == pytest.approx(-23.0 / 7.0)  # n_A = 7, middle rank
-    assert eq.profile_payoff(g, 2, [6, 23, 0]) == 1.0  # n_A = 6: C still dominates
-    assert eq.profile_payoff(g, 2, [7, 22, 0]) == pytest.approx(-22.0 / 8.0 - 7.0)  # n_A = 7: C collapses
+    assert realized_payoff_vector(g, [5, 24, 0])[0] == pytest.approx(-24.0 / 6.0)  # n_A = 6, bottom rank
+    assert realized_payoff_vector(g, [6, 23, 0])[0] == pytest.approx(-23.0 / 7.0)  # n_A = 7, middle rank
+    assert realized_payoff_vector(g, [6, 23, 0])[2] == 1.0  # n_A = 6: C still dominates
+    assert realized_payoff_vector(g, [7, 22, 0])[2] == pytest.approx(-22.0 / 8.0 - 7.0)  # n_A = 7: C collapses
 
 
 def test_sdg_scale_is_field_size_minus_one():
@@ -413,19 +413,19 @@ def test_extended_majority_reduces_to_majority3():
 
 def test_dummy_action_penalty_against_binary_opponents():
     em = eq.extended_majority(3, 3)
-    assert eq.profile_payoff(em, 2, [2, 0, 0]) == -1.0
-    assert eq.profile_payoff(em, 2, [1, 1, 0]) == -1.0
-    assert eq.profile_payoff(em, 2, [0, 2, 0]) == -1.0
+    assert realized_payoff_vector(em, [2, 0, 0])[2] == -1.0
+    assert realized_payoff_vector(em, [1, 1, 0])[2] == -1.0
+    assert realized_payoff_vector(em, [0, 2, 0])[2] == -1.0
 
 
 def test_dummy_completion_is_symbol_majority():
     em = eq.extended_majority(3, 4)
     # two interchangeable dummies outvote a lone binary player
-    assert eq.profile_payoff(em, 0, [0, 0, 1, 1]) == -1.0
-    assert eq.profile_payoff(em, 2, [1, 0, 0, 1]) == 0.5
+    assert realized_payoff_vector(em, [0, 0, 1, 1])[0] == -1.0
+    assert realized_payoff_vector(em, [1, 0, 0, 1])[2] == 0.5
     # all-dummy profiles are unanimous
-    assert eq.profile_payoff(em, 2, [0, 0, 0, 2]) == 0.0
-    assert eq.profile_payoff(em, 3, [0, 0, 2, 0]) == 0.0
+    assert realized_payoff_vector(em, [0, 0, 0, 2])[2] == 0.0
+    assert realized_payoff_vector(em, [0, 0, 2, 0])[3] == 0.0
 
 
 def test_extended_majority_pairwise_average_brute_force():

@@ -19,7 +19,6 @@ from equalshare.learners import (
     SAOLState,
     batch_exploiter,
     batch_self_play,
-    clone_act,
     clone_observe,
     clone_strategy,
     cover_slots,
@@ -41,9 +40,9 @@ from equalshare import learners
 
 def test_rate_schedule():
     fixed = RateSchedule(0.3, "fixed", 2)
-    assert fixed.rate(1) == fixed.rate(999) == 0.3
+    assert fixed.rates(1) == fixed.rates(999) == 0.3
     decay = RateSchedule(2.0, "sqrt_decay", 3)
-    assert decay.rate(4) == pytest.approx(2.0 * math.sqrt(math.log(3) / 4))
+    assert decay.rates(4) == pytest.approx(2.0 * math.sqrt(math.log(3) / 4))
     with pytest.raises(ValueError):
         RateSchedule(-1.0)
     with pytest.raises(ValueError):
@@ -308,16 +307,7 @@ def test_clone_follows_second_player():
     np.testing.assert_allclose(clone_strategy(state), np.ones(3) / 3)
     for a in [1, 0, 2]:
         state = clone_observe(state, a)
-        assert clone_act(state, np.random.default_rng(0)) == a
         assert clone_strategy(state)[a] == 1.0
-
-
-def test_clone_first_round_uniform_sampling():
-    state = CloneState(4)
-    rng = np.random.default_rng(0)
-    draws = [clone_act(state, rng) for _ in range(4000)]
-    freqs = np.bincount(draws, minlength=4) / 4000
-    assert np.all(np.abs(freqs - 0.25) < 0.03)
 
 
 # ---------------------------------------------------------------------------

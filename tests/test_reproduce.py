@@ -43,7 +43,7 @@ def test_batch_hedge_matches_manual_replay():
     sched = RateSchedule(eta, "sqrt_decay", 2)
     lw = np.zeros(2)
     for t, k in enumerate(idx, start=1):
-        lw += sched.rate(t) * MV.payoff_matrix()[:, k] / MV.scale
+        lw += float(sched.rates(t)) * MV.payoff_matrix()[:, k] / MV.scale
     manual = np.exp(lw - lw.max())
     manual /= manual.sum()
     np.testing.assert_allclose(finals[0], manual, rtol=1e-10, atol=1e-12)
@@ -63,7 +63,7 @@ def test_batch_self_play_matches_manual_replay():
         x = np.exp(score - score.max())
         x /= x.sum()
         counts = rng2.multinomial(2, x[None, :])[0]
-        cum += sched.rate(t) * realized_payoff_vector(MV, counts)
+        cum += float(sched.rates(t)) * realized_payoff_vector(MV, counts)
     score = log_x0 + cum
     manual = np.exp(score - score.max())
     manual /= manual.sum()
@@ -88,8 +88,8 @@ def test_batch_regularized_matches_manual_replay():
     for t in range(1, T + 1):
         x = readout()
         counts = rng2.multinomial(2, x[None, :])[0]
-        cum += sched.rate(t) * realized_payoff_vector(MV, counts)
-        cum_eta += sched.rate(t)
+        cum += float(sched.rates(t)) * realized_payoff_vector(MV, counts)
+        cum_eta += float(sched.rates(t))
     np.testing.assert_allclose(finals[0], readout(), rtol=1e-10, atol=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_batch_exploiter_matches_functional_gain_rule():
     counts = rng2.multinomial(4, np.ones((1, 3)) / 3)[0]
     gains = _insertion_average_gains(g, a1, counts)
     sched = RateSchedule(2.0, "sqrt_decay", 3)
-    lw = sched.rate(1) * gains
+    lw = float(sched.rates(1)) * gains
     manual = np.exp(lw - lw.max())
     manual /= manual.sum()
     np.testing.assert_allclose(final[0], manual, rtol=1e-10, atol=1e-12)

@@ -60,6 +60,17 @@ def test_weights_batch_is_called_only_by_payoff_vectors_batch():
     assert callers == ["games.py:payoff_vectors_batch"]
 
 
+def _named_outside(node, trees) -> bool:
+    """Whether any of the trees names the definition `node` outside it."""
+    own = {id(n) for n in ast.walk(node)}
+    return any(
+        id(n) not in own and node.name in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None))
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
 def test_private_names_are_used():
     # a private top-level function or class that nothing else in the
     # package names is dead code
@@ -71,16 +82,37 @@ def test_private_names_are_used():
                 continue
             if not node.name.startswith("_") or node.name.startswith("__"):
                 continue
-            own = {id(n) for n in ast.walk(node)}
-            used = any(
-                id(n) not in own and node.name in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None))
-                for other in trees
-                for n in ast.walk(other)
-                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
-            )
-            if not used:
+            if not _named_outside(node, trees):
                 unused.append(node.name)
     assert unused == []
+
+
+def test_public_names_have_a_caller():
+    # the library keeps only what a verb, a table, an oracle or the benchmark
+    # calls: every public top-level function and class, and every public
+    # method, is named in src/ outside its own definition or in bench/.
+    # The package's exports do not count as a caller.
+    bench = SRC.parent.parent / "bench"
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in modules]
+    benches = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(bench.glob("*.py"))]
+    assert trees and benches
+
+    def defined(tree):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (n for n in node.body if isinstance(n, ast.FunctionDef))
+
+    # game_to_json writes the custom-game format that load_game("file:...") reads
+    exempt = {"game_to_json"}
+    uncalled = []
+    for path, tree in zip(modules, trees):
+        for node in defined(tree):
+            if not node.name.startswith("_") and node.name not in exempt and not _named_outside(node, trees + benches):
+                uncalled.append(f"{path.name}:{node.name}")
+    assert uncalled == []
 
 
 def _subcommands(parser, path=(), options=()):

@@ -41,11 +41,8 @@ from .arena import (
     PureSwapSchedule,
     Transcript,
     compute_metrics,
-    dynamic_regret,
     realize_schedule,
     run_match,
-    static_regret,
-    variation_budget,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -42,16 +42,10 @@ class ScheduleError(ValueError):
 class FixedSchedule:
     y: tuple[float, ...]
 
-    def describe(self) -> str:
-        return f"fixed({','.join(f'{v:g}' for v in self.y)})"
-
 
 @dataclass(frozen=True)
 class SequenceSchedule:
     ys: tuple[tuple[float, ...], ...]
-
-    def describe(self) -> str:
-        return f"sequence(len={len(self.ys)})"
 
 
 @dataclass(frozen=True)
@@ -66,9 +60,6 @@ class BiasedCoinSchedule:
 
     v_budget: float
     horizon: int
-
-    def describe(self) -> str:
-        return f"biased_coin(V={self.v_budget:g},T={self.horizon})"
 
     def batch_length(self) -> int:
         return max(1, round((self.horizon / self.v_budget) ** (2.0 / 3.0)))
@@ -85,9 +76,6 @@ class PureSwapSchedule:
 
     v_budget: float
     horizon: int
-
-    def describe(self) -> str:
-        return f"pure_swap(V={self.v_budget:g},T={self.horizon})"
 
     def batch_length(self) -> int:
         return max(1, round(self.horizon / self.v_budget))
@@ -157,16 +145,14 @@ def _payoff_vectors_by_row(game: SymmetricGame, ys: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Transcript:
-    """Per-round record of a match; the substrate of every metric.
+    """Per-round record of one seed's match; the substrate of every metric.
+    It holds no game, learner or schedule: the caller of run_matches has them.
 
     u_vectors and expected follow from the game, y_seq and the strategies.
     y_seq, opponent_actions and u_vectors depend on the game, schedule, T
     and seed alone: every learner kind faces the same opponents.
     """
 
-    game_name: str
-    learner_desc: str
-    schedule_desc: str
     seed: int
     strategies: np.ndarray  # (T, A) learner strategy x^t
     actions: np.ndarray  # (T,) learner action
@@ -241,19 +227,8 @@ def run_matches(
         for seed, (ys, opp_actions, gains_raw, rng), x in zip(batch, draws, strategies):
             actions = actions_from_uniforms(x, rng.random((T, 1)))[:, 0]
             u_vectors = _payoff_vectors_by_row(game, ys)
-            yield Transcript(
-                game.name,
-                learner.describe(),
-                schedule.describe(),
-                seed,
-                x,
-                actions,
-                opp_actions,
-                gains_raw[np.arange(T), actions],
-                ys,
-                u_vectors,
-                np.vecdot(x, u_vectors),
-            )
+            yield Transcript(seed, x, actions, opp_actions, gains_raw[np.arange(T), actions], ys, u_vectors,
+                             np.vecdot(x, u_vectors))
 
 
 def run_match(
@@ -274,58 +249,26 @@ def run_match(
 @dataclass(frozen=True)
 class Metrics:
     u_avg: float
-    static_regret: float
-    dynamic_regret: float
+    static_regret: float  # gap to the best fixed action in hindsight, on expected payoffs
+    dynamic_regret: float  # gap to the per-round best action, on expected payoffs
     best_fixed: float  # best single action's average payoff
     dynamic_oracle: float  # average per-round best payoff; >= 0, since playing y itself earns 0
-    variation: float
+    variation: float  # realized total sup-norm drift of the expected payoff function
     realized_avg: float
-
-    def as_dict(self) -> dict:
-        return {
-            "u_avg": self.u_avg,
-            "static_regret": self.static_regret,
-            "dynamic_regret": self.dynamic_regret,
-            "best_fixed": self.best_fixed,
-            "dynamic_oracle": self.dynamic_oracle,
-            "variation": self.variation,
-            "realized_avg": self.realized_avg,
-        }
-
-
-def u_average(transcript: Transcript) -> float:
-    return float(transcript.expected.mean())
-
-
-def static_regret(transcript: Transcript) -> float:
-    """Gap to the best fixed action in hindsight, on expected payoffs."""
-    totals = transcript.u_vectors.sum(axis=0)
-    return float(totals.max() - transcript.expected.sum())
-
-
-def dynamic_regret(transcript: Transcript) -> float:
-    """Gap to the per-round best action, on expected payoffs."""
-    return float(transcript.u_vectors.max(axis=1).sum() - transcript.expected.sum())
-
-
-def variation_budget(transcript_or_uvecs) -> float:
-    """Realized total sup-norm drift of the expected payoff function."""
-    u = transcript_or_uvecs.u_vectors if isinstance(transcript_or_uvecs, Transcript) else transcript_or_uvecs
-    if u.shape[0] < 2:
-        return 0.0
-    return float(np.abs(np.diff(u, axis=0)).max(axis=1).sum())
 
 
 def compute_metrics(transcript: Transcript) -> Metrics:
-    totals = transcript.u_vectors.sum(axis=0)
-    T = transcript.T
+    u, expected = transcript.u_vectors, transcript.expected
+    best_total = u.sum(axis=0).max()
+    oracle = u.max(axis=1)
+    earned = expected.sum()
     return Metrics(
-        u_avg=u_average(transcript),
-        static_regret=static_regret(transcript),
-        dynamic_regret=dynamic_regret(transcript),
-        best_fixed=float(totals.max()) / T,
-        dynamic_oracle=float(transcript.u_vectors.max(axis=1).mean()),
-        variation=variation_budget(transcript),
+        u_avg=float(expected.mean()),
+        static_regret=float(best_total - earned),
+        dynamic_regret=float(oracle.sum() - earned),
+        best_fixed=float(best_total) / transcript.T,
+        dynamic_oracle=float(oracle.mean()),
+        variation=float(np.abs(np.diff(u, axis=0)).max(axis=1).sum()),
         realized_avg=float(transcript.realized.mean()),
     )
 

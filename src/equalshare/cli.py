@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,10 @@ def _given(**options) -> dict:
 
 
 def _load_cli_game(args) -> SymmetricGame:
-    return load_game(args.game, **_given(n=args.n, num_actions=args.num_actions))
+    params = _given(n=args.n, num_actions=args.num_actions)
+    if params and args.game.startswith("file:"):
+        raise ValueError(f"--n and --num-actions size a builtin game; {args.game} gives its own sizes")
+    return load_game(args.game, **params)
 
 
 def _json_array(path: str, option: str) -> np.ndarray:
@@ -139,7 +143,7 @@ def cmd_simulate(args) -> int:
         # made only now: a config that parses can still fail its first match
         out.mkdir(parents=True, exist_ok=True)
         (out / f"transcript_seed{tr.seed}.csv").write_text(tr.to_csv())
-        metrics_rows.append({"seed": tr.seed, **compute_metrics(tr).as_dict()})
+        metrics_rows.append({"seed": tr.seed, **asdict(compute_metrics(tr))})
     (out / "metrics.csv").write_text(_csv(metrics_rows))
     agg = {
         "config": args.config,
@@ -183,7 +187,7 @@ def cmd_lowerbound(args) -> int:
     game = extended_majority(3, 2)
     T = args.horizon
     configs = [("pure_swap", 32.0, T), ("pure_swap", T / 4.0, T), ("biased_coin", 8.0, T)]
-    rows = [r.as_dict() for r in lowerbound_sweep(game, configs, base_seed=args.seed, **_given(seeds=args.runs))]
+    rows = [asdict(r) for r in lowerbound_sweep(game, configs, base_seed=args.seed, **_given(seeds=args.runs))]
     out = _reproduce_dir(args)
     _emit({"game": game.name, "rows": rows}, out, "lowerbound.json")
     (out / "lowerbound.csv").write_text(_csv(rows))

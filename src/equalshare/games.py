@@ -619,10 +619,13 @@ def game_from_json(doc: dict) -> SymmetricGame:
     table = {}
     for key, value in json_field(spec, "payoff_table", dict).items():
         a_str, counts_str = key.split("|")
-        counts = tuple(int(v) for v in counts_str.split(","))
-        if len(counts) != A or sum(counts) != n - 1:
-            raise ValueError(f"bad payoff key {key!r} for n={n}, A={A}")
-        table[(int(a_str), counts)] = float(value)
+        a, counts = int(a_str), tuple(int(v) for v in counts_str.split(","))
+        # game_to_json's spelling only, so no key can stand in for another
+        canonical = f"{a}|{','.join(map(str, counts))}"
+        if key != canonical or not 0 <= a < A or len(counts) != A or min(counts) < 0 or sum(counts) != n - 1:
+            raise ValueError(f"bad payoff key {key!r} for n={n}, A={A}: want a|c0,...,c{A - 1} "
+                             f"with 0 <= a < {A} and counts >= 0 summing to {n - 1}")
+        table[(a, counts)] = float(value)
 
     def pay(a: int, counts: tuple[int, ...]) -> float:
         try:

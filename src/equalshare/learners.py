@@ -45,8 +45,8 @@ class RateSchedule:
     num_actions: int = 2
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
         if self.rule not in ("fixed", "sqrt_decay"):
             raise ValueError(f"unknown rate rule {self.rule!r}")
 
@@ -584,11 +584,6 @@ class LearnerSpec:
         RateSchedule(self.eta, self.rule)  # a bad eta or rule fails here, before any match
         if self.horizon is not None and self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
-
-    def describe(self) -> str:
-        """The kind and the fields it reads: "hedge eta=1 sqrt_decay", "saol eta=1", "clone"."""
-        shown = {"eta": f"eta={self.eta:g}", "rule": self.rule, "horizon": self.horizon and f"horizon={self.horizon}"}
-        return " ".join([self.kind, *filter(None, (shown[f] for f in LEARNER_FIELDS[self.kind]))])
 
 
 def learner_from_json(doc: dict) -> LearnerSpec:

@@ -245,9 +245,6 @@ class SweepRow:
     dreg_mean: float
     dreg_std: float
 
-    def as_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 def lowerbound_sweep(
     game: SymmetricGame,

@@ -36,14 +36,28 @@ def test_verify_tampered_game_fails(tmp_path, capsys):
     (("--game", "majority3", "--n", "5"), None),
     ((), {"name": "sdg", "n": 30, "extra": 1}),
     ((), 7),
-], ids=["sdg-num-actions", "majority3-n", "file-extra-field", "file-not-an-object"])
+    (("--n", "30", "--num-actions", "7"), {"name": "sdg", "n": 5}),  # the document sizes a file: game
+], ids=["sdg-num-actions", "majority3-n", "file-extra-field", "file-not-an-object", "file-size-options"])
 def test_verify_refuses_a_game_parameter_its_builder_does_not_take(argv, doc, tmp_path, capsys):
     if doc is not None:
         path = tmp_path / "game.json"
         path.write_text(json.dumps(doc))
-        argv = ("--game", f"file:{path}")
+        argv = ("--game", f"file:{path}", *argv)
     assert run_cli("verify", *argv) == EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("7|1,1", 50.0), ("0|-1,3", 9.0), ("0|01,1", 0.5)],
+                         ids=["action-out-of-range", "negative-count", "second-spelling"])
+def test_verify_refuses_a_payoff_key_the_game_never_reads(key, value, tmp_path, capsys):
+    # each would load: the first two as unread entries that set the scale to
+    # 50 or 9, the third by replacing the entry "0|1,1"
+    g = eq.majority3()
+    table = {f"{a}|{c0},{2 - c0}": g.payoff(a, (c0, 2 - c0)) for a in range(2) for c0 in range(3)}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"custom": {"n": 3, "A": 2, "payoff_table": {**table, key: value}}}))
+    assert run_cli("verify", "--game", f"file:{path}") == EXIT_CONFIG
+    assert f"bad payoff key {key!r}" in capsys.readouterr().err
 
 
 def test_verify_size_cap_exit_code():

@@ -83,6 +83,7 @@ def test_seed_ranges():
         ({"count": 2, "base": 2.7}, "got {'count': 2, 'base': 2.7}"),
         ({"count": 0}, "got {'count': 0}"),
         ({"base": 3}, "got {'base': 3}"),
+        ([1, 1], "got [1, 1]"),  # a repeated seed would write its transcript and metrics row twice
     ):
         with pytest.raises(ConfigError) as err:
             parse_config({**BASE, "seeds": seeds})
@@ -142,3 +143,10 @@ def test_a_schedule_entry_that_is_not_a_json_number_is_refused(schedule, problem
 def test_a_saol_horizon_below_one_is_refused_at_parse_time(horizon, tmp_path, capsys):
     problem = f"learner: horizon must be at least 1, got {horizon}"
     _assert_refused_at_parse_time({**BASE, "learner": {"kind": "saol", "horizon": horizon}}, problem, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_a_non_finite_eta_is_refused_at_parse_time(eta, tmp_path, capsys):
+    # JSON's NaN and Infinity parse as floats; either would play nan strategies
+    problem = f"learner: eta must be finite and positive, got {eta}"
+    _assert_refused_at_parse_time({**BASE, "learner": {"kind": "hedge", "eta": eta}}, problem, tmp_path, capsys)

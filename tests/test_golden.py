@@ -73,9 +73,10 @@ def transcripts() -> dict:
     game, T = games.extended_majority(3, 2), 1024
     out = {}
     for kind in LEARNER_FIELDS:
-        for schedule in (BiasedCoinSchedule(8.0, T), PureSwapSchedule(32.0, T)):
+        for label, schedule in ((f"biased_coin(V=8,T={T})", BiasedCoinSchedule(8.0, T)),
+                                (f"pure_swap(V=32,T={T})", PureSwapSchedule(32.0, T))):
             for tr in run_matches(game, LearnerSpec(kind), schedule, T, [0, 1]):
-                key = f"run_matches/{kind}/{schedule.describe()}/seed{tr.seed}"
+                key = f"run_matches/{kind}/{label}/seed{tr.seed}"
                 for name in TRANSCRIPT_FIELDS:
                     out[f"{key}/{name}"] = getattr(tr, name)
                 out[f"{key}/to_csv"] = tr.to_csv()

@@ -482,7 +482,6 @@ def test_all_acts_return_valid_strategies():
 def test_learner_spec_validation():
     with pytest.raises(ValueError):
         LearnerSpec("bogus")
-    assert LearnerSpec("saol", eta=0.5).describe() == "saol eta=0.5"
     # the self-play and exploiter trainers are reproduce roster rows, not
     # config learner kinds; lam is not a learner field
     base = {"game": {"name": "majority3"}, "T": 10, "seeds": [0]}

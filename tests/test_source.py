@@ -156,3 +156,33 @@ def test_every_cli_option_is_read():
         read = reads(parser.get_default("run").__name__, set())
         unread += [(" ".join(path), a.dest) for a in options if a.dest not in exempt | read]
     assert unread == []
+
+
+
+def test_dataclass_fields_are_read():
+    # a field that nothing reads records nothing: every field of a dataclass
+    # in the package is read as an attribute somewhere in src/ or bench/,
+    # by its own methods (a to_csv or __str__ that a verb prints) or by
+    # other code.  A field's declaration is not a read.
+    bench = SRC.parent.parent / "bench"
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py"))}
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    # serialized whole by dataclasses.asdict: every field reaches the output by name
+    exempt = {"Metrics", "SweepRow"}
+    unread = [
+        f"{path.name}:{cls.name}.{item.target.id}"
+        for path, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name not in exempt
+        # @dataclass or @dataclass(...)
+        and any(getattr(getattr(d, "func", d), "id", None) == "dataclass" for d in cls.decorator_list)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id not in reads
+    ]
+    assert unread == []

@@ -19,20 +19,7 @@ from .games import (
     validate,
     validate_dense,
 )
-from .learners import (
-    CloneState,
-    ExploiterState,
-    HedgeState,
-    LearnerSpec,
-    RateSchedule,
-    SAOLState,
-    clone_observe,
-    exploiter_step,
-    hedge_act,
-    hedge_observe,
-    saol_act,
-    saol_observe,
-)
+from .learners import LearnerSpec, RateSchedule
 from .arena import (
     FixedSchedule,
     Metrics,

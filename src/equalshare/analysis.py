@@ -8,11 +8,13 @@ maximizations over the learner's own strategy are always exact over pure
 actions (the payoff is linear in it), so only opponent variables get
 gridded.  The grid oracles (minimax, grid exploitability) share one search,
 `_grid_search`: a scan of the simplex grid, then one rescan at 10x
-resolution around its first minimum.
+resolution around its first minimum.  Both maxmin quantities run one
+row-chunked scan, `_maxmin`, and NE, CE and CCE read one deviation table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,6 +101,27 @@ def _grid_search(score, grid: SimplexGrid, dims: int = 1) -> tuple[float, list[n
     return float(vals[k]), [c[i] for c, i in zip(candidates, k)], k
 
 
+def _maxmin(pure: np.ndarray, grid: SimplexGrid) -> tuple[float, np.ndarray, int]:
+    """max over learner grid points x1 of min_j (x1 @ pure)[j], for pure an
+    (A, M) array of pure-action payoffs: one _grid_search whose rows are
+    scored map_row_chunks' chunk at a time.  Returns the value, x1 and the
+    column of its minimum, read off the scored row (a one-row product x1 @
+    pure can round differently)."""
+    scored = {}
+
+    def score(x1s):
+        def row_min(chunk):
+            product = chunk @ pure
+            col = product.argmin(axis=1)
+            return np.stack([-product[np.arange(len(chunk)), col], col], axis=1)
+
+        scored["last"] = map_row_chunks(row_min, x1s, pure.shape[1])
+        return scored["last"][:, 0]
+
+    value, (x1,), (k,) = _grid_search(score, grid)
+    return -value, x1, int(scored["last"][k, 1])
+
+
 def minimax_identical(
     game: SymmetricGame, which: str, grid: SimplexGrid | None = None
 ) -> tuple[float, dict]:
@@ -107,8 +130,8 @@ def minimax_identical(
     minmax: min over meta-strategies x of max_a u(a | x^(n-1)); the inner
     max is exact because a best response can be pure.
     maxmin: max over learner strategies x1 of min over meta-strategies x of
-    the learner's payoff; both sides gridded, the outer search minimizing
-    the negated inner minimum.
+    the learner's payoff; both sides gridded, by the row-chunked scan
+    (_maxmin) that minimax_independent's maxmin also runs.
     """
     grid = _default_grid(game, grid)
     if which == "minmax":
@@ -116,20 +139,8 @@ def minimax_identical(
         return value, {"meta_strategy": y}
     if which == "maxmin":
         pts = grid.points()
-        pv = payoff_vectors_batch(game, pts)  # (Ny, A): payoff of pure a vs each y
-        product = None
-
-        def score(x1s):
-            nonlocal product
-            product = None  # free the coarse pass's product before the next is built
-            product = x1s @ pv.T  # (Nx, Ny)
-            return -product.min(axis=1)
-
-        value, (x1,), (k,) = _grid_search(score, grid)
-        # read the worst meta-strategy off the row the search scored: a
-        # one-row product x1 @ pv.T can round differently
-        worst_y = pts[int(np.argmin(product[k]))]
-        return -value, {"learner_strategy": x1, "worst_meta_strategy": worst_y}
+        value, x1, col = _maxmin(payoff_vectors_batch(game, pts).T, grid)
+        return value, {"learner_strategy": x1, "worst_meta_strategy": pts[col]}
     raise ValueError(f"which must be 'minmax' or 'maxmin', got {which!r}")
 
 
@@ -170,13 +181,10 @@ def minimax_independent(
     value, (y2, y3), _ = _grid_search(lambda y2s, y3s: pure_vals(y2s, y3s).max(axis=0), grid, dims=2)
     minmax = (value, {"y2": y2, "y3": y3})
 
-    # maxmin: max over x1 of min over (x2, x3), each x1 row's Ny^2 payoffs
-    # built a bounded chunk of rows at a time
+    # maxmin: max over x1 of min over (x2, x3)
     pts = grid.points()
-    flat = pure_vals(pts, pts).reshape(game.A, -1)
-    value, (x1,), _ = _grid_search(
-        lambda x1s: -map_row_chunks(lambda chunk: (chunk @ flat).min(axis=1), x1s, flat.shape[1]), grid)
-    maxmin = (-value, {"learner_strategy": x1})
+    value, x1, _ = _maxmin(pure_vals(pts, pts).reshape(game.A, -1), grid)
+    maxmin = (value, {"learner_strategy": x1})
     return {"maxmin": maxmin, "minmax": minmax}
 
 
@@ -206,6 +214,11 @@ def check_equilibrium(dense: DenseGame, dist, concept: str, tol: float = 1e-9) -
     concept "ce" / "cce": dist is a joint array over A^n; "ce" conditions
     the deviation on the recommended action (skipping zero-probability
     recommendations), "cce" does not.
+
+    One deviation table per player i serves all three: with i's action
+    first, gain[a, b] = sum_r p[a, r] (u_i[b, r] - u_i[a, r]).  CCE takes
+    its largest column sum, CE its largest entry over its row's mass, and
+    NE is the CCE of the product joint.
     """
     n, A = dense.n, dense.A
     concept = concept.lower()
@@ -215,47 +228,29 @@ def check_equilibrium(dense: DenseGame, dist, concept: str, tol: float = 1e-9) -
         strategies = [as_strategy(x, A) for x in dist]
         if len(strategies) != n:
             raise ValueError(f"need {n} strategies, got {len(strategies)}")
-        eps = 0.0
-        for i in range(n):
-            # contract every axis except player i's own action
-            dev = dense.utilities[i]
-            for j in reversed(range(n)):
-                if j != i:
-                    dev = np.tensordot(dev, strategies[j], axes=([j], [0]))
-            current = float(strategies[i] @ dev)
-            eps = max(eps, float(dev.max()) - current)
-        return EquilibriumReport("ne", eps, tol)
+        joint = functools.reduce(np.multiply.outer, strategies)
+    else:
+        joint = np.asarray(dist, dtype=float)
+        if joint.shape != (A,) * n:
+            raise ValueError(f"joint distribution must have shape {(A,) * n}")
+        if not (abs(joint.sum() - 1.0) <= 1e-9 and np.all(joint >= 0)):  # NaN fails both
+            raise ValueError("joint distribution must be a probability array")
+        if concept not in ("ce", "cce"):
+            raise ValueError(f"concept must be ne/ce/cce, got {concept!r}")
 
-    joint = np.asarray(dist, dtype=float)
-    if joint.shape != (A,) * n:
-        raise ValueError(f"joint distribution must have shape {(A,) * n}")
-    if not (abs(joint.sum() - 1.0) <= 1e-9 and np.all(joint >= 0)):  # NaN fails both
-        raise ValueError("joint distribution must be a probability array")
-
-    if concept == "cce":
-        eps = 0.0
-        for i in range(n):
-            current = float((joint * dense.utilities[i]).sum())
-            marg_others = joint.sum(axis=i)
-            for a_prime in range(A):
-                u_slice = np.take(dense.utilities[i], a_prime, axis=i)
-                eps = max(eps, float((marg_others * u_slice).sum()) - current)
-        return EquilibriumReport("cce", eps, tol)
-
-    if concept == "ce":
-        eps = 0.0
-        for i in range(n):
-            for a_i in range(A):
-                cond = np.take(joint, a_i, axis=i)
-                p = float(cond.sum())
-                if p <= 0.0:
-                    continue  # conditional expectation undefined
-                current = float((cond * np.take(dense.utilities[i], a_i, axis=i)).sum()) / p
-                for a_prime in range(A):
-                    dev = float((cond * np.take(dense.utilities[i], a_prime, axis=i)).sum()) / p
-                    eps = max(eps, dev - current)
-        return EquilibriumReport("ce", eps, tol)
-    raise ValueError(f"concept must be ne/ce/cce, got {concept!r}")
+    eps = 0.0
+    for i in range(n):
+        p = np.moveaxis(joint, i, 0).reshape(A, -1)
+        u = np.moveaxis(dense.utilities[i], i, 0).reshape(A, -1)
+        gain = p @ u.T - (p * u).sum(axis=1)[:, None]
+        if concept == "ce":
+            mass = p.sum(axis=1)
+            live = mass > 0.0  # the conditional expectation is undefined elsewhere
+            worst = (gain[live] / mass[live, None]).max()
+        else:
+            worst = gain.sum(axis=0).max()
+        eps = max(eps, float(worst))
+    return EquilibriumReport(concept, eps, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ class SizeCapExceeded(RuntimeError):
     """An enumeration was refused because it exceeds the configured cap."""
 
 
-# The most entries a dense array may have: the count index, the exploiter's
-# gain table, pooling_check's levels and minimax_independent's (Nx, Ny^2) values.
+# The most entries a dense array may have: the count index, a composition
+# enumeration, the exploiter's gain table, pooling_check's levels and
+# minimax_independent's (Nx, Ny^2) values.
 MAX_ARRAY_ENTRIES = 2**25
 
 # The most full action profiles (count vectors of all n players) validate enumerates.
@@ -82,6 +83,8 @@ def compositions(
     Returned as an int array of shape (C(total+parts-1, parts-1), parts) in
     lexicographic order.  With per-coordinate bounds `lo`/`hi` (inclusive),
     only the vectors with lo <= c <= hi are returned, in the same order.
+    Refused (SizeCapExceeded) before any prefix level of more than
+    MAX_ARRAY_ENTRIES // parts rows is built: levels only grow.
     """
     if parts < 1 or total < 0:
         raise ValueError(f"need parts >= 1 and total >= 0, got {parts}, {total}")
@@ -99,6 +102,8 @@ def compositions(
         first = np.maximum(lo[i], rem - hi_rest[i])
         count = np.maximum(np.minimum(hi[i], rem - lo_rest[i]) - first + 1, 0)
         n = int(count.sum())
+        if n * parts > MAX_ARRAY_ENTRIES:
+            raise SizeCapExceeded(f"compositions of {total} into {parts} parts exceed the cap of {MAX_ARRAY_ENTRIES}")
         # offset of each new row within its prefix's block of values
         offset = np.arange(n, dtype=np.int64) - np.repeat(np.cumsum(count) - count, count)
         value = np.repeat(first, count) + offset
@@ -625,6 +630,8 @@ def game_from_json(doc: dict) -> SymmetricGame:
         if key != canonical or not 0 <= a < A or len(counts) != A or min(counts) < 0 or sum(counts) != n - 1:
             raise ValueError(f"bad payoff key {key!r} for n={n}, A={A}: want a|c0,...,c{A - 1} "
                              f"with 0 <= a < {A} and counts >= 0 summing to {n - 1}")
+        if not (is_json(value, float) and math.isfinite(value)):
+            raise ValueError(f"payoff {key!r} must be a finite JSON number, got {value!r}")
         table[(a, counts)] = float(value)
 
     def pay(a: int, counts: tuple[int, ...]) -> float:

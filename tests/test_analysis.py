@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import equalshare as eq
-from equalshare import analysis
+from equalshare import analysis, games
 from equalshare.analysis import (
     MC_CHUNK_ROWS,
     SimplexGrid,
@@ -63,6 +63,14 @@ def test_refine_near_equals_the_full_fine_grid_filter(A, m):
             ref = fine[np.max(np.abs(fine - point[None, :]), axis=1) <= 1.0 / m + 1e-12]
             assert len(got) > 0 and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+
+def test_refine_near_is_refused_before_its_box_is_built(monkeypatch):
+    point = np.array([1 / 8] * 4 + [1 / 2])
+    assert len(_refine_near(point, 8)) == 116_601
+    monkeypatch.setattr(games, "MAX_ARRAY_ENTRIES", 10**5)
+    with pytest.raises(SizeCapExceeded, match="compositions of 80 into 5 parts"):
+        _refine_near(point, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +310,65 @@ def test_ce_skips_zero_probability_recommendations():
     joint[1, 1, 1] = 1.0  # action 0 never recommended
     report = check_equilibrium(dense, joint, "ce")
     assert report.verdict
+
+
+def looped_equilibrium_epsilon(dense, dist, concept: str) -> float:
+    """check_equilibrium's epsilon by one loop per concept over players and
+    actions: the deviation table's reference."""
+    n, A = dense.n, dense.A
+    eps = 0.0
+    if concept == "ne":
+        strategies = [np.asarray(x, dtype=float) for x in dist]
+        for i in range(n):
+            # contract every axis except player i's own action
+            dev = dense.utilities[i]
+            for j in reversed(range(n)):
+                if j != i:
+                    dev = np.tensordot(dev, strategies[j], axes=([j], [0]))
+            eps = max(eps, float(dev.max()) - float(strategies[i] @ dev))
+        return eps
+    joint = np.asarray(dist, dtype=float)
+    for i in range(n):
+        if concept == "cce":
+            current = float((joint * dense.utilities[i]).sum())
+            marg_others = joint.sum(axis=i)
+            for a_prime in range(A):
+                u_slice = np.take(dense.utilities[i], a_prime, axis=i)
+                eps = max(eps, float((marg_others * u_slice).sum()) - current)
+            continue
+        for a_i in range(A):
+            cond = np.take(joint, a_i, axis=i)
+            p = float(cond.sum())
+            if p <= 0.0:
+                continue  # conditional expectation undefined
+            current = float((cond * np.take(dense.utilities[i], a_i, axis=i)).sum()) / p
+            for a_prime in range(A):
+                dev = float((cond * np.take(dense.utilities[i], a_prime, axis=i)).sum()) / p
+                eps = max(eps, dev - current)
+    return eps
+
+
+@pytest.mark.parametrize("make", [eq.majority3, eq.minority3, lambda: eq.extended_majority(3, 3),
+                                  lambda: eq.extended_majority(4, 2), lambda: eq.sdg(4)],
+                         ids=["majority3", "minority3", "extended_majority3_3", "extended_majority4_2", "sdg4"])
+def test_deviation_table_equals_the_per_concept_loops(make):
+    game = make()
+    dense = dense_from_symmetric(game)
+    rng = np.random.default_rng(game.n * 10 + game.A)
+    size = game.A ** game.n
+    for trial in range(200):
+        strategies = list(rng.dirichlet(np.ones(game.A), game.n))
+        if trial % 4 == 0:
+            strategies[0] = np.eye(game.A)[trial % game.A]  # a pure player
+        joint = rng.dirichlet(np.ones(size))
+        if trial % 2:
+            joint[rng.random(size) < 0.7] = 0.0  # zero-probability recommendations
+            joint[trial % size] += 1.0 - joint.sum()
+        joint = joint.reshape((game.A,) * game.n)
+        for concept, dist in (("ne", strategies), ("ce", joint), ("cce", joint)):
+            got = check_equilibrium(dense, dist, concept).epsilon
+            want = looped_equilibrium_epsilon(dense, dist, concept)
+            assert abs(got - want) <= 1e-12 * game.scale, (game.name, trial, concept, got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ def test_grid_scan_traced_peak_is_bounded(name, call):
     assert peak < PEAK_BYTES, f"{name}: traced peak {peak / 2**20:.1f} MB"
 
 
+def test_identical_maxmin_holds_a_bounded_chunk_of_its_product():
+    # sdg(30) at m=60 has 1,891 grid points: the whole (Nx, Ny) product is 27 MB
+    peak = _traced_peak(lambda: analysis.minimax_identical(games.sdg(30), "maxmin"))
+    assert peak < 12 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
 def test_chunked_payoff_vectors_equal_per_point_payoff_vectors(monkeypatch):
     game = games.sdg(200)
     K = game.count_table().counts.shape[0]

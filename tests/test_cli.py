@@ -1,12 +1,15 @@
 """Command-line interface: verbs, exit codes, file outputs, determinism."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
 import equalshare as eq
+from equalshare import cli
 from equalshare.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SIZE_CAP, main
+from equalshare.reproduce import RunReport, mv_table
 
 
 def run_cli(*argv):
@@ -58,6 +61,18 @@ def test_verify_refuses_a_payoff_key_the_game_never_reads(key, value, tmp_path, 
     path.write_text(json.dumps({"custom": {"n": 3, "A": 2, "payoff_table": {**table, key: value}}}))
     assert run_cli("verify", "--game", f"file:{path}") == EXIT_CONFIG
     assert f"bad payoff key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["2.5", True, float("nan")], ids=["string", "bool", "nan"])
+def test_verify_refuses_a_payoff_value_that_is_not_a_finite_number(value, tmp_path, capsys):
+    # each would load: the string with scale 2.5, true as 1.0, and NaN as a
+    # payoff that fails the zero-sum check with exit 3
+    g = eq.majority3()
+    table = {f"{a}|{c0},{2 - c0}": g.payoff(a, (c0, 2 - c0)) for a in range(2) for c0 in range(3)}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"custom": {"n": 3, "A": 2, "payoff_table": {**table, "0|1,1": value}}}))
+    assert run_cli("verify", "--game", f"file:{path}") == EXIT_CONFIG
+    assert "payoff '0|1,1' must be a finite JSON number" in capsys.readouterr().err
 
 
 def test_verify_size_cap_exit_code():
@@ -393,6 +408,25 @@ def test_reproduce_mv_end_to_end(tmp_path):
     assert lines[0] == "algorithm,run,label,mass_on_label"
     masses = [float(line.split(",")[3]) for line in lines[1:]]
     assert len(masses) == 7 * 6 and all(0.0 < m <= 1.0 for m in masses)
+
+
+def test_reproduce_self_audit_reads_the_emitted_labels(tmp_path, monkeypatch):
+    # a small table, then one whose convergence CSV flips the first run's label
+    monkeypatch.setattr(cli, "mv_table", functools.partial(
+        mv_table, hedge_horizon=500, sp_horizon=300, eval_repeats=2, exploit_steps=100))
+    argv = ("--out", str(tmp_path), "reproduce", "mv", "--runs", "2", "--eval-games", "100",
+            "--exploit-runs", "1", "--self-audit")
+    assert run_cli(*argv) == EXIT_OK
+    emit = RunReport.convergence_csv
+
+    def flipped(report):
+        lines = emit(report).split("\n")
+        algorithm, run, label, mass = lines[1].split(",")
+        lines[1] = ",".join([algorithm, run, "0" if label == "-1" else "-1", mass])
+        return "\n".join(lines)
+
+    monkeypatch.setattr(RunReport, "convergence_csv", flipped)
+    assert run_cli(*argv) == EXIT_INVARIANT
 
 
 def test_reproduce_mv_determinism_across_processes(tmp_path):

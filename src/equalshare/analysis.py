@@ -32,7 +32,7 @@ from .games import (
     num_compositions,
     payoff_vectors_batch,
 )
-from .learners import batch_exploiter
+from .learners import train_roster
 from .sampling import action_cdf, counts_from_actions, sample_actions
 
 
@@ -146,8 +146,6 @@ def minimax_identical(
 
 def _pair_payoff_tensor(game: SymmetricGame) -> np.ndarray:
     """M[a, b, c] = payoff of a against the two opponents playing (b, c)."""
-    if game.n != 3:
-        raise SizeCapExceeded("independent-opponent search supports n = 3 only")
     A = game.A
     pairs = np.indices((A, A)).reshape(2, -1).T  # (b, c) in C order
     rows = game.count_table().rows(counts_from_actions(pairs, A))
@@ -163,6 +161,8 @@ def minimax_independent(
     Returns {"maxmin": ..., "minmax": ...} where minmax's inner max over the
     learner is exact over pure actions.
     """
+    if game.n != 3:
+        raise SizeCapExceeded("independent-opponent search supports n = 3 only")
     grid = _default_grid(game, grid)
     if game.A > 3:
         raise SizeCapExceeded("independent-opponent grid limited to A <= 3")
@@ -220,6 +220,8 @@ def check_equilibrium(dense: DenseGame, dist, concept: str, tol: float = 1e-9) -
     its largest column sum, CE its largest entry over its row's mass, and
     NE is the CCE of the product joint.
     """
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     n, A = dense.n, dense.A
     concept = concept.lower()
     if concept == "ne":
@@ -278,16 +280,11 @@ def exploitability(
     """min over meta-strategies y of the payoff of x against y^(n-1).
 
     Method "grid" scans a simplex grid with one refinement pass (exact at
-    pure strategies); "exploiter" is the exploiter protocol: one
-    `learners.batch_exploiter` call of `runs` runs x `steps` steps against
-    x, driven by `np.random.default_rng(seed)` (seed an int or a
-    SeedSequence), keeping the most damaging final strategy; "auto" is
-    one of the two, by `exploitability_method`.  Always <= 0 in a
-    symmetric zero-sum game since y = x recovers the all-identical
-    expectation 0.  The exploiter is a local learner and can stall where
-    its sampled gains are flat (on sdg(200) against x = B, every action
-    gains -1 from the uniform start), so y = x, at exactly 0, is always a
-    candidate.
+    pure strategies); "exploiter" is exploiter_protocol against x alone,
+    `runs` runs x `steps` steps from seed (an int or a SeedSequence);
+    "auto" is one of the two, by `exploitability_method`.  Always <= 0 in
+    a symmetric zero-sum game since y = x recovers the all-identical
+    expectation 0.
     """
     xv = as_strategy(x, game.A)
     method = exploitability_method(method, game.A)
@@ -295,13 +292,25 @@ def exploitability(
         value, (y,), _ = _grid_search(lambda ys: payoff_vectors_batch(game, ys) @ xv, _default_grid(game, grid))
         return value, y
     if method == "exploiter":
-        best_val, best_y = 0.0, xv.copy()
-        for y in batch_exploiter(game, xv, steps, runs, eta, np.random.default_rng(seed)):
-            val = expected_payoff_mixed(game, xv, y)
-            if val < best_val:
-                best_val, best_y = val, y
-        return float(best_val), best_y
+        return exploiter_protocol(game, [xv], [seed], runs, steps, eta)[0]
     raise ValueError(f"method must be auto/grid/exploiter, got {method!r}")
+
+
+def exploiter_protocol(game: SymmetricGame, targets, seeds, runs: int, steps: int, eta: float) -> list[tuple]:
+    """The exploiter protocol's (value, y) against each target: the most
+    damaging final strategy of `runs` exploiter runs x `steps` steps, from
+    np.random.default_rng(seeds[i]) against targets[i], all trained in one
+    `learners.train_roster` call.  The exploiter can stall where its sampled
+    gains are flat (on sdg(200) against x = B, every action gains -1 from
+    the uniform start), so y = x, at exactly 0, is always a candidate."""
+    xs = [as_strategy(x, game.A) for x in targets]
+    rows = [(0.0, 0.0, np.random.default_rng(seed), x) for x, seed in zip(xs, seeds, strict=True)]
+    results = []
+    for xv, finals in zip(xs, train_roster(game, steps, runs, eta, rows)):
+        vals = [0.0] + [expected_payoff_mixed(game, xv, y) for y in finals]
+        best = int(np.argmin(vals))  # the first minimum, so a tie keeps y = x
+        results.append((float(vals[best]), xv.copy() if best == 0 else finals[best - 1]))
+    return results
 
 
 # ---------------------------------------------------------------------------

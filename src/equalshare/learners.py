@@ -8,21 +8,16 @@ the exploiter consume raw payoffs, whose balance against the
 regularization term is part of their update formulas.
 
 The schedule-driven learners have single-step forms, whose states are plain
-values (every step consumes a state and returns a fresh one), and a
-whole-match form (`*_strategies`): given a match's gains up front it
-returns every round's strategy, bytewise what stepping the single-round
-functions would play.  SAOL's whole-match form is batched over runs, on
-(R, T, A) gains, and shares its meta step with `saol_observe`; a run's rows
-do not depend on the rest of the batch.  Self-play, hedge against a fixed
-meta-strategy and the exploiter have one implementation each, the batched
-trainers (`batch_*`), which advance many runs in lockstep at the
-"sqrt_decay" rate; runs=1 is the sequential case.  Each reads its gains by
-count row from a table built once per game (the exploiter's is its gain
-table), and `exploiter_step` steps one exploiter run with the batched rule.
-Self-play's one update loop is `self_play_roster`, which stacks several
-rows (a mode, a strength and a generator each) into one state and draws
-each row's opponents from that row's own generator; `batch_self_play` is
-its one-row case.
+values, and a whole-match form (`*_strategies`) that returns every round's
+strategy from a match's gains up front, bytewise what the single steps
+play.  SAOL's whole-match form is batched over runs and shares its meta
+step with `saol_observe`.  Hedge against a fixed meta-strategy is one
+batched trainer.  Self-play and the exploiter share one sampled-count
+update loop, `train_roster`, which advances rows of runs in lockstep at
+the "sqrt_decay" rate, each row on its own generator (runs=1 is the
+sequential case); `self_play_roster`, `batch_self_play` and
+`batch_exploiter` build its rows, and `exploiter_step` steps one exploiter
+run by its rule.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .games import MAX_ARRAY_ENTRIES, SizeCapExceeded, SymmetricGame, check_fields, json_field, num_compositions
+from .games import MAX_ARRAY_ENTRIES, SizeCapExceeded, SymmetricGame, as_strategy, check_fields, json_field, num_compositions
 from .sampling import action_cdf, actions_from_cdf, sample_actions
 
 
@@ -403,6 +398,57 @@ def batch_hedge_vs_fixed(
     return softmax_rows(log_w)
 
 
+def train_roster(game: SymmetricGame, T: int, runs: int, eta: float, rows: list[tuple]) -> list[np.ndarray]:
+    """Final strategies of rows of `runs` runs advanced in one lockstep
+    loop; row i is (log x0, lam, generator, target or None).
+
+    Each run samples its n-1 opponents from its own current strategy and
+    takes an exponential-weights step on a gain row looked up by their count
+    vector.  With cum_gain = sum_t eta_t * g_t and cum_eta = sum_t eta_t, a
+    run's strategy is the normalized exponential of
+
+        (log x0 + cum_gain + lam * cum_eta * log x0) / (1 + lam * cum_eta)
+
+    A self-play row (no target) reads its realized per-action payoffs.  An
+    exploiter row (log x0 = 0, lam = 0) is one mixed strategy shared by all
+    n-1 opponents; it first draws the target's action a1, then reads
+    exploiter_gain_table[a1].  One call trains rows of one kind, and checks
+    every target before any draw.  Each row draws from its own generator,
+    in row order, so its finals and draws are those of training it alone.
+    """
+    cdfs = [None if target is None else action_cdf(as_strategy(target, game.A)) for *_, target in rows]
+    if len({cdf is None for cdf in cdfs}) > 1:
+        raise ValueError("one roster trains self-play rows or exploiter rows, not both")
+    table = game.count_table()
+    K = len(table.counts)
+    exploiter = any(cdf is not None for cdf in cdfs)
+    # row a1 * K + k of the flat exploiter table is exploiter_gain_table[a1, k]
+    gains = exploiter_gain_table(game).reshape(-1, game.A) if exploiter else _gains_table(game, normalize=False)
+    log_x0 = np.repeat([np.broadcast_to(x0, game.A) for x0, *_ in rows], runs, axis=0).reshape(-1, game.A)
+    lam = np.repeat([lam for _, lam, *_ in rows], runs)[:, None]
+    regularized = lam.any()
+    slices = [(rng, cdf, i * runs, (i + 1) * runs) for i, ((_, _, rng, _), cdf) in enumerate(zip(rows, cdfs))]
+    eta_by_step = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1)).tolist()
+
+    def strategies(score: np.ndarray, cum_eta: float) -> np.ndarray:
+        reg = lam * cum_eta  # with lam = 0 the regularized form is log x0 + score, byte for byte
+        return softmax_rows((log_x0 + score + reg * log_x0) / (1.0 + reg) if regularized else log_x0 + score)
+
+    score = np.zeros(log_x0.shape)  # cum_gain
+    offsets = np.zeros(len(score), dtype=np.intp)  # a1 * K for exploiter rows
+    counts = np.empty(score.shape, dtype=np.int64)
+    cum_eta = 0.0
+    for eta_t in eta_by_step:
+        x = strategies(score, cum_eta)
+        for rng, cdf, lo, hi in slices:
+            if cdf is not None:
+                offsets[lo:hi] = actions_from_cdf(cdf, rng.random(hi - lo)) * K
+            counts[lo:hi] = rng.multinomial(game.n - 1, x[lo:hi])
+        score += eta_t * gains.take(offsets + table.rows(counts), axis=0)
+        cum_eta += eta_t
+    return list(strategies(score, cum_eta).reshape(len(rows), runs, game.A))
+
+
 SELF_PLAY_MODES = ("scratch", "bc_init", "regularized")
 
 
@@ -414,26 +460,13 @@ def self_play_roster(
     rows: list[tuple[str, float, np.random.Generator]],
     y_meta: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Final strategies of self-play rows advanced in one lockstep loop:
+    """Final strategies of self-play rows trained in one train_roster call:
     row i is `runs` runs of mode rows[i][0] at strength rows[i][1], drawn
-    from its own generator rows[i][2].
-
-    Each run samples its n-1 opponents from its own current strategy and
-    takes an exponential-weights step on the realized per-action payoffs.
-    With cum_gain = sum_t eta_t * g_t and cum_eta = sum_t eta_t, a run's
-    strategy is the normalized exponential of
-
-        (log x0 + cum_gain + lam * cum_eta * log x0) / (1 + lam * cum_eta)
-
-    where x0 is uniform for mode "scratch" and y_meta for "bc_init" and
-    "regularized", and lam acts only in "regularized" (lam = 0 is
-    "bc_init").  Every row's strategies come from one softmax over the
-    stacked (rows * runs, A) state; each step then draws every row's counts
-    from its own generator, in row order, so a row's finals and draws are
-    those of training it alone.  Every row is checked before any draw.
-    """
-    log_y, lams, log_x0 = None, [], []
-    for mode, lam, _ in rows:
+    from its own generator rows[i][2].  x0 is uniform for "scratch" and
+    y_meta for "bc_init" and "regularized"; lam acts only in "regularized"
+    (lam = 0 is "bc_init").  Every row is checked before any draw."""
+    log_y, roster = None, []
+    for mode, lam, rng in rows:
         if mode not in SELF_PLAY_MODES:
             raise ValueError(f"unknown self-play mode {mode!r}")
         if lam < 0:
@@ -445,30 +478,8 @@ def self_play_roster(
             if np.any(y_meta <= 0):
                 raise ValueError(f"{mode} takes log of the meta-strategy; entries must be positive")
             log_y = np.log(y_meta)
-        lams.append(lam if mode == "regularized" else 0.0)
-        log_x0.append(np.zeros(game.A) if mode == "scratch" else log_y)
-    log_x0 = np.repeat(np.array(log_x0), runs, axis=0)
-    lam = np.repeat(lams, runs)[:, None]
-    slices = [(rng, i * runs, (i + 1) * runs) for i, (_, _, rng) in enumerate(rows)]
-    eta_by_step = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1)).tolist()
-    table = game.count_table()
-    gains = _gains_table(game, normalize=False)
-
-    def strategies(cum_gain: np.ndarray, cum_eta: float) -> np.ndarray:
-        # with lam = 0 this is log x0 + cum_gain, byte for byte
-        reg = lam * cum_eta
-        return softmax_rows((log_x0 + cum_gain + reg * log_x0) / (1.0 + reg))
-
-    cum_gain = np.zeros(log_x0.shape)
-    counts = np.empty(log_x0.shape, dtype=np.int64)
-    cum_eta = 0.0
-    for eta_t in eta_by_step:
-        x = strategies(cum_gain, cum_eta)
-        for rng, lo, hi in slices:
-            counts[lo:hi] = rng.multinomial(game.n - 1, x[lo:hi])
-        cum_gain += eta_t * gains.take(table.rows(counts), axis=0)
-        cum_eta += eta_t
-    return np.split(strategies(cum_gain, cum_eta), len(rows))
+        roster.append((0.0 if mode == "scratch" else log_y, lam if mode == "regularized" else 0.0, rng, None))
+    return train_roster(game, T, runs, eta, roster)
 
 
 def batch_self_play(
@@ -513,24 +524,9 @@ def batch_exploiter(
     eta: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Final strategies of `runs` exploiter runs against a fixed target.
-
-    The exploiter is one mixed strategy shared by all n-1 opponents.  Each
-    round every run draws the target's action, then its opponents' counts
-    from its current strategy, and takes a hedge step on its gain table row.
-    """
-    cdf = action_cdf(np.asarray(target, dtype=float))
-    gains, table = exploiter_gain_table(game), game.count_table()
-    K = gains.shape[1]
-    flat = gains.reshape(-1, game.A)  # row a1 * K + k is gains[a1, k]
-    eta_by_step = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1)).tolist()
-    log_w = np.zeros((runs, game.A))
-    for eta_t in eta_by_step:
-        x = softmax_rows(log_w)
-        a1 = actions_from_cdf(cdf, rng.random(runs))
-        counts = rng.multinomial(game.n - 1, x)
-        log_w += eta_t * flat.take(a1 * K + table.rows(counts), axis=0)
-    return softmax_rows(log_w)
+    """Final strategies of `runs` exploiter runs against a fixed target: the
+    one-row train_roster."""
+    return train_roster(game, T, runs, eta, [(0.0, 0.0, rng, target)])[0]
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,23 @@
 """Experiment reproduction: convergence tables, utility and exploitability
 evaluation, lower-bound sweeps, and the scaling fit.
 
-The table experiments need hundreds of seeded training runs; they use the
-batched trainers of `learners` (every run advances in lockstep, one numpy
-Generator drives the whole batch), and `analysis.exploitability`'s exploiter
-protocol.  The tests replay each trainer's rule round by round to
-cross-check it, as they do for the whole-match forms behind
-`arena.run_matches`.
+The table experiments need hundreds of seeded training runs, advanced in
+lockstep by the batched trainers of `learners`, each row of a table on its
+own generators: one `self_play_roster` call trains the self-play rows, and
+one `analysis.exploiter_protocol` call every row's exploiters.  The tests
+replay each trainer's rule round by round to cross-check it, as they do
+for the whole-match forms behind `arena.run_matches`.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import exploitability, monte_carlo_utility
+from .analysis import exploiter_protocol, exploitability, monte_carlo_utility
 from .arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
 from .games import SymmetricGame, payoff_vector
 # batch_exploiter and batch_self_play are not called here; callers of reproduce.batch_* still import them from here.
@@ -30,9 +31,7 @@ SCALING_V_BUDGET = 8.0  # variation budget of the scaling fit's biased-coin sche
 def classify(finals: np.ndarray) -> np.ndarray:
     """Pure-strategy label per run: argmax when its mass clears
     CONVERGENCE_THRESHOLD, else -1 for unconverged."""
-    top = finals.max(axis=1)
-    labels = finals.argmax(axis=1)
-    return np.where(top >= CONVERGENCE_THRESHOLD, labels, -1)
+    return np.where(finals.max(axis=1) >= CONVERGENCE_THRESHOLD, finals.argmax(axis=1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +120,7 @@ class RunReport:
 
 
 def _limit_shares(labels: np.ndarray, A: int) -> dict[str, float]:
-    shares = {}
-    for a in range(A):
-        shares[f"pure_{a}"] = float(np.mean(labels == a))
+    shares = {f"pure_{a}": float(np.mean(labels == a)) for a in range(A)}
     shares["unconverged"] = float(np.mean(labels < 0))
     return shares
 
@@ -155,8 +152,10 @@ def run_table_experiment(
     Self-play rows are evaluated at their worst observed limit, mirroring
     the worst-case reading of multi-limit convergence; hedge converges to a
     single limit so its worst limit is its only one.  Every row has its own
-    generators, seeded by its label, so the self-play rows train together
-    in one self_play_roster call before any row is evaluated.
+    generators, seeded by its label, so the self-play rows train in one
+    self_play_roster call and, once every row is classified, all their
+    exploiters in one exploiter_protocol call.  The exact utility and grid
+    exploitability are computed once per distinct worst action.
     """
     if eval_repeats < 2:
         raise ValueError(f"a std over eval repeats needs at least two repeats, got {eval_repeats}")
@@ -170,35 +169,31 @@ def run_table_experiment(
                                self_play_roster(game, sp_horizon, runs, eta, sp_rows, y_meta)))
     finals_by_label["hedge"] = batch_hedge_vs_fixed(game, y_meta, hedge_horizon, runs, eta, train["hedge"])
     horizons = {label: hedge_horizon if label == "hedge" else sp_horizon for label, _ in roster()}
+    payoffs = payoff_vector(game, y_meta)
+    grid_value = functools.cache(lambda a: float(exploitability(game, np.eye(game.A)[a], method="grid")[0]))
     rows = []
     for label, _ in roster():
-        _, ss_eval, ss_exp = seeds[label]
         finals = finals_by_label[label]
         labels = classify(finals)
-        shares = _limit_shares(labels, game.A)
-        result = AlgorithmResult(label, finals, labels, shares)
-
+        result = AlgorithmResult(label, finals, labels, _limit_shares(labels, game.A))
         converged = labels[labels >= 0]
         if converged.size:
             # worst converged limit by exact utility against the meta-strategy
-            payoffs = payoff_vector(game, y_meta)
             utils = {a: float(payoffs[a]) for a in sorted(set(int(v) for v in converged))}
             worst_action = min(utils, key=utils.get)
-            worst = np.zeros(game.A)
-            worst[worst_action] = 1.0
-            result.worst_limit = worst
+            result.worst_limit = np.eye(game.A)[worst_action]
             result.exact_utility = utils[worst_action]
-            eval_rng = np.random.default_rng(ss_eval)
-            estimates = [
-                monte_carlo_utility(game, worst, y_meta, eval_games, eval_rng)[0]
-                for _ in range(eval_repeats)
-            ]
+            eval_rng = np.random.default_rng(seeds[label][1])
+            estimates = [monte_carlo_utility(game, result.worst_limit, y_meta, eval_games, eval_rng)[0]
+                         for _ in range(eval_repeats)]
             result.mc_utility = (float(np.mean(estimates)), float(np.std(estimates, ddof=1)))
-            result.exploit_protocol = exploitability(
-                game, worst, method="exploiter", runs=exploit_runs, steps=exploit_steps, eta=eta, seed=ss_exp
-            )[0]
-            result.exploit_exact = float(exploitability(game, worst, method="grid")[0])
+            result.exploit_exact = grid_value(worst_action)
         rows.append(result)
+    exploited = [r for r in rows if r.worst_limit is not None]
+    protocol = exploiter_protocol(game, [r.worst_limit for r in exploited], [seeds[r.label][2] for r in exploited],
+                                  exploit_runs, exploit_steps, eta)
+    for result, (value, _) in zip(exploited, protocol):
+        result.exploit_protocol = value
     return RunReport(
         name,
         game.name,

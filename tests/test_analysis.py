@@ -18,6 +18,7 @@ from equalshare.analysis import (
     check_equilibrium,
     default_resolution,
     exploitability,
+    exploiter_protocol,
     minimax_identical,
     minimax_independent,
     monte_carlo_utility,
@@ -413,6 +414,23 @@ def test_exploiter_value_is_never_positive_on_a_flat_start():
     value, worst = exploitability(eq.sdg(200), [0, 1, 0], method="exploiter", runs=2, steps=300, seed=0)
     assert value <= 0.0
     assert worst.shape == (3,) and abs(worst.sum() - 1.0) < 1e-9
+
+
+def test_exploiter_protocol_targets_are_their_one_target_calls():
+    # several targets, each on its own seed, trained in one call, give each
+    # target's exploitability(method="exploiter") value and strategy
+    targets = [[0.0, 1.0, 0.0], [0.2, 0.5, 0.3], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    seeds = [3, np.random.SeedSequence(7), 5, 3]
+    got = exploiter_protocol(SDG30, targets, seeds, 6, 200, 2.0)
+    assert len(got) == len(targets)
+    for (value, y), x, seed in zip(got, targets, seeds):
+        want_value, want_y = exploitability(SDG30, x, method="exploiter", runs=6, steps=200, eta=2.0, seed=seed)
+        assert (value, y.tobytes()) == (want_value, want_y.tobytes()), x
+
+
+def test_exploiter_protocol_needs_one_seed_per_target():
+    with pytest.raises(ValueError):
+        exploiter_protocol(MV, [[0.5, 0.5], [1.0, 0.0]], [0], 2, 10, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,25 @@ def test_analyze_equilibrium_product(capsys):
     assert rc == EXIT_INVARIANT
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_analyze_equilibrium_refuses_a_tolerance_outside_zero_to_infinity(tol, capsys):
+    # the product is an equilibrium of majority3; NaN and -1 used to fail
+    # it (exit 3) and inf would pass any input
+    rc = run_cli("analyze", "equilibrium", "--game", "majority3", "--concept", "ne",
+                 "--product", "0.5,0.5;0.5,0.5;0.5,0.5", "--tol", tol)
+    assert rc == EXIT_CONFIG
+    assert "tol must be finite and non-negative" in capsys.readouterr().err
+
+
+def test_analyze_minimax_independent_names_its_player_limit(capsys):
+    # the n = 3 limit is checked before the grid-size cap, whose message
+    # would name a grid the search never runs
+    rc = run_cli("analyze", "minimax", "--game", "sdg", "--n", "4", "--which", "maxmin-independent")
+    assert rc == EXIT_SIZE_CAP
+    err = capsys.readouterr().err
+    assert "supports n = 3 only" in err and "grid points" not in err
+
+
 def test_analyze_pooling(tmp_path, capsys):
     pop_path = tmp_path / "pop.json"
     pop_path.write_text(json.dumps([[1, 0], [1, 0], [0, 1], [0, 1]]))

@@ -30,6 +30,7 @@ from equalshare.learners import (
     saol_observe,
     saol_strategies,
     self_play_roster,
+    train_roster,
 )
 from equalshare import learners
 
@@ -422,6 +423,66 @@ def test_a_bad_roster_row_is_refused_before_any_row_draws(bad, y_meta):
     rows = [("scratch", 0.0, rngs[0]), ("scratch", 0.0, rngs[1]), (*bad, rngs[2])]
     with pytest.raises(ValueError):
         self_play_roster(eq.majority3(), 10, 2, 1.0, rows, y_meta)
+    assert [rng.bit_generator.state for rng in rngs] == before
+
+
+EXPLOITER_TARGETS = {
+    "majority3": [[0.3, 0.7], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.9, 0.1]],
+    "sdg30": [[0.0, 1.0, 0.0], [0.2, 0.5, 0.3], [0.399, 0.6, 0.001], [0.0, 0.0, 1.0]],
+    "em64": [[0.5, 0.5, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.0, 0.0, 0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+@pytest.mark.parametrize(
+    "name, game, eta",
+    [("majority3", eq.majority3(), 1.0), ("sdg30", eq.sdg(30), 2.0), ("em64", eq.extended_majority(6, 4), 1.0)],
+    ids=["majority3", "sdg30", "em64"],
+)
+def test_exploiter_rows_are_their_one_row_calls(name, game, eta, order):
+    # exploiter rows trained together have the finals, and leave each
+    # generator where batch_exploiter against that target alone does
+    T, runs = 120, 5
+    rows = [(target, 60 + i) for i, target in enumerate(EXPLOITER_TARGETS[name])]
+    if order == "reversed":
+        rows = rows[::-1]
+    rngs = [np.random.default_rng(seed) for _, seed in rows]
+    finals = train_roster(game, T, runs, eta, [(0.0, 0.0, rng, np.array(target)) for (target, _), rng in zip(rows, rngs)])
+    assert len(finals) == len(rows)
+    for (target, seed), got, rng in zip(rows, finals, rngs):
+        alone = np.random.default_rng(seed)
+        want = batch_exploiter(game, np.array(target), T, runs, eta, alone)
+        assert got.shape == (runs, game.A)
+        assert got.tobytes() == want.tobytes(), target
+        assert rng.random(4).tobytes() == alone.random(4).tobytes(), target
+
+
+def test_a_roster_of_self_play_and_exploiter_rows_is_refused_before_any_draw():
+    rngs = [np.random.default_rng(i) for i in range(2)]
+    before = [rng.bit_generator.state for rng in rngs]
+    rows = [(0.0, 0.0, rngs[0], None), (0.0, 0.0, rngs[1], np.array([0.5, 0.5]))]
+    for mixed in (rows, rows[::-1]):
+        with pytest.raises(ValueError, match="not both"):
+            train_roster(eq.majority3(), 10, 2, 1.0, mixed)
+    assert [rng.bit_generator.state for rng in rngs] == before
+
+
+@pytest.mark.parametrize(
+    "target",
+    [[0.2, 0.2], [math.nan, 1.0], [0.2, 0.3, 0.5], [1.5, -0.5]],
+    ids=["short-sum", "nan", "three-entries", "negative"],
+)
+def test_a_bad_exploiter_target_is_refused_before_any_row_draws(target):
+    # the bad target comes last, so the rows before it would have drawn
+    # first; batch_exploiter, its one-row call, refuses it too
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    before = [rng.bit_generator.state for rng in rngs]
+    rows = [(0.0, 0.0, rngs[0], np.array([0.5, 0.5])), (0.0, 0.0, rngs[1], np.array([1.0, 0.0])),
+            (0.0, 0.0, rngs[2], np.array(target))]
+    with pytest.raises(ValueError):
+        train_roster(eq.majority3(), 10, 2, 1.0, rows)
+    with pytest.raises(ValueError):
+        batch_exploiter(eq.majority3(), np.array(target), 10, 2, 1.0, rngs[0])
     assert [rng.bit_generator.state for rng in rngs] == before
 
 

@@ -17,7 +17,6 @@ from .games import (
     payoff_vectors_batch,
     sdg,
     validate,
-    validate_dense,
 )
 from .learners import LearnerSpec, RateSchedule
 from .arena import (

@@ -2,19 +2,20 @@
 exploitability, population pooling, Monte Carlo utilities.
 
 Everything here is a verifier or a grid search, not a solver: candidate
-strategies and simplex grids are measured, and the pooling check averages
-over opponent subsets exactly by a recursion over count vectors.  Inner
+strategies and simplex grids are measured.  The pooling check and Nash
+verification build the exact count-vector law of a set of opponents by
+seating one opponent at a time (`_seater`), so both reach any n.  Inner
 maximizations over the learner's own strategy are always exact over pure
 actions (the payoff is linear in it), so only opponent variables get
 gridded.  The grid oracles (minimax, grid exploitability) share one search,
 `_grid_search`: a scan of the simplex grid, then one rescan at 10x
 resolution around its first minimum.  Both maxmin quantities run one
-row-chunked scan, `_maxmin`, and NE, CE and CCE read one deviation table.
+row-chunked scan, `_maxmin`.  CE and CCE, whose joints are dense by
+nature, read one deviation table over the dense payoff tensors.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,11 +23,11 @@ import numpy as np
 
 from .games import (
     MAX_ARRAY_ENTRIES,
-    DenseGame,
     SizeCapExceeded,
     SymmetricGame,
     as_strategy,
     compositions,
+    dense_from_symmetric,
     expected_payoff_mixed,
     map_row_chunks,
     num_compositions,
@@ -189,7 +190,34 @@ def minimax_independent(
 
 
 # ---------------------------------------------------------------------------
-# Equilibrium verification on dense games.
+# Count-vector laws of independent opponents.
+# ---------------------------------------------------------------------------
+
+def _seater(game: SymmetricGame):
+    """seat(F, j, p): the count-vector law of j opponents, from F, the law of
+    j-1 of them, and one more opponent playing p.
+
+    A law of j opponents lives on count_table()'s last K_j rows (j
+    opponents, n-1-j added to the first count), so one map seats an
+    opponent at every level j <= n-1.  Refused (SizeCapExceeded) before
+    anything is built when the levels' entries exceed MAX_ARRAY_ENTRIES."""
+    n, A = game.n, game.A
+    sizes = [num_compositions(j, A) for j in range(n)]
+    if sum(sizes) > MAX_ARRAY_ENTRIES:
+        raise SizeCapExceeded(f"count-vector levels of {sum(sizes)} entries exceed the cap of {MAX_ARRAY_ENTRIES}")
+    table = game.count_table()
+    below = table.counts[len(table.counts) - sizes[n - 2]:]  # first count >= 1
+    seat_map = table.rows(below[:, None, :] + np.eye(A, dtype=np.int64) - np.eye(A, dtype=np.int64)[0])
+
+    def seat(law: np.ndarray, j: int, p: np.ndarray) -> np.ndarray:
+        targets = seat_map[len(seat_map) - sizes[j - 1]:] - (sizes[-1] - sizes[j])
+        return np.bincount(targets.ravel(), weights=(law[:, None] * p).ravel(), minlength=sizes[j])
+
+    return seat
+
+
+# ---------------------------------------------------------------------------
+# Equilibrium verification.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -206,41 +234,47 @@ class EquilibriumReport:
         return f"{self.concept}: epsilon={self.epsilon:.3g} -> {'pass' if self.verdict else 'FAIL'} at tol {self.tol:g}"
 
 
-def check_equilibrium(dense: DenseGame, dist, concept: str, tol: float = 1e-9) -> EquilibriumReport:
+def check_equilibrium(game: SymmetricGame, dist, concept: str, tol: float = 1e-9) -> EquilibriumReport:
     """Verify a candidate equilibrium.
 
-    concept "ne": dist must be a list of per-player strategies (product
-    distribution); epsilon is the largest unilateral deviation gain.
-    concept "ce" / "cce": dist is a joint array over A^n; "ce" conditions
-    the deviation on the recommended action (skipping zero-probability
-    recommendations), "cce" does not.
-
-    One deviation table per player i serves all three: with i's action
-    first, gain[a, b] = sum_r p[a, r] (u_i[b, r] - u_i[a, r]).  CCE takes
-    its largest column sum, CE its largest entry over its row's mass, and
-    NE is the CCE of the product joint.
+    concept "ne": dist is one strategy per player, shape (n, A) (a product
+    distribution); epsilon is the largest unilateral deviation gain.  It is
+    computed in count form at any n: player i's payoff vector is
+    payoff_matrix() @ F_i, F_i the count-vector law of the other n-1
+    players, seated one at a time (O(n^2 K A) work).
+    concept "ce" / "cce": dist is a joint array over A^n, checked on the
+    dense tensors (dense_from_symmetric, so n <= DENSE_MAX_PLAYERS); "ce"
+    conditions the deviation on the recommended action (skipping
+    zero-probability recommendations), "cce" does not.  One deviation table
+    per player i serves both: with i's action first, gain[a, b] =
+    sum_r p[a, r] (u_i[b, r] - u_i[a, r]).  CCE takes its largest column
+    sum, CE its largest entry over its row's mass.
     """
     if not 0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
-    n, A = dense.n, dense.A
+    n, A = game.n, game.A
     concept = concept.lower()
-    if concept == "ne":
-        if isinstance(dist, np.ndarray) and dist.ndim == n:
-            raise ValueError("Nash verification needs a product distribution (one strategy per player)")
-        strategies = [as_strategy(x, A) for x in dist]
-        if len(strategies) != n:
-            raise ValueError(f"need {n} strategies, got {len(strategies)}")
-        joint = functools.reduce(np.multiply.outer, strategies)
-    else:
-        joint = np.asarray(dist, dtype=float)
-        if joint.shape != (A,) * n:
-            raise ValueError(f"joint distribution must have shape {(A,) * n}")
-        if not (abs(joint.sum() - 1.0) <= 1e-9 and np.all(joint >= 0)):  # NaN fails both
-            raise ValueError("joint distribution must be a probability array")
-        if concept not in ("ce", "cce"):
-            raise ValueError(f"concept must be ne/ce/cce, got {concept!r}")
-
     eps = 0.0
+    if concept == "ne":
+        if np.shape(dist) != (n, A):
+            raise ValueError(f"Nash verification needs one strategy per player, shape {(n, A)}; got {np.shape(dist)}")
+        strategies = [as_strategy(x, A) for x in dist]
+        seat, mat = _seater(game), game.payoff_matrix()
+        for i in range(n):
+            law = np.ones(1)
+            for j, p in enumerate(strategies[:i] + strategies[i + 1:], start=1):
+                law = seat(law, j, p)
+            u = mat @ law
+            eps = max(eps, float(u.max() - strategies[i] @ u))
+        return EquilibriumReport(concept, eps, tol)
+    if concept not in ("ce", "cce"):
+        raise ValueError(f"concept must be ne/ce/cce, got {concept!r}")
+    dense = dense_from_symmetric(game)
+    joint = np.asarray(dist, dtype=float)
+    if joint.shape != (A,) * n:
+        raise ValueError(f"joint distribution must have shape {(A,) * n}")
+    if not (abs(joint.sum() - 1.0) <= 1e-9 and np.all(joint >= 0)):  # NaN fails both
+        raise ValueError("joint distribution must be a probability array")
     for i in range(n):
         p = np.moveaxis(joint, i, 0).reshape(A, -1)
         u = np.moveaxis(dense.utilities[i], i, 0).reshape(A, -1)
@@ -334,29 +368,20 @@ def pooling_check(game: SymmetricGame, population, z) -> PoolingReport:
     The payoff depends only on the opponents' count vector, so the average
     is one over (n-1)-subsets.  F[j], the count-vector law of j opponents
     over the j-subsets of the first i members, steps per member as F[j] =
-    ((i-j) F[j] + j seat(F[j-1], p_i)) / i, seat adding an opponent playing
-    p_i: O(N n K A) work.  F[j] lives on count_table()'s last K_j rows (j
-    opponents, n-1-j added to the first count), so one map seats an
-    opponent at every level.  Refused (SizeCapExceeded) before anything is
-    built when the levels' entries exceed MAX_ARRAY_ENTRIES.
+    ((i-j) F[j] + j seat(F[j-1], j, p_i)) / i: O(N n K A) work.  Refused
+    (SizeCapExceeded) before anything is built when the levels' entries
+    exceed MAX_ARRAY_ENTRIES.
     """
     pop = [as_strategy(p, game.A) for p in population]
     zv = as_strategy(z, game.A)
-    N, n, A = len(pop), game.n, game.A
+    N, n = len(pop), game.n
     if N < n - 1:
         raise ValueError(f"population of {N} cannot seat {n - 1} opponents without replacement")
-    sizes = [num_compositions(j, A) for j in range(n)]
-    if sum(sizes) > MAX_ARRAY_ENTRIES:
-        raise SizeCapExceeded(f"pooling levels of {sum(sizes)} entries exceed the cap of {MAX_ARRAY_ENTRIES}")
-    table = game.count_table()
-    below = table.counts[len(table.counts) - sizes[n - 2]:]  # first count >= 1
-    seat_map = table.rows(below[:, None, :] + np.eye(A, dtype=np.int64) - np.eye(A, dtype=np.int64)[0])
-    levels = [np.ones(1)] + [np.zeros(k) for k in sizes[1:]]
+    seat = _seater(game)
+    levels = [np.ones(1)] + [0.0] * (n - 1)  # level j is an array once member j is seated
     for i, p in enumerate(pop, start=1):
         for j in range(min(i, n - 1), 0, -1):
-            targets = seat_map[len(seat_map) - sizes[j - 1]:] - (sizes[-1] - sizes[j])
-            seated = np.bincount(targets.ravel(), weights=(levels[j - 1][:, None] * p).ravel(), minlength=sizes[j])
-            levels[j] = ((i - j) * levels[j] + j * seated) / i
+            levels[j] = ((i - j) * levels[j] + j * seat(levels[j - 1], j, p)) / i
     lhs = float(zv @ game.payoff_matrix() @ levels[-1])
     gap = abs(lhs - expected_payoff_mixed(game, zv, np.mean(pop, axis=0)))
     bound = 2.0 * (n - 2) ** 2 / N

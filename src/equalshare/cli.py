@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Verbs:
-  verify     structural invariants of a game (zero-sum, symmetry)
+  verify     the zero-sum identity of a game over every full action profile
   simulate   seeded learner-vs-schedule sweeps from a config file
   reproduce  the packaged experiments: mv | sdg | lowerbound | scaling
   analyze    minimax | equilibrium | exploitability | pooling oracles
@@ -27,18 +27,7 @@ import numpy as np
 from . import analysis
 from .arena import compute_metrics, run_matches
 from .config import ConfigError, load_config
-from .games import (
-    DENSE_MAX_ACTIONS,
-    DENSE_MAX_PLAYERS,
-    SizeCapExceeded,
-    SymmetricGame,
-    as_strategy,
-    dense_from_symmetric,
-    extended_majority,
-    load_game,
-    validate,
-    validate_dense,
-)
+from .games import SizeCapExceeded, SymmetricGame, as_strategy, extended_majority, load_game, validate
 from .reproduce import SCALING_V_BUDGET, fit_scaling_exponent, lowerbound_sweep, mv_table, sdg_table
 
 EXIT_OK = 0
@@ -126,12 +115,7 @@ def cmd_verify(args) -> int:
     game = _load_cli_game(args)
     report = validate(game)
     print(report)
-    ok = report.passed
-    if game.n <= DENSE_MAX_PLAYERS and game.A <= DENSE_MAX_ACTIONS:
-        dense_report = validate_dense(dense_from_symmetric(game))
-        print(dense_report)
-        ok = ok and dense_report.passed
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return EXIT_OK if report.passed else EXIT_INVARIANT
 
 
 def cmd_simulate(args) -> int:
@@ -239,15 +223,13 @@ def cmd_exploitability(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     game = _load_cli_game(args)
-    dense = dense_from_symmetric(game)
     if args.product is not None:
         dist = [as_strategy([float(v) for v in part.split(",")], game.A) for part in args.product.split(";")]
     else:
-        arr = _json_array(args.dist, "--dist")
-        dist = arr if args.concept != "ne" else [as_strategy(row, game.A) for row in arr]
-    report = analysis.check_equilibrium(dense, dist, args.concept, tol=args.tol)
-    _document(args, f"equilibrium:{args.concept}", report.epsilon, {"verdict": bool(report.verdict)},
-              args.tol, "exact tensor contraction")
+        dist = _json_array(args.dist, "--dist")
+    report = analysis.check_equilibrium(game, dist, args.concept, tol=args.tol)
+    method = "exact count form (opponent count-vector laws)" if args.concept == "ne" else "exact tensor contraction"
+    _document(args, f"equilibrium:{args.concept}", report.epsilon, {"verdict": bool(report.verdict)}, args.tol, method)
     print(report)
     return EXIT_OK if report.verdict else EXIT_INVARIANT
 

@@ -136,12 +136,14 @@ class CountTable:
 
     @classmethod
     def build(cls, total: int, num_actions: int) -> "CountTable":
-        size = (total + 1) ** (num_actions - 1)
-        if size > MAX_ARRAY_ENTRIES:
+        # past 26 actions the index exceeds the cap for any total >= 1, so the
+        # exponent is clamped there: a huge A forms no huge integer power
+        if (total + 1) ** min(num_actions - 1, 26) > MAX_ARRAY_ENTRIES:
             raise SizeCapExceeded(
-                f"count index of {size} entries for total {total}, {num_actions} actions "
+                f"count index of {total + 1}^{num_actions - 1} entries for total {total}, {num_actions} actions "
                 f"exceeds the cap of {MAX_ARRAY_ENTRIES}"
             )
+        size = (total + 1) ** (num_actions - 1)
         counts = compositions(total, num_actions)
         # log c! for every count c a row can hold, looked up rather than evaluated per entry
         log_factorial = np.array([math.lgamma(c + 1.0) for c in range(total + 1)])
@@ -318,15 +320,17 @@ def validate(game: SymmetricGame) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Dense joint-action form, for equilibrium verification on small games.
+# Dense joint-action form, for CE and CCE verification on small games.
 # ---------------------------------------------------------------------------
 
 @dataclass
 class DenseGame:
-    """Full payoff tensors U_i over joint actions, one per player.
+    """Full payoff tensors U_i over joint actions, one per player: the form
+    that CE and CCE verification reads, since their joint distributions are
+    dense by nature.  Nash verification and validate stay in count form.
 
-    utilities has shape (n, A, ..., A) with n trailing action axes.
-    Only intended for n <= 4.
+    utilities has shape (n, A, ..., A) with n trailing action axes;
+    dense_from_symmetric builds it for n <= DENSE_MAX_PLAYERS only.
     """
 
     n: int
@@ -339,25 +343,6 @@ class DenseGame:
             raise DimensionError(
                 f"utilities shape {self.utilities.shape}, expected {expected}"
             )
-
-
-@dataclass(frozen=True)
-class DenseValidationReport:
-    zero_sum: bool
-    symmetric: bool
-    worst_zero_sum: float
-    worst_symmetry: float
-
-    @property
-    def passed(self) -> bool:
-        return self.zero_sum and self.symmetric
-
-    def __str__(self):
-        return (
-            f"dense check: zero-sum {'pass' if self.zero_sum else 'FAIL'} "
-            f"(worst {self.worst_zero_sum:.3g}), symmetry "
-            f"{'pass' if self.symmetric else 'FAIL'} (worst {self.worst_symmetry:.3g})"
-        )
 
 
 # The largest games dense_from_symmetric expands: A^n joint actions per player.
@@ -380,32 +365,6 @@ def dense_from_symmetric(game: SymmetricGame) -> DenseGame:
         for i in range(n)
     ])
     return DenseGame(n, A, util.reshape((n,) + (A,) * n))
-
-
-def validate_dense(dense: DenseGame, tol: float = 1e-9) -> DenseValidationReport:
-    """Check the zero-sum and permutation-symmetry conditions on tensors."""
-    import itertools
-
-    total = dense.utilities.sum(axis=0)
-    worst_zs = float(np.max(np.abs(total)))
-
-    worst_sym = 0.0
-    n = dense.n
-    for sigma in itertools.permutations(range(n)):
-        # A symmetric game satisfies U_i(a_1..a_n) = U_{sigma^-1(i)}(a_sigma(1)..a_sigma(n)).
-        # With numpy's transpose convention, composing indices with sigma
-        # means passing the inverse permutation as axes.
-        inv = [0] * n
-        for pos, p in enumerate(sigma):
-            inv[p] = pos
-        for i in range(n):
-            permuted = np.transpose(dense.utilities[inv[i]], axes=inv)
-            diff = float(np.max(np.abs(dense.utilities[i] - permuted)))
-            worst_sym = max(worst_sym, diff)
-    scale = float(np.max(np.abs(dense.utilities))) or 1.0
-    return DenseValidationReport(
-        worst_zs <= tol * scale, worst_sym <= tol * scale, worst_zs, worst_sym
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -621,27 +580,24 @@ def game_from_json(doc: dict) -> SymmetricGame:
     spec = json_field(doc, "custom", dict)
     check_fields(spec, ("n", "A", "payoff_table"), "a custom game")
     n, A = json_field(spec, "n", int), json_field(spec, "A", int)
-    table = {}
-    for key, value in json_field(spec, "payoff_table", dict).items():
-        a_str, counts_str = key.split("|")
-        a, counts = int(a_str), tuple(int(v) for v in counts_str.split(","))
-        # game_to_json's spelling only, so no key can stand in for another
-        canonical = f"{a}|{','.join(map(str, counts))}"
-        if key != canonical or not 0 <= a < A or len(counts) != A or min(counts) < 0 or sum(counts) != n - 1:
-            raise ValueError(f"bad payoff key {key!r} for n={n}, A={A}: want a|c0,...,c{A - 1} "
-                             f"with 0 <= a < {A} and counts >= 0 summing to {n - 1}")
+    entries = json_field(spec, "payoff_table", dict)
+    for key, value in entries.items():
         if not (is_json(value, float) and math.isfinite(value)):
             raise ValueError(f"payoff {key!r} must be a finite JSON number, got {value!r}")
-        table[(a, counts)] = float(value)
-
-    def pay(a: int, counts: tuple[int, ...]) -> float:
-        try:
-            return table[(a, counts)]
-        except KeyError:
-            raise ValueError(f"payoff table missing entry for action {a}, counts {counts}")
-
-    scale = max(abs(v) for v in table.values()) or 1.0
-    return SymmetricGame("custom", n, A, pay, scale, kind="custom")
+    table = {}  # filled from entries once every key is checked, before the game is returned
+    game = SymmetricGame("custom", n, A, lambda a, counts: table[(a, counts)],
+                         max(map(abs, entries.values()), default=0.0) or 1.0)
+    # game_to_json's keys in its order, one spelling per entry, so no key can stand in for another
+    keys = {f"{a}|{','.join(map(str, c))}": (a, tuple(c)) for a in range(A) for c in game.count_table().counts.tolist()}
+    for key in entries:
+        if key not in keys:
+            raise ValueError(f"bad payoff key {key!r} for n={n}, A={A}: want a|c0,...,c{A - 1} "
+                             f"with 0 <= a < {A} and counts >= 0 summing to {n - 1}")
+    for key in keys:
+        if key not in entries:
+            raise ValueError(f"payoff table for n={n}, A={A} has no entry {key!r}")
+    table.update((keys[key], float(value)) for key, value in entries.items())
+    return game
 
 
 def load_game(path_or_name: str, **params) -> SymmetricGame:

@@ -32,7 +32,6 @@ from equalshare.games import (
     dense_from_symmetric,
     expected_payoff_mixed,
     validate,
-    validate_dense,
 )
 from equalshare.learners import LearnerSpec
 from equalshare.reproduce import (
@@ -43,6 +42,7 @@ from equalshare.reproduce import (
 )
 
 from test_analysis import enumerated_pooling_gap  # the pooling recursion's reference
+from test_games import validate_dense  # validate's dense reference
 
 MV = eq.majority3()
 Y_MV = np.array([0.49, 0.51])
@@ -347,9 +347,8 @@ def test_c9_structural_invariants():
         vals = np.einsum("ya,ya->y", ys, eq.payoff_vectors_batch(game, ys))
         assert np.max(np.abs(vals)) <= 1e-9 * game.scale, game.name
 
-    dense = dense_from_symmetric(MV)
     for profile in ([[1, 0]] * 3, [[0, 1]] * 3, [[0.5, 0.5]] * 3):
-        report = check_equilibrium(dense, profile, "ne")
+        report = check_equilibrium(MV, profile, "ne")
         assert report.epsilon <= 1e-12
 
 

@@ -143,6 +143,7 @@ def test_payoff_matrix_is_the_only_reader_of_the_payoff_function():
         validate(game)
         if game.n <= 4:
             dense_from_symmetric(game)
+        check_equilibrium(game, [np.full(game.A, 1.0 / game.A)] * game.n, "ne")
         try:
             minimax_independent(game)
         except SizeCapExceeded:
@@ -256,28 +257,71 @@ def test_grid_oracles_equal_the_per_oracle_search(make):
 # ---------------------------------------------------------------------------
 
 def test_nash_verification_on_majority():
-    dense = dense_from_symmetric(MV)
     for profile in ([[1, 0]] * 3, [[0, 1]] * 3, [[0.5, 0.5]] * 3):
-        report = check_equilibrium(dense, profile, "ne")
+        report = check_equilibrium(MV, profile, "ne")
         assert report.verdict and report.epsilon <= 1e-12
     # mixed-but-not-uniform is not an equilibrium
-    report = check_equilibrium(dense, [[0.9, 0.1]] * 3, "ne")
+    report = check_equilibrium(MV, [[0.9, 0.1]] * 3, "ne")
     assert not report.verdict
 
 
 def test_nash_rejects_joint_distribution_input():
-    dense = dense_from_symmetric(MV)
     joint = np.full((2, 2, 2), 1 / 8)
-    with pytest.raises(ValueError):
-        check_equilibrium(dense, joint, "ne")
+    with pytest.raises(ValueError, match=r"shape \(3, 2\); got \(2, 2, 2\)"):
+        check_equilibrium(MV, joint, "ne")
+
+
+def test_two_player_nash_takes_an_array_profile():
+    # with n = 2 an (n, A) array has as many axes as a joint: it is still a profile
+    game = eq.sdg(2)
+    profile = np.full((2, 3), 1 / 3)
+    report = check_equilibrium(game, profile, "ne")
+    assert report.epsilon == check_equilibrium(game, profile.tolist(), "ne").epsilon
+    u = eq.payoff_vector(game, profile[1])
+    assert report.epsilon == pytest.approx(u.max() - profile[0] @ u, abs=1e-15)
+    with pytest.raises(ValueError, match=r"shape \(2, 3\); got \(3, 3\)"):
+        check_equilibrium(game, np.full((3, 3), 1 / 3), "ne")
+
+
+@pytest.mark.parametrize("make", [lambda: eq.sdg(30), lambda: eq.extended_majority(30, 2),
+                                  lambda: eq.extended_majority(7, 4), lambda: eq.sdg(9)],
+                         ids=["sdg30", "extended_majority30_2", "extended_majority7_4", "sdg9"])
+def test_nash_at_any_n_equals_the_payoff_vector_on_identical_profiles(make):
+    # every player on y: each faces n-1 i.i.d. opponents, whose payoff
+    # vector payoff_vector gives directly
+    game = make()
+    rng = np.random.default_rng(game.n * 10 + game.A)
+    for y in [*rng.dirichlet(np.ones(game.A), size=5), np.eye(game.A)[0]]:
+        u = eq.payoff_vector(game, y)
+        got = check_equilibrium(game, [y] * game.n, "ne").epsilon
+        assert abs(got - max(0.0, u.max() - y @ u)) <= 1e-12 * game.scale, (game.name, y)
+
+
+@pytest.mark.parametrize("make", [lambda: eq.sdg(30), lambda: eq.extended_majority(7, 4), lambda: eq.sdg(9)],
+                         ids=["sdg30", "extended_majority7_4", "sdg9"])
+def test_nash_on_pure_profiles_equals_the_payoff_matrix_lookups(make):
+    game = make()
+    mat, table = game.payoff_matrix(), game.count_table()
+    rng = np.random.default_rng(game.n + game.A)
+    for _ in range(10):
+        actions = rng.integers(game.A, size=game.n)
+        want = 0.0
+        for i in range(game.n):
+            u = mat[:, table.index(np.bincount(np.delete(actions, i), minlength=game.A))]
+            want = max(want, float(u.max() - u[actions[i]]))
+        got = check_equilibrium(game, np.eye(game.A)[actions], "ne").epsilon
+        assert got == want, (game.name, actions)
+    # everyone on C, with no A in play, is a pure equilibrium of sdg
+    if game.kind == "sdg":
+        assert check_equilibrium(game, [[0, 0, 1]] * game.n, "ne").epsilon == 0.0
 
 
 def test_correlated_two_atom_distribution():
     dense = dense_from_symmetric(MV)
     joint = np.zeros((2, 2, 2))
     joint[0, 0, 0] = joint[1, 1, 1] = 0.5
-    assert check_equilibrium(dense, joint, "cce").verdict
-    assert check_equilibrium(dense, joint, "ce").verdict
+    assert check_equilibrium(MV, joint, "cce").verdict
+    assert check_equilibrium(MV, joint, "ce").verdict
     # playing a fixed action against that correlated play is strictly bad,
     # which is what the coarse inequality encodes
     dev = 0.5 * dense.utilities[0][0, 0, 0] + 0.5 * dense.utilities[0][0, 1, 1]
@@ -285,37 +329,35 @@ def test_correlated_two_atom_distribution():
 
 
 def test_ce_epsilon_dominates_cce_epsilon():
-    dense = dense_from_symmetric(MV)
     rng = np.random.default_rng(12)
     for _ in range(50):
         joint = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
-        ce = check_equilibrium(dense, joint, "ce")
-        cce = check_equilibrium(dense, joint, "cce")
+        ce = check_equilibrium(MV, joint, "ce")
+        cce = check_equilibrium(MV, joint, "cce")
         assert cce.epsilon <= ce.epsilon + 1e-12
 
 
 def test_product_joint_ce_cce_match_ne():
-    dense = dense_from_symmetric(MV)
     rng = np.random.default_rng(21)
     for _ in range(20):
         strategies = [rng.dirichlet(np.ones(2)) for _ in range(3)]
         joint = np.einsum("a,b,c->abc", *strategies)
-        ne = check_equilibrium(dense, strategies, "ne")
-        cce = check_equilibrium(dense, joint, "cce")
+        ne = check_equilibrium(MV, strategies, "ne")
+        cce = check_equilibrium(MV, joint, "cce")
         assert cce.epsilon == pytest.approx(ne.epsilon, abs=1e-12)
 
 
 def test_ce_skips_zero_probability_recommendations():
-    dense = dense_from_symmetric(MV)
     joint = np.zeros((2, 2, 2))
     joint[1, 1, 1] = 1.0  # action 0 never recommended
-    report = check_equilibrium(dense, joint, "ce")
+    report = check_equilibrium(MV, joint, "ce")
     assert report.verdict
 
 
 def looped_equilibrium_epsilon(dense, dist, concept: str) -> float:
     """check_equilibrium's epsilon by one loop per concept over players and
-    actions: the deviation table's reference."""
+    actions on the dense tensors: the reference of NE's count form and of
+    CE's and CCE's deviation table."""
     n, A = dense.n, dense.A
     eps = 0.0
     if concept == "ne":
@@ -367,7 +409,7 @@ def test_deviation_table_equals_the_per_concept_loops(make):
             joint[trial % size] += 1.0 - joint.sum()
         joint = joint.reshape((game.A,) * game.n)
         for concept, dist in (("ne", strategies), ("ce", joint), ("cce", joint)):
-            got = check_equilibrium(dense, dist, concept).epsilon
+            got = check_equilibrium(game, dist, concept).epsilon
             want = looped_equilibrium_epsilon(dense, dist, concept)
             assert abs(got - want) <= 1e-12 * game.scale, (game.name, trial, concept, got, want)
 
@@ -491,6 +533,8 @@ def test_pooling_size_cap(monkeypatch):
     monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", size - 1)
     with pytest.raises(SizeCapExceeded, match=f"levels of {size} entries"):
         pooling_check(game, population, [1, 0, 0])
+    with pytest.raises(SizeCapExceeded, match=f"levels of {size} entries"):
+        check_equilibrium(game, population, "ne")  # Nash verification seats through the same levels
     assert game._cache == {}  # neither the count table nor the payoff matrix was built
     monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", size)
     assert pooling_check(game, population, [1, 0, 0]).passed

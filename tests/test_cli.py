@@ -50,17 +50,41 @@ def test_verify_refuses_a_game_parameter_its_builder_does_not_take(argv, doc, tm
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("7|1,1", 50.0), ("0|-1,3", 9.0), ("0|01,1", 0.5)],
-                         ids=["action-out-of-range", "negative-count", "second-spelling"])
+@pytest.mark.parametrize("key, value", [("7|1,1", 50.0), ("0|-1,3", 9.0), ("0|01,1", 0.5),
+                                        ("x", 0.5), ("a|x,1", 0.5), ("0|1,1|1", 0.5)],
+                         ids=["action-out-of-range", "negative-count", "second-spelling",
+                              "no-bar", "not-integers", "two-bars"])
 def test_verify_refuses_a_payoff_key_the_game_never_reads(key, value, tmp_path, capsys):
-    # each would load: the first two as unread entries that set the scale to
-    # 50 or 9, the third by replacing the entry "0|1,1"
+    # the first three would load: the first two as unread entries that set
+    # the scale to 50 or 9, the third by replacing the entry "0|1,1"; the
+    # last three raised bare unpacking and int() errors
     g = eq.majority3()
     table = {f"{a}|{c0},{2 - c0}": g.payoff(a, (c0, 2 - c0)) for a in range(2) for c0 in range(3)}
     path = tmp_path / "game.json"
     path.write_text(json.dumps({"custom": {"n": 3, "A": 2, "payoff_table": {**table, key: value}}}))
     assert run_cli("verify", "--game", f"file:{path}") == EXIT_CONFIG
     assert f"bad payoff key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drop, missing", [(None, "0|0,2"), ("0|1,1", "0|1,1"), ("1|2,0", "1|2,0")],
+                         ids=["empty-table", "one-missing", "last-missing"])
+def test_verify_refuses_a_payoff_table_with_a_missing_entry(drop, missing, tmp_path, capsys):
+    # the message names the first missing key in game_to_json's order; an
+    # empty table used to fail on max() of an empty sequence, and a partial
+    # one to load and fail only when first read
+    g = eq.majority3()
+    table = {f"{a}|{c0},{2 - c0}": g.payoff(a, (c0, 2 - c0)) for a in range(2) for c0 in range(3)}
+    table = {} if drop is None else {k: v for k, v in table.items() if k != drop}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"custom": {"n": 3, "A": 2, "payoff_table": table}}))
+    assert run_cli("verify", "--game", f"file:{path}") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"payoff table for n=3, A=2 has no entry {missing!r}" in err and "Traceback" not in err
+
+
+def test_verify_prints_the_zero_sum_check_alone(capsys):
+    assert run_cli("verify", "--game", "majority3") == EXIT_OK
+    assert capsys.readouterr().out == "zero-sum check: pass over 4 profiles, worst violation 0\n"
 
 
 @pytest.mark.parametrize("value", ["2.5", True, float("nan")], ids=["string", "bool", "nan"])
@@ -118,6 +142,30 @@ def test_analyze_equilibrium_product(capsys):
     rc = run_cli("analyze", "equilibrium", "--game", "majority3", "--concept", "ne",
                  "--product", "0.9,0.1;0.9,0.1;0.9,0.1")
     assert rc == EXIT_INVARIANT
+
+
+def test_analyze_equilibrium_nash_at_thirty_players(tmp_path):
+    # sdg(30) used to be refused (exit 4) by the dense expansion; everyone on
+    # C is a pure equilibrium, everyone uniform is not
+    for profile, rc, verdict in (([0, 0, 1], EXIT_OK, True), ([1 / 3] * 3, EXIT_INVARIANT, False)):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps([profile] * 30))
+        assert run_cli("--out", str(tmp_path), "analyze", "equilibrium", "--game", "sdg", "--n", "30",
+                       "--concept", "ne", "--dist", str(path)) == rc
+        doc = json.loads((tmp_path / "equilibrium.json").read_text())
+        assert doc["argument"]["verdict"] is verdict
+        assert doc["method"] == "exact count form (opponent count-vector laws)"
+        assert (doc["value"] == 0.0) is verdict
+
+
+@pytest.mark.parametrize("concept", ["ce", "cce"])
+def test_analyze_equilibrium_ce_and_cce_past_four_players_exit_4(concept, tmp_path, capsys):
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps(np.full((3,) * 5, 1 / 3**5).tolist()))
+    assert run_cli("--out", str(tmp_path), "analyze", "equilibrium", "--game", "sdg", "--n", "5",
+                   "--concept", concept, "--dist", str(path)) == EXIT_SIZE_CAP
+    assert "dense expansion refused" in capsys.readouterr().err
+    assert not (tmp_path / "equilibrium.json").exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

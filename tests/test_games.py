@@ -1,8 +1,10 @@
 """Game-core: exact payoff evaluation, validators, built-in games."""
 
+import itertools
 import json
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from equalshare.games import (
     realized_payoff_vector,
     realized_payoff_vectors,
     validate,
-    validate_dense,
 )
 from equalshare.sampling import counts_from_actions
 
@@ -215,6 +216,8 @@ def test_count_table_refuses_an_oversized_index_before_building_it():
     start = time.perf_counter()
     with pytest.raises(SizeCapExceeded):
         CountTable.build(19, 8)
+    with pytest.raises(SizeCapExceeded):
+        CountTable.build(2, 10**7)  # 3^(10^7 - 1) entries, a number never formed
     assert time.perf_counter() - start < 1.0
     with pytest.raises(SizeCapExceeded):
         eq.extended_majority(20, 8).payoff_matrix()
@@ -502,6 +505,87 @@ def test_validator_refuses_oversized_enumerations(monkeypatch):
     monkeypatch.setattr(games, "MAX_PROFILES", 100)
     with pytest.raises(SizeCapExceeded):
         validate(eq.sdg(30))
+
+
+@dataclass(frozen=True)
+class DenseValidationReport:
+    zero_sum: bool
+    symmetric: bool
+    worst_zero_sum: float
+    worst_symmetry: float
+
+    @property
+    def passed(self) -> bool:
+        return self.zero_sum and self.symmetric
+
+
+def validate_dense(dense, tol: float = 1e-9) -> DenseValidationReport:
+    """The zero-sum and permutation-symmetry conditions on dense tensors:
+    validate's reference.  A game built by dense_from_symmetric is symmetric
+    by construction, and its zero-sum sums add validate's terms in another
+    order."""
+    total = dense.utilities.sum(axis=0)
+    worst_zs = float(np.max(np.abs(total)))
+
+    worst_sym = 0.0
+    n = dense.n
+    for sigma in itertools.permutations(range(n)):
+        # A symmetric game satisfies U_i(a_1..a_n) = U_{sigma^-1(i)}(a_sigma(1)..a_sigma(n)).
+        # With numpy's transpose convention, composing indices with sigma
+        # means passing the inverse permutation as axes.
+        inv = [0] * n
+        for pos, p in enumerate(sigma):
+            inv[p] = pos
+        for i in range(n):
+            permuted = np.transpose(dense.utilities[inv[i]], axes=inv)
+            diff = float(np.max(np.abs(dense.utilities[i] - permuted)))
+            worst_sym = max(worst_sym, diff)
+    scale = float(np.max(np.abs(dense.utilities))) or 1.0
+    return DenseValidationReport(
+        worst_zs <= tol * scale, worst_sym <= tol * scale, worst_zs, worst_sym
+    )
+
+
+def _zero_sum_table(rng, n, A) -> dict:
+    """A random zero-sum payoff table in game_to_json's keys: each player's
+    payoff is a random value of its action at the full profile, less the
+    profile's mean of those values over the players."""
+    value = {}
+    table = {}
+    for c in compositions(n - 1, A):
+        for a in range(A):
+            full = c.copy()
+            full[a] += 1
+            key = tuple(int(v) for v in full)
+            if key not in value:
+                value[key] = rng.normal(size=A)
+            mean = float(full @ value[key]) / n
+            table[f"{a}|{','.join(map(str, c))}"] = float(value[key][a] - mean)
+    return table
+
+
+def test_validate_and_the_dense_reference_agree_on_custom_tables():
+    # random tables (almost never zero-sum), random zero-sum tables, and the
+    # zero-sum tables with one entry shifted far above or far below the
+    # 1e-9 * scale tolerance
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for n, A in itertools.product((2, 3, 4), (2, 3, 4)):
+        keys = list(_zero_sum_table(rng, n, A))
+        tables = [dict(zip(keys, rng.normal(size=len(keys)).tolist()))]
+        for shift in (0.0, 1e-3, 1e-6, 1e-12):
+            table = _zero_sum_table(rng, n, A)
+            key = keys[rng.integers(len(keys))]
+            table[key] += shift
+            tables.append(table)
+        for table in tables:
+            game = game_from_json({"custom": {"n": n, "A": A, "payoff_table": table}})
+            report, reference = validate(game), validate_dense(dense_from_symmetric(game))
+            assert reference.worst_symmetry == 0.0
+            assert report.passed == reference.passed, (n, A, report, reference)
+            assert abs(report.worst_violation - reference.worst_zero_sum) <= 1e-14 * game.scale
+            verdicts.append(report.passed)
+    assert verdicts.count(True) == 2 * 9 and verdicts.count(False) == 3 * 9
 
 
 def test_dense_majority_tensor_entry_by_entry():

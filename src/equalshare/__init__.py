@@ -1,11 +1,9 @@
 """Equal-share play in multiplayer symmetric zero-sum games."""
 
 from .games import (
-    DenseGame,
     SymmetricGame,
     as_strategy,
     builtin_game,
-    dense_from_symmetric,
     expected_payoff_mixed,
     extended_majority,
     game_from_json,

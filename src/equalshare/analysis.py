@@ -10,8 +10,8 @@ actions (the payoff is linear in it), so only opponent variables get
 gridded.  The grid oracles (minimax, grid exploitability) share one search,
 `_grid_search`: a scan of the simplex grid, then one rescan at 10x
 resolution around its first minimum.  Both maxmin quantities run one
-row-chunked scan, `_maxmin`.  CE and CCE, whose joints are dense by
-nature, read one deviation table over the dense payoff tensors.
+row-chunked scan, `_maxmin`.  CE, CCE and minimax_independent read one
+(A, A^(n-1)) joint-action payoff table that all players share (`_joint_payoffs`).
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from .games import (
     SymmetricGame,
     as_strategy,
     compositions,
-    dense_from_symmetric,
     expected_payoff_mixed,
     map_row_chunks,
     num_compositions,
     payoff_vectors_batch,
 )
 from .learners import train_roster
-from .sampling import action_cdf, counts_from_actions, sample_actions
+from .sampling import action_cdf, sample_actions
 
 
 def default_resolution(num_actions: int) -> int:
@@ -145,12 +144,18 @@ def minimax_identical(
     raise ValueError(f"which must be 'minmax' or 'maxmin', got {which!r}")
 
 
-def _pair_payoff_tensor(game: SymmetricGame) -> np.ndarray:
-    """M[a, b, c] = payoff of a against the two opponents playing (b, c)."""
-    A = game.A
-    pairs = np.indices((A, A)).reshape(2, -1).T  # (b, c) in C order
-    rows = game.count_table().rows(counts_from_actions(pairs, A))
-    return game.payoff_matrix()[:, rows].reshape(A, A, A)
+def _joint_payoffs(game: SymmetricGame) -> np.ndarray:
+    """(A, A^(n-1)) payoffs of each action against each joint action of the
+    n-1 others, in C order.  Refused (SizeCapExceeded) before anything is
+    built when A^n exceeds MAX_ARRAY_ENTRIES."""
+    n, A = game.n, game.A
+    if A**n > MAX_ARRAY_ENTRIES:
+        raise SizeCapExceeded(f"joint-action table of {A}^{n} entries exceeds the cap of {MAX_ARRAY_ENTRIES}")
+    # the joints' count vectors, seating the fastest-varying player last: no array exceeds A^n entries
+    counts = np.zeros((1, A), dtype=np.int64)
+    for _ in range(n - 1):
+        counts = (counts[:, None, :] + np.eye(A, dtype=np.int64)).reshape(-1, A)
+    return game.payoff_matrix()[:, game.count_table().rows(counts)]
 
 
 def minimax_independent(
@@ -172,7 +177,7 @@ def minimax_independent(
             f"independent-opponent search over {len(grid)} grid points needs {len(grid) ** 3} "
             f"values, more than the cap of {MAX_ARRAY_ENTRIES}"
         )
-    M = _pair_payoff_tensor(game)
+    M = _joint_payoffs(game).reshape(game.A, game.A, game.A)
 
     def pure_vals(y2s, y3s):
         # V[a, i, j] = payoff of pure a vs (y2s[i], y3s[j])
@@ -242,13 +247,13 @@ def check_equilibrium(game: SymmetricGame, dist, concept: str, tol: float = 1e-9
     computed in count form at any n: player i's payoff vector is
     payoff_matrix() @ F_i, F_i the count-vector law of the other n-1
     players, seated one at a time (O(n^2 K A) work).
-    concept "ce" / "cce": dist is a joint array over A^n, checked on the
-    dense tensors (dense_from_symmetric, so n <= DENSE_MAX_PLAYERS); "ce"
-    conditions the deviation on the recommended action (skipping
-    zero-probability recommendations), "cce" does not.  One deviation table
-    per player i serves both: with i's action first, gain[a, b] =
-    sum_r p[a, r] (u_i[b, r] - u_i[a, r]).  CCE takes its largest column
-    sum, CE its largest entry over its row's mass.
+    concept "ce" / "cce": dist is a joint array over A^n <= MAX_ARRAY_ENTRIES
+    entries; "ce" conditions the deviation on the recommended action
+    (skipping zero-probability recommendations), "cce" does not.  One
+    deviation table per player i serves both: with p the joint with i's
+    action first and u = _joint_payoffs(game), gain[a, b] = sum_r p[a, r]
+    (u[b, r] - u[a, r]).  CCE takes its largest column sum, CE its largest
+    entry over its row's mass.
     """
     if not 0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
@@ -269,7 +274,7 @@ def check_equilibrium(game: SymmetricGame, dist, concept: str, tol: float = 1e-9
         return EquilibriumReport(concept, eps, tol)
     if concept not in ("ce", "cce"):
         raise ValueError(f"concept must be ne/ce/cce, got {concept!r}")
-    dense = dense_from_symmetric(game)
+    u = _joint_payoffs(game)
     joint = np.asarray(dist, dtype=float)
     if joint.shape != (A,) * n:
         raise ValueError(f"joint distribution must have shape {(A,) * n}")
@@ -277,7 +282,6 @@ def check_equilibrium(game: SymmetricGame, dist, concept: str, tol: float = 1e-9
         raise ValueError("joint distribution must be a probability array")
     for i in range(n):
         p = np.moveaxis(joint, i, 0).reshape(A, -1)
-        u = np.moveaxis(dense.utilities[i], i, 0).reshape(A, -1)
         gain = p @ u.T - (p * u).sum(axis=1)[:, None]
         if concept == "ce":
             mass = p.sum(axis=1)

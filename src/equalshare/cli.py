@@ -44,6 +44,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, as numpy seeds from."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _given(**options) -> dict:
     """The options set on the command line; the others keep the library's
     defaults."""
@@ -222,13 +230,16 @@ def cmd_exploitability(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
+    if args.product is not None and args.concept != "ne":  # no A^n product is formed
+        raise ValueError(f"--product gives per-player strategies, which --concept ne reads; "
+                         f"give --concept {args.concept} its joint distribution with --dist")
     game = _load_cli_game(args)
     if args.product is not None:
         dist = [as_strategy([float(v) for v in part.split(",")], game.A) for part in args.product.split(";")]
     else:
         dist = _json_array(args.dist, "--dist")
     report = analysis.check_equilibrium(game, dist, args.concept, tol=args.tol)
-    method = "exact count form (opponent count-vector laws)" if args.concept == "ne" else "exact tensor contraction"
+    method = "exact count form (opponent count-vector laws)" if args.concept == "ne" else "exact joint-action deviation table"
     _document(args, f"equilibrium:{args.concept}", report.epsilon, {"verdict": bool(report.verdict)}, args.tol, method)
     print(report)
     return EXIT_OK if report.verdict else EXIT_INVARIANT
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="equalshare",
         description="Symmetric zero-sum game simulations, learners, and analysis oracles",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="base seed, a non-negative integer (default 0)")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     parser.add_argument("--threads", type=_count, default=None,
                         help="a positive integer, accepted and ignored: matches run in one thread")

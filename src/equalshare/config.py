@@ -47,16 +47,16 @@ def _positive_int(value) -> int:
 
 
 def seeds_from_json(doc) -> list[int]:
-    """Seed documents: a non-empty list of distinct ints, or {"count": N, "base": B}
-    for the N >= 1 seeds from the int B (default 0)."""
+    """Seed documents (numpy's seeds, so ints >= 0): a non-empty list of distinct
+    ints, or {"count": N, "base": B} for the N >= 1 seeds from B (default 0)."""
     if isinstance(doc, dict):
         check_fields(doc, ("count", "base"), "a seed range")
         count, base = doc.get("count"), doc.get("base", 0)
-        if is_json(count, int) and count >= 1 and is_json(base, int):
+        if is_json(count, int) and count >= 1 and is_json(base, int) and base >= 0:
             return list(range(base, base + count))
-    elif isinstance(doc, list) and doc and all(is_json(s, int) for s in doc) and len(set(doc)) == len(doc):
+    elif isinstance(doc, list) and doc and all(is_json(s, int) and s >= 0 for s in doc) and len(set(doc)) == len(doc):
         return doc
-    raise ValueError(f"must be a non-empty list of distinct ints or {{count, base}} of ints, count >= 1, got {doc!r}")
+    raise ValueError(f"must be a non-empty list of distinct ints >= 0 or {{count >= 1, base >= 0}} of ints, got {doc!r}")
 
 
 # every key but "out" (default ".") is required

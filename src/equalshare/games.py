@@ -40,8 +40,8 @@ class SizeCapExceeded(RuntimeError):
 
 
 # The most entries a dense array may have: the count index, a composition
-# enumeration, the exploiter's gain table, pooling_check's levels and
-# minimax_independent's (Nx, Ny^2) values.
+# enumeration, the exploiter's gain table, pooling_check's levels, the
+# joint-action payoff table (A^n) and minimax_independent's (Nx, Ny^2) values.
 MAX_ARRAY_ENTRIES = 2**25
 
 # The most full action profiles (count vectors of all n players) validate enumerates.
@@ -317,54 +317,6 @@ def validate(game: SymmetricGame) -> ValidationReport:
     worst = float(violation[k])
     worst_profile = tuple(int(v) for v in full[k]) if worst > 0.0 else None
     return ValidationReport(worst <= PROB_TOL * game.scale, worst, worst_profile, num)
-
-
-# ---------------------------------------------------------------------------
-# Dense joint-action form, for CE and CCE verification on small games.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DenseGame:
-    """Full payoff tensors U_i over joint actions, one per player: the form
-    that CE and CCE verification reads, since their joint distributions are
-    dense by nature.  Nash verification and validate stay in count form.
-
-    utilities has shape (n, A, ..., A) with n trailing action axes;
-    dense_from_symmetric builds it for n <= DENSE_MAX_PLAYERS only.
-    """
-
-    n: int
-    A: int
-    utilities: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.n,) + (self.A,) * self.n
-        if self.utilities.shape != expected:
-            raise DimensionError(
-                f"utilities shape {self.utilities.shape}, expected {expected}"
-            )
-
-
-# The largest games dense_from_symmetric expands: A^n joint actions per player.
-DENSE_MAX_PLAYERS = 4
-DENSE_MAX_ACTIONS = 8
-
-
-def dense_from_symmetric(game: SymmetricGame) -> DenseGame:
-    """Expand an opponent-count game into per-player joint-action tensors."""
-    if game.n > DENSE_MAX_PLAYERS or game.A > DENSE_MAX_ACTIONS:
-        raise SizeCapExceeded(
-            f"dense expansion refused for n={game.n}, A={game.A} "
-            f"(caps: n<={DENSE_MAX_PLAYERS}, A<={DENSE_MAX_ACTIONS})"
-        )
-    n, A = game.n, game.A
-    joints = np.indices((A,) * n).reshape(n, -1).T  # every joint action, in C order
-    mat, table = game.payoff_matrix(), game.count_table()
-    util = np.stack([
-        mat[joints[:, i], table.rows(counts_from_actions(np.delete(joints, i, axis=1), A))]
-        for i in range(n)
-    ])
-    return DenseGame(n, A, util.reshape((n,) + (A,) * n))
 
 
 # ---------------------------------------------------------------------------

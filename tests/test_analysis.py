@@ -13,7 +13,7 @@ from equalshare import analysis, games
 from equalshare.analysis import (
     MC_CHUNK_ROWS,
     SimplexGrid,
-    _pair_payoff_tensor,
+    _joint_payoffs,
     _refine_near,
     check_equilibrium,
     default_resolution,
@@ -28,13 +28,14 @@ from equalshare.games import (
     SizeCapExceeded,
     SymmetricGame,
     compositions,
-    dense_from_symmetric,
     expected_payoff_mixed,
     game_to_json,
     payoff_vectors_batch,
     validate,
 )
 from equalshare.sampling import counts_from_actions, sample_actions
+
+from test_games import dense_utilities  # the dense reference, one payoff call per entry
 
 MV = eq.majority3()
 MINORITY = eq.minority3()
@@ -141,9 +142,8 @@ def test_payoff_matrix_is_the_only_reader_of_the_payoff_function():
 
         game = SymmetricGame(base.name, base.n, base.A, counting, base.scale)
         validate(game)
-        if game.n <= 4:
-            dense_from_symmetric(game)
         check_equilibrium(game, [np.full(game.A, 1.0 / game.A)] * game.n, "ne")
+        check_equilibrium(game, np.full((game.A,) * game.n, float(game.A) ** -game.n), "cce")
         try:
             minimax_independent(game)
         except SizeCapExceeded:
@@ -154,13 +154,15 @@ def test_payoff_matrix_is_the_only_reader_of_the_payoff_function():
         assert calls == game.A * len(game.count_table().counts)
 
 
-def test_pair_payoff_tensor_equals_the_payoff_loop():
-    for game in (MV, MINORITY, eq.extended_majority(3, 3), eq.extended_majority(3, 5)):
-        want = np.empty((game.A,) * 3)
-        for a, b, c in np.ndindex(*want.shape):
-            counts = np.bincount([b, c], minlength=game.A)
-            want[a, b, c] = game.payoff(a, tuple(int(v) for v in counts))
-        assert _pair_payoff_tensor(game).tobytes() == want.tobytes()
+def test_joint_payoffs_equals_the_payoff_loop():
+    for game in (MV, MINORITY, eq.extended_majority(3, 3), eq.extended_majority(3, 5), eq.sdg(4),
+                 eq.extended_majority(5, 2)):
+        n, A = game.n, game.A
+        want = np.empty((A,) * n)
+        for a, *others in np.ndindex(*want.shape):
+            counts = np.bincount(others, minlength=A)
+            want[(a, *others)] = game.payoff(a, tuple(int(v) for v in counts))
+        assert _joint_payoffs(game).tobytes() == want.reshape(A, -1).tobytes(), game.name
 
 
 def test_minimax_identical_bad_which():
@@ -204,7 +206,7 @@ def _per_oracle_searches(game, grid, xs, independent):
     if not independent:
         return out
 
-    M = _pair_payoff_tensor(game)
+    M = _joint_payoffs(game).reshape(game.A, game.A, game.A)
 
     def pure_vals(y2s, y3s):
         return np.einsum("abc,ib,jc->aij", M, y2s, y3s, optimize=True)
@@ -317,14 +319,14 @@ def test_nash_on_pure_profiles_equals_the_payoff_matrix_lookups(make):
 
 
 def test_correlated_two_atom_distribution():
-    dense = dense_from_symmetric(MV)
+    util = dense_utilities(MV)
     joint = np.zeros((2, 2, 2))
     joint[0, 0, 0] = joint[1, 1, 1] = 0.5
     assert check_equilibrium(MV, joint, "cce").verdict
     assert check_equilibrium(MV, joint, "ce").verdict
     # playing a fixed action against that correlated play is strictly bad,
     # which is what the coarse inequality encodes
-    dev = 0.5 * dense.utilities[0][0, 0, 0] + 0.5 * dense.utilities[0][0, 1, 1]
+    dev = 0.5 * util[0][0, 0, 0] + 0.5 * util[0][0, 1, 1]
     assert dev == pytest.approx(-0.5)
 
 
@@ -354,17 +356,17 @@ def test_ce_skips_zero_probability_recommendations():
     assert report.verdict
 
 
-def looped_equilibrium_epsilon(dense, dist, concept: str) -> float:
+def looped_equilibrium_epsilon(util, dist, concept: str) -> float:
     """check_equilibrium's epsilon by one loop per concept over players and
-    actions on the dense tensors: the reference of NE's count form and of
-    CE's and CCE's deviation table."""
-    n, A = dense.n, dense.A
+    actions on the dense payoff tensors (dense_utilities): the reference of
+    NE's count form and of CE's and CCE's deviation table."""
+    n, A = util.shape[0], util.shape[1]
     eps = 0.0
     if concept == "ne":
         strategies = [np.asarray(x, dtype=float) for x in dist]
         for i in range(n):
             # contract every axis except player i's own action
-            dev = dense.utilities[i]
+            dev = util[i]
             for j in reversed(range(n)):
                 if j != i:
                     dev = np.tensordot(dev, strategies[j], axes=([j], [0]))
@@ -373,10 +375,10 @@ def looped_equilibrium_epsilon(dense, dist, concept: str) -> float:
     joint = np.asarray(dist, dtype=float)
     for i in range(n):
         if concept == "cce":
-            current = float((joint * dense.utilities[i]).sum())
+            current = float((joint * util[i]).sum())
             marg_others = joint.sum(axis=i)
             for a_prime in range(A):
-                u_slice = np.take(dense.utilities[i], a_prime, axis=i)
+                u_slice = np.take(util[i], a_prime, axis=i)
                 eps = max(eps, float((marg_others * u_slice).sum()) - current)
             continue
         for a_i in range(A):
@@ -384,19 +386,21 @@ def looped_equilibrium_epsilon(dense, dist, concept: str) -> float:
             p = float(cond.sum())
             if p <= 0.0:
                 continue  # conditional expectation undefined
-            current = float((cond * np.take(dense.utilities[i], a_i, axis=i)).sum()) / p
+            current = float((cond * np.take(util[i], a_i, axis=i)).sum()) / p
             for a_prime in range(A):
-                dev = float((cond * np.take(dense.utilities[i], a_prime, axis=i)).sum()) / p
+                dev = float((cond * np.take(util[i], a_prime, axis=i)).sum()) / p
                 eps = max(eps, dev - current)
     return eps
 
 
 @pytest.mark.parametrize("make", [eq.majority3, eq.minority3, lambda: eq.extended_majority(3, 3),
-                                  lambda: eq.extended_majority(4, 2), lambda: eq.sdg(4)],
-                         ids=["majority3", "minority3", "extended_majority3_3", "extended_majority4_2", "sdg4"])
+                                  lambda: eq.extended_majority(4, 2), lambda: eq.sdg(4), lambda: eq.sdg(5),
+                                  lambda: eq.extended_majority(6, 2)],
+                         ids=["majority3", "minority3", "extended_majority3_3", "extended_majority4_2", "sdg4",
+                              "sdg5", "extended_majority6_2"])
 def test_deviation_table_equals_the_per_concept_loops(make):
     game = make()
-    dense = dense_from_symmetric(game)
+    util = dense_utilities(game)
     rng = np.random.default_rng(game.n * 10 + game.A)
     size = game.A ** game.n
     for trial in range(200):
@@ -410,7 +414,7 @@ def test_deviation_table_equals_the_per_concept_loops(make):
         joint = joint.reshape((game.A,) * game.n)
         for concept, dist in (("ne", strategies), ("ce", joint), ("cce", joint)):
             got = check_equilibrium(game, dist, concept).epsilon
-            want = looped_equilibrium_epsilon(dense, dist, concept)
+            want = looped_equilibrium_epsilon(util, dist, concept)
             assert abs(got - want) <= 1e-12 * game.scale, (game.name, trial, concept, got, want)
 
 

@@ -159,13 +159,25 @@ def test_analyze_equilibrium_nash_at_thirty_players(tmp_path):
 
 
 @pytest.mark.parametrize("concept", ["ce", "cce"])
-def test_analyze_equilibrium_ce_and_cce_past_four_players_exit_4(concept, tmp_path, capsys):
+def test_analyze_equilibrium_ce_and_cce_past_four_players(concept, tmp_path, capsys):
+    # sdg(5) used to be refused (exit 4) by the dense expansion; everyone on
+    # C is a pure equilibrium, everyone uniform (independently) is not
     path = tmp_path / "joint.json"
-    path.write_text(json.dumps(np.full((3,) * 5, 1 / 3**5).tolist()))
-    assert run_cli("--out", str(tmp_path), "analyze", "equilibrium", "--game", "sdg", "--n", "5",
+    on_c = np.zeros((3,) * 5)
+    on_c[(2,) * 5] = 1.0
+    for joint, rc, verdict in ((on_c, EXIT_OK, True), (np.full((3,) * 5, 1 / 3**5), EXIT_INVARIANT, False)):
+        path.write_text(json.dumps(joint.tolist()))
+        assert run_cli("--out", str(tmp_path), "analyze", "equilibrium", "--game", "sdg", "--n", "5",
+                       "--concept", concept, "--dist", str(path)) == rc
+        doc = json.loads((tmp_path / "equilibrium.json").read_text())
+        assert doc["argument"]["verdict"] is verdict
+        assert doc["method"] == "exact joint-action deviation table"
+    # sdg(30)'s 3^30 joint actions are refused before the joint's shape is checked
+    out = tmp_path / "sdg30"
+    assert run_cli("--out", str(out), "analyze", "equilibrium", "--game", "sdg", "--n", "30",
                    "--concept", concept, "--dist", str(path)) == EXIT_SIZE_CAP
-    assert "dense expansion refused" in capsys.readouterr().err
-    assert not (tmp_path / "equilibrium.json").exists()
+    assert "joint-action table of 3^30 entries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -329,11 +341,18 @@ def test_unread_options_are_refused(argv, capsys):
     (("analyze", "exploitability", "--game", "majority3", "--x", "1,0", "--method", "exact"), "invalid choice"),
     (("reproduce", "lowerbound", "--runs", "0"), "must be a positive integer, got 0"),
     (("reproduce",), "required: table"),
+    (("--seed", "-1", "analyze", "exploitability", "--game", "majority3", "--x", "1,0", "--method", "exploiter"),
+     "argument --seed: must be a non-negative integer, got -1"),
+    (("analyze", "equilibrium", "--game", "majority3", "--concept", "cce", "--product", "0.5,0.5;0.5,0.5;0.5,0.5"),
+     "--product gives per-player strategies, which --concept ne reads; give --concept cce its joint distribution with --dist"),
 ])
 def test_missing_or_bad_options_exit_2_without_a_traceback(argv, message, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*argv)
-    assert exc.value.code == EXIT_CONFIG
+    # argparse refuses by SystemExit, a verb by its exit code
+    try:
+        rc = run_cli(*argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
 

@@ -84,6 +84,8 @@ def test_seed_ranges():
         ({"count": 0}, "got {'count': 0}"),
         ({"base": 3}, "got {'base': 3}"),
         ([1, 1], "got [1, 1]"),  # a repeated seed would write its transcript and metrics row twice
+        ([0, -1], "got [0, -1]"),  # numpy seeds from non-negative ints only
+        ({"count": 2, "base": -1}, "got {'count': 2, 'base': -1}"),
     ):
         with pytest.raises(ConfigError) as err:
             parse_config({**BASE, "seeds": seeds})

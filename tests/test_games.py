@@ -11,6 +11,7 @@ import pytest
 
 import equalshare as eq
 from equalshare import games
+from equalshare.analysis import _joint_payoffs
 from equalshare.games import (
     CountTable,
     DimensionError,
@@ -19,7 +20,6 @@ from equalshare.games import (
     SymmetricGame,
     as_strategy,
     compositions,
-    dense_from_symmetric,
     game_from_json,
     game_to_json,
     load_game,
@@ -160,18 +160,25 @@ def test_payoff_matrix_readers_equal_loops_over_the_payoff_function(n, A):
     report = validate(game)
     assert (report.worst_violation, report.worst_profile) == (worst, worst_profile)
     assert not report.passed
-    # dense_from_symmetric: each player's payoff at each joint action
-    if n <= 4:
-        util = np.empty((n,) + (A,) * n)
-        for joint in np.ndindex(*(A,) * n):
-            for i in range(n):
-                others = np.bincount(np.delete(joint, i), minlength=A)
-                util[(i,) + joint] = game.payoff(joint[i], tuple(int(v) for v in others))
-        assert dense_from_symmetric(game).utilities.tobytes() == util.tobytes()
+    # _joint_payoffs: the first player's payoff at each joint action, its own action first
+    assert _joint_payoffs(game).tobytes() == dense_utilities(game)[0].reshape(A, -1).tobytes()
     # game_to_json: the payoff table keyed by action and counts
     want = {f"{a}|{','.join(map(str, c))}": game.payoff(a, tuple(int(v) for v in c))
             for a in range(A) for c in compositions(n - 1, A)}
     assert game_to_json(game)["custom"]["payoff_table"] == want
+
+
+def dense_utilities(game) -> np.ndarray:
+    """U[i][joint]: each player's payoff at each joint action, one
+    game.payoff call per entry; shape (n, A, ..., A).  The dense reference
+    of the count-form and joint-action-table oracles."""
+    n, A = game.n, game.A
+    util = np.empty((n,) + (A,) * n)
+    for joint in np.ndindex(*(A,) * n):
+        for i in range(n):
+            others = np.bincount(np.delete(joint, i), minlength=A)
+            util[(i,) + joint] = game.payoff(joint[i], tuple(int(v) for v in others))
+    return util
 
 
 def _payoff_matrix_per_entry(game):
@@ -519,16 +526,17 @@ class DenseValidationReport:
         return self.zero_sum and self.symmetric
 
 
-def validate_dense(dense, tol: float = 1e-9) -> DenseValidationReport:
-    """The zero-sum and permutation-symmetry conditions on dense tensors:
-    validate's reference.  A game built by dense_from_symmetric is symmetric
-    by construction, and its zero-sum sums add validate's terms in another
-    order."""
-    total = dense.utilities.sum(axis=0)
+def validate_dense(util: np.ndarray, tol: float = 1e-9) -> DenseValidationReport:
+    """The zero-sum and permutation-symmetry conditions on dense payoff
+    tensors (dense_utilities): validate's reference.  dense_utilities reads
+    every payoff from the player's own action and the others' counts, so
+    its tensors are symmetric by construction, and their zero-sum sums add
+    validate's terms in another order."""
+    total = util.sum(axis=0)
     worst_zs = float(np.max(np.abs(total)))
 
     worst_sym = 0.0
-    n = dense.n
+    n = util.shape[0]
     for sigma in itertools.permutations(range(n)):
         # A symmetric game satisfies U_i(a_1..a_n) = U_{sigma^-1(i)}(a_sigma(1)..a_sigma(n)).
         # With numpy's transpose convention, composing indices with sigma
@@ -537,10 +545,10 @@ def validate_dense(dense, tol: float = 1e-9) -> DenseValidationReport:
         for pos, p in enumerate(sigma):
             inv[p] = pos
         for i in range(n):
-            permuted = np.transpose(dense.utilities[inv[i]], axes=inv)
-            diff = float(np.max(np.abs(dense.utilities[i] - permuted)))
+            permuted = np.transpose(util[inv[i]], axes=inv)
+            diff = float(np.max(np.abs(util[i] - permuted)))
             worst_sym = max(worst_sym, diff)
-    scale = float(np.max(np.abs(dense.utilities))) or 1.0
+    scale = float(np.max(np.abs(util))) or 1.0
     return DenseValidationReport(
         worst_zs <= tol * scale, worst_sym <= tol * scale, worst_zs, worst_sym
     )
@@ -580,7 +588,7 @@ def test_validate_and_the_dense_reference_agree_on_custom_tables():
             tables.append(table)
         for table in tables:
             game = game_from_json({"custom": {"n": n, "A": A, "payoff_table": table}})
-            report, reference = validate(game), validate_dense(dense_from_symmetric(game))
+            report, reference = validate(game), validate_dense(dense_utilities(game))
             assert reference.worst_symmetry == 0.0
             assert report.passed == reference.passed, (n, A, report, reference)
             assert abs(report.worst_violation - reference.worst_zero_sum) <= 1e-14 * game.scale
@@ -590,40 +598,42 @@ def test_validate_and_the_dense_reference_agree_on_custom_tables():
 
 def test_dense_majority_tensor_entry_by_entry():
     # the full 2x2x2 payoff table of the majority vote
-    d = dense_from_symmetric(eq.majority3())
+    d = dense_utilities(eq.majority3())
     expected = {
         (0, 0, 0): 0.0, (1, 1, 1): 0.0,
         (0, 1, 0): 0.5, (0, 0, 1): 0.5, (1, 1, 0): 0.5, (1, 0, 1): 0.5,
         (0, 1, 1): -1.0, (1, 0, 0): -1.0,
     }
     for joint, value in expected.items():
-        assert d.utilities[0][joint] == value
+        assert d[0][joint] == value
 
 
 def test_dense_round_trip_and_symmetry():
     for game in (eq.majority3(), eq.minority3(), eq.extended_majority(3, 3)):
-        dense = dense_from_symmetric(game)
-        report = validate_dense(dense)
+        report = validate_dense(dense_utilities(game))
         assert report.zero_sum and report.symmetric
-    d = dense_from_symmetric(eq.minority3())
-    assert d.utilities[0, 1, 0, 0] == 1.0
+    d = dense_utilities(eq.minority3())
+    assert d[0, 1, 0, 0] == 1.0
     # player symmetry: U_1(a,b,c) == U_2(b,a,c)
     rng = np.random.default_rng(2)
     for _ in range(10):
         a, b, c = rng.integers(0, 2, size=3)
-        assert d.utilities[0, a, b, c] == d.utilities[1, b, a, c]
+        assert d[0, a, b, c] == d[1, b, a, c]
 
 
 def test_dense_symmetry_violation_detected():
-    dense = dense_from_symmetric(eq.majority3())
-    dense.utilities[0, 0, 1, 0] += 0.25
-    report = validate_dense(dense)
+    util = dense_utilities(eq.majority3())
+    util[0, 0, 1, 0] += 0.25
+    report = validate_dense(util)
     assert not report.symmetric
 
 
 def test_dense_caps():
-    with pytest.raises(SizeCapExceeded):
-        dense_from_symmetric(eq.sdg(30))
+    # 3^30 joint actions: refused before the count table or payoff matrix is built
+    game = eq.sdg(30)
+    with pytest.raises(SizeCapExceeded, match="joint-action table of 3\\^30 entries"):
+        _joint_payoffs(game)
+    assert game._cache == {}
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,12 @@ POOLING_CASES = (
     ("sdg5", games.sdg(5), 7),
     ("extended_majority5_2", games.extended_majority(5, 2), 9),
 )
+# (name, game) of the pinned equilibrium checks
+EQUILIBRIUM_CASES = (
+    ("majority3", games.majority3()),
+    ("extended_majority3_3", games.extended_majority(3, 3)),
+    ("sdg5", games.sdg(5)),
+)
 TINY_TABLE = dict(runs=4, hedge_horizon=2_000, sp_horizon=1_000, eval_games=5_000, eval_repeats=2,
                   exploit_runs=2, exploit_steps=400)
 
@@ -109,6 +115,15 @@ def oracles() -> dict:
     grid = analysis.SimplexGrid(3, analysis.default_resolution(3))
     out["payoff_vectors_batch/sdg200/grid"] = games.payoff_vectors_batch(sdg200, grid.points())
     out["exploitability/grid/sdg200/pure1"] = analysis.exploitability(sdg200, [0.0, 1.0, 0.0], method="grid")
+    for name, game in EQUILIBRIUM_CASES:
+        rng = np.random.default_rng(24)
+        profiles = [rng.dirichlet(np.ones(game.A), size=game.n) for _ in range(4)]
+        joints = [rng.dirichlet(np.ones(game.A**game.n)) for _ in range(4)]
+        joints[-1][rng.random(game.A**game.n) < 0.7] = 0.0  # zero-probability recommendations
+        joints = [joint.reshape((game.A,) * game.n) / joint.sum() for joint in joints]
+        for concept, dists in (("ne", profiles), ("ce", joints), ("cce", joints)):
+            out[f"check_equilibrium/{concept}/{name}"] = [
+                analysis.check_equilibrium(game, dist, concept).epsilon for dist in dists]
     for name, game, size in POOLING_CASES:
         rng = np.random.default_rng(16)
         population, z = rng.dirichlet(np.ones(game.A), size=size), rng.dirichlet(np.ones(game.A))

@@ -1,14 +1,16 @@
 """Numerical oracles: minimax quantities, equilibrium verification,
 exploitability, population pooling, Monte Carlo utilities.
 
-Everything here is a verifier or a grid search, not a solver: candidate
-strategies and simplex grids are measured.  The pooling check and Nash
-verification build the exact count-vector law of a set of opponents by
-seating one opponent at a time (`_seater`), so both reach any n.  Inner
-maximizations over the learner's own strategy are always exact over pure
-actions (the payoff is linear in it), so only opponent variables get
-gridded.  The grid oracles (minimax, grid exploitability) share one search,
-`_grid_search`: a scan of the simplex grid, then one rescan at 10x
+Everything here is a verifier, a grid search or a certified bound, not a
+solver: candidate strategies and simplex grids are measured, and
+exploitability is bracketed by a branch and bound over the Bernstein
+coefficients of the count form (`certified_exploitability`).  The pooling
+check and Nash verification build the exact count-vector law of a set of
+opponents by seating one opponent at a time (`_seater`), so both reach any
+n.  Inner maximizations over the learner's own strategy are always exact
+over pure actions (the payoff is linear in it), so only opponent variables
+get gridded.  The grid oracles (minimax, grid exploitability) share one
+search, `_grid_search`: a scan of the simplex grid, then one rescan at 10x
 resolution around its first minimum.  Both maxmin quantities run one
 row-chunked scan, `_maxmin`.  CE, CCE and minimax_independent read one
 (A, A^(n-1)) joint-action payoff table that all players share (`_joint_payoffs`).
@@ -16,6 +18,7 @@ row-chunked scan, `_maxmin`.  CE, CCE and minimax_independent read one
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -297,12 +300,68 @@ def check_equilibrium(game: SymmetricGame, dist, concept: str, tol: float = 1e-9
 # Exploitability.
 # ---------------------------------------------------------------------------
 
-def exploitability_method(method: str, num_actions: int) -> str:
-    """The method `exploitability` runs: "auto" is "grid" for at most 3
-    actions, else "exploiter"; any other method is itself."""
-    if method == "auto":
-        return "grid" if num_actions <= 3 else "exploiter"
-    return method
+# the most cells one certified_exploitability call may split, and the gap it
+# closes to, in units of the game's scale
+MAX_SPLITS = 10_000
+CERTIFIED_TOL = 1e-9
+
+
+def certified_exploitability(game: SymmetricGame, x) -> tuple[float, float, np.ndarray]:
+    """min over meta-strategies y of the payoff of x against y^(n-1),
+    bracketed: (lower, upper, y) with upper - lower <= CERTIFIED_TOL * scale
+    and upper the payoff at y (ties: the first vertex in row order).
+
+    The count form sum_k c_k Multinomial(n-1, y)_k, c = x @ payoff_matrix(),
+    is the Bernstein form on the simplex: a cell's smallest coefficient
+    bounds it below, each vertex coefficient is its value there (Garloff
+    1986; Farouki 2012).  Best first, the cell of the smallest bound is
+    halved at its longest edge by a 1-D de Casteljau run along it, c[k] <-
+    (c[k] + c[k + e_keep - e_drop]) / 2 on the rows with k_drop >= level for
+    levels 1..n-1, whose rounding widens the bound by levels x eps x max|c|
+    per split.  Refused (SizeCapExceeded), naming the bracket reached, before
+    a split past MAX_SPLITS or past MAX_ARRAY_ENTRIES live coefficients.
+    """
+    xv = as_strategy(x, game.A)
+    A, N, table, eye = game.A, game.n - 1, game.count_table(), np.eye(game.A, dtype=np.int64)
+    root = xv @ game.payoff_matrix()
+    slack = N * float(np.finfo(float).eps) * float(np.abs(root).max())
+    corners = table.rows(N * eye)
+    best = min(np.argsort(corners), key=lambda a: root[corners[a]])
+    upper, y = float(root[corners[best]]), np.eye(A)[best]
+    cells = [(float(root.min()), 0, root, np.eye(A), 0)]  # (bound, order, coefficients, vertices, depth)
+    splits, edges = 0, {}
+    while cells:
+        bound, _, c, vertices, depth = heapq.heappop(cells)
+        lower = min(bound, upper)
+        if upper - lower <= CERTIFIED_TOL * game.scale:
+            return lower, upper, y
+        live = (len(cells) + 2) * len(root)  # coefficients held after this split
+        if splits >= MAX_SPLITS or live > MAX_ARRAY_ENTRIES:
+            raise SizeCapExceeded(f"certified exploitability stopped at [{lower!r}, {upper!r}] after {splits} "
+                                  f"splits: the next would pass the cap of {MAX_SPLITS} splits or "
+                                  f"{MAX_ARRAY_ENTRIES} coefficients, holding {live}")
+        splits += 1
+        gaps = ((vertices[:, None, :] - vertices[None, :, :]) ** 2).sum(axis=2)
+        i, j = np.unravel_index(np.argmax(gaps), gaps.shape)  # the first longest edge, i < j
+        mid = (vertices[i] + vertices[j]) * 0.5
+        for keep, drop in ((i, j), (j, i)):
+            if (keep, drop) not in edges:  # the rows with k_drop >= 1, by k_drop: each level is a suffix
+                k_drop = table.counts[:, drop]
+                rows = np.argsort(k_drop, kind="stable")[np.count_nonzero(k_drop == 0):]
+                edges[keep, drop] = (rows, table.rows(table.counts[rows] + eye[keep] - eye[drop]),
+                                     np.searchsorted(k_drop[rows], np.arange(1, N + 1)))
+            rows, shifted, starts = edges[keep, drop]
+            half = c.copy()
+            for start in starts:
+                half[rows[start:]] = (half[rows[start:]] + half[shifted[start:]]) * 0.5
+            if drop == j and half[corners[j]] < upper:  # the new vertex
+                upper, y = float(half[corners[j]]), mid
+            half_bound = float(half.min()) - (depth + 1) * slack
+            if half_bound < upper:  # else the minimum lies elsewhere
+                half_vertices = vertices.copy()
+                half_vertices[drop] = mid
+                heapq.heappush(cells, (half_bound, 2 * splits + (drop == i), half, half_vertices, depth + 1))
+    return upper, upper, y
 
 
 def exploitability(
@@ -317,15 +376,16 @@ def exploitability(
 ) -> tuple[float, np.ndarray]:
     """min over meta-strategies y of the payoff of x against y^(n-1).
 
-    Method "grid" scans a simplex grid with one refinement pass (exact at
-    pure strategies); "exploiter" is exploiter_protocol against x alone,
-    `runs` runs x `steps` steps from seed (an int or a SeedSequence);
-    "auto" is one of the two, by `exploitability_method`.  Always <= 0 in
-    a symmetric zero-sum game since y = x recovers the all-identical
-    expectation 0.
+    Method "auto" is certified_exploitability's upper end and its y, within
+    CERTIFIED_TOL * scale of the minimum; "grid" scans a simplex grid with one
+    refinement pass (exact at pure strategies); "exploiter" is
+    exploiter_protocol against x alone, `runs` runs x `steps` steps from
+    seed (an int or a SeedSequence).  Always <= 0 in a symmetric zero-sum
+    game since y = x recovers the all-identical expectation 0.
     """
     xv = as_strategy(x, game.A)
-    method = exploitability_method(method, game.A)
+    if method == "auto":
+        return certified_exploitability(game, xv)[1:]
     if method == "grid":
         value, (y,), _ = _grid_search(lambda ys: payoff_vectors_batch(game, ys) @ xv, _default_grid(game, grid))
         return value, y

@@ -88,10 +88,11 @@ def _emit(doc: dict, out: str | Path | None, name: str) -> None:
     print(text)
 
 
-def _document(args, quantity: str, value, argument: dict, tolerance, method: str) -> None:
-    """Print an analysis document, and write it to <quantity>.json under --out."""
+def _document(args, quantity: str, value, argument: dict, tolerance, method: str, **bounds) -> None:
+    """Print an analysis document, and write it to <quantity>.json under --out;
+    `bounds` are certified bounds on the quantity, added after its fields."""
     doc = {"quantity": quantity, "value": value, "argument": argument,
-           "tolerance": tolerance, "method": method, "seed": args.seed}
+           "tolerance": tolerance, "method": method, "seed": args.seed, **bounds}
     _emit(doc, args.out, f"{args.quantity}.json")
 
 
@@ -208,12 +209,15 @@ def cmd_scaling(args) -> int:
 def cmd_minimax(args) -> int:
     game = _load_cli_game(args)
     bound, opponents = args.which.split("-")
+    bounds = {}
     if opponents == "identical":
         value, arg = analysis.minimax_identical(game, bound)
+        if bound == "maxmin":  # what the returned x1 secures against every y bounds maxmin from below
+            bounds["certified_lower"] = analysis.certified_exploitability(game, arg["learner_strategy"])[0]
     else:
         value, arg = analysis.minimax_independent(game)[bound]
     _document(args, f"minimax:{args.which}", value, {k: list(map(float, np.atleast_1d(v))) for k, v in arg.items()},
-              _grid_tolerance(game), f"simplex grid with {analysis.REFINE_FACTOR}x local refinement")
+              _grid_tolerance(game), f"simplex grid with {analysis.REFINE_FACTOR}x local refinement", **bounds)
     print(f"{args.which} on {game.name}: {value:.6g}")
     return EXIT_OK
 
@@ -221,10 +225,15 @@ def cmd_minimax(args) -> int:
 def cmd_exploitability(args) -> int:
     game = _load_cli_game(args)
     x = as_strategy([float(v) for v in args.x.split(",")], game.A)
-    value, worst = analysis.exploitability(game, x, method=args.method, seed=args.seed)
-    on_grid = analysis.exploitability_method(args.method, game.A) == "grid"
+    bounds = {}
+    if args.method == "auto":
+        lower, value, worst = analysis.certified_exploitability(game, x)
+        tolerance, bounds["certified_lower"] = value - lower, lower
+    else:
+        value, worst = analysis.exploitability(game, x, method=args.method, seed=args.seed)
+        tolerance = _grid_tolerance(game) if args.method == "grid" else None
     _document(args, "exploitability", value, {"x": [float(v) for v in x], "worst_meta_strategy": [float(v) for v in worst]},
-              _grid_tolerance(game) if on_grid else None, args.method)
+              tolerance, args.method, **bounds)
     print(f"exploitability of [{args.x}] on {game.name}: {value:.6g} at y={np.round(worst, 4)}")
     return EXIT_OK
 
@@ -302,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(quantities, "exploitability", cmd_exploitability, "exploitability of a strategy", [game])
     p.add_argument("--x", required=True, help="strategy, comma separated")
     p.add_argument("--method", default="auto", choices=["auto", "grid", "exploiter"],
-                   help="auto is grid for at most 3 actions, else exploiter")
+                   help=f"auto: a certified branch and bound within {analysis.CERTIFIED_TOL:g} x scale, at any number of actions; "
+                        "grid: a simplex grid scan; exploiter: the exploiter protocol")
     p = leaf(quantities, "equilibrium", cmd_equilibrium, "equilibrium check of a distribution", [game])
     p.add_argument("--concept", default="ne", choices=["ne", "ce", "cce"])
     dist = p.add_mutually_exclusive_group(required=True)

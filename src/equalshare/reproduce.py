@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import exploiter_protocol, exploitability, monte_carlo_utility
+from .analysis import certified_exploitability, exploiter_protocol, monte_carlo_utility
 from .arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
 from .games import SymmetricGame, payoff_vector
 # batch_exploiter and batch_self_play are not called here; callers of reproduce.batch_* still import them from here.
@@ -48,7 +48,7 @@ class AlgorithmResult:
     exact_utility: float | None = None
     mc_utility: tuple[float, float] | None = None  # mean, std over eval repeats
     exploit_protocol: float | None = None  # best-of-runs exploiter payoff
-    exploit_exact: float | None = None  # grid value
+    exploit_exact: float | None = None  # certified value, within CERTIFIED_TOL * scale
 
     def as_dict(self) -> dict:
         return {
@@ -58,7 +58,7 @@ class AlgorithmResult:
             "exact_utility": self.exact_utility,
             "mc_utility": None if self.mc_utility is None else list(self.mc_utility),
             "exploitability_protocol": self.exploit_protocol,
-            "exploitability_grid": self.exploit_exact,
+            "exploitability_grid": self.exploit_exact,  # the certified value, under the reports' existing key
         }
 
 
@@ -99,7 +99,7 @@ class RunReport:
             lines.append(f"| {r.label} | " + " | ".join(cells) + " |")
         lines.append("")
         lines.append("## Utility and exploitability (worst converged limit)")
-        lines.append("| algorithm | exact utility | MC utility (mean +/- std) | exploitability (protocol) | exploitability (grid) |")
+        lines.append("| algorithm | exact utility | MC utility (mean +/- std) | exploitability (protocol) | exploitability (certified) |")
         lines.append("|---|---|---|---|---|")
         for r in self.rows:
             mc = "-" if r.mc_utility is None else f"{r.mc_utility[0]:.4f} +/- {r.mc_utility[1]:.4f}"
@@ -154,8 +154,8 @@ def run_table_experiment(
     single limit so its worst limit is its only one.  Every row has its own
     generators, seeded by its label, so the self-play rows train in one
     self_play_roster call and, once every row is classified, all their
-    exploiters in one exploiter_protocol call.  The exact utility and grid
-    exploitability are computed once per distinct worst action.
+    exploiters in one exploiter_protocol call.  The exact utility and the
+    certified exploitability are computed once per distinct worst action.
     """
     if eval_repeats < 2:
         raise ValueError(f"a std over eval repeats needs at least two repeats, got {eval_repeats}")
@@ -170,7 +170,7 @@ def run_table_experiment(
     finals_by_label["hedge"] = batch_hedge_vs_fixed(game, y_meta, hedge_horizon, runs, eta, train["hedge"])
     horizons = {label: hedge_horizon if label == "hedge" else sp_horizon for label, _ in roster()}
     payoffs = payoff_vector(game, y_meta)
-    grid_value = functools.cache(lambda a: float(exploitability(game, np.eye(game.A)[a], method="grid")[0]))
+    certified_value = functools.cache(lambda a: certified_exploitability(game, np.eye(game.A)[a])[1])
     rows = []
     for label, _ in roster():
         finals = finals_by_label[label]
@@ -187,7 +187,7 @@ def run_table_experiment(
             estimates = [monte_carlo_utility(game, result.worst_limit, y_meta, eval_games, eval_rng)[0]
                          for _ in range(eval_repeats)]
             result.mc_utility = (float(np.mean(estimates)), float(np.std(estimates, ddof=1)))
-            result.exploit_exact = grid_value(worst_action)
+            result.exploit_exact = certified_value(worst_action)
         rows.append(result)
     exploited = [r for r in rows if r.worst_limit is not None]
     protocol = exploiter_protocol(game, [r.worst_limit for r in exploited], [seeds[r.label][2] for r in exploited],

@@ -15,6 +15,7 @@ from equalshare.analysis import (
     SimplexGrid,
     _joint_payoffs,
     _refine_near,
+    certified_exploitability,
     check_equilibrium,
     default_resolution,
     exploitability,
@@ -29,13 +30,14 @@ from equalshare.games import (
     SymmetricGame,
     compositions,
     expected_payoff_mixed,
+    game_from_json,
     game_to_json,
     payoff_vectors_batch,
     validate,
 )
 from equalshare.sampling import counts_from_actions, sample_actions
 
-from test_games import dense_utilities  # the dense reference, one payoff call per entry
+from test_games import _zero_sum_table, dense_utilities  # dense_utilities: the dense reference, one payoff call per entry
 
 MV = eq.majority3()
 MINORITY = eq.minority3()
@@ -446,6 +448,63 @@ def test_exploitability_exploiter_protocol_on_majority():
     assert value == pytest.approx(-1.0, abs=0.03)
     # the trained exploiter is nearly pure on the punishing action
     assert worst[0] >= 0.95
+
+
+def _certified_cases():
+    """200 seeded (game, x) pairs: random strategies on the built-in games,
+    and random and pure strategies on random zero-sum custom tables."""
+    rng = np.random.default_rng(25)
+    builtins = [MV, MINORITY, eq.sdg(5), SDG30, eq.extended_majority(3, 3), eq.extended_majority(6, 4),
+                eq.extended_majority(4, 2), eq.extended_majority(3, 5), eq.extended_majority(3, 7),
+                eq.extended_majority(4, 5)]
+    cases = [(game, rng.dirichlet(np.ones(game.A))) for game in builtins for _ in range(14)]
+    for n, A in itertools.product((2, 3, 4, 6), (2, 3, 4)):
+        for _ in range(2):
+            game = game_from_json({"custom": {"n": n, "A": A, "payoff_table": _zero_sum_table(rng, n, A)}})
+            cases += [(game, rng.dirichlet(np.ones(A))) for _ in range(2)] + [(game, np.eye(A)[rng.integers(A)])]
+    return cases, rng
+
+
+def test_certified_exploitability_brackets_the_minimum():
+    # lower is below the grid value and the payoff at 2,000 random y; the
+    # bracket is within the default tolerance; upper is the payoff at y
+    cases, rng = _certified_cases()
+    assert len(cases) >= 200
+    for game, x in cases:
+        lower, upper, y = certified_exploitability(game, x)
+        assert lower <= upper <= lower + analysis.CERTIFIED_TOL * game.scale, (game.name, x, lower, upper)
+        assert abs(upper - expected_payoff_mixed(game, x, y)) <= 1e-12 * game.scale, (game.name, x)
+        assert lower <= (payoff_vectors_batch(game, rng.dirichlet(np.ones(game.A), 2_000)) @ x).min(), (game.name, x)
+        if game.A <= 3:
+            assert lower <= exploitability(game, x, method="grid")[0], (game.name, x)
+
+
+@pytest.mark.parametrize("game, actions", [
+    (MV, range(2)), (SDG30, range(3)), (eq.extended_majority(3, 3), range(3)), (eq.sdg(200), [1])])
+def test_certified_exploitability_equals_the_grid_on_pure_strategies(game, actions):
+    # each minimum is at a vertex, which the grid scans exactly: the same
+    # value and y, byte for byte, closed at the first cell
+    for a in actions:
+        x = np.eye(game.A)[a]
+        value, y = exploitability(game, x)
+        grid_value, grid_y = exploitability(game, x, method="grid")
+        assert (np.float64(value).tobytes(), y.tobytes()) == (np.float64(grid_value).tobytes(), grid_y.tobytes())
+        assert certified_exploitability(game, x)[:2] == (value, value)
+
+
+def test_certified_exploitability_refuses_past_its_cell_budget(monkeypatch):
+    # minority3 against (0.3, 0.7) closes after a few splits; past the split
+    # budget, or the cells' coefficients cap, it is refused before the split
+    # that would exceed it, naming the bracket reached
+    lower, upper, _ = certified_exploitability(MINORITY, [0.3, 0.7])
+    assert upper - lower <= 1e-9
+    monkeypatch.setattr(analysis, "MAX_SPLITS", 1)
+    with pytest.raises(SizeCapExceeded, match=r"stopped at \[-0\.\d+, \S+\] after 1 splits"):
+        certified_exploitability(MINORITY, [0.3, 0.7])
+    monkeypatch.setattr(analysis, "MAX_SPLITS", 10_000)
+    monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", 2 * 3)  # two cells of K = 3 coefficients
+    with pytest.raises(SizeCapExceeded, match="after 1 splits: .* or 6 coefficients, holding 9"):
+        certified_exploitability(MINORITY, [0.3, 0.7])
 
 
 def test_exploiter_value_never_beats_grid():

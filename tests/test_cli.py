@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import equalshare as eq
-from equalshare import cli
+from equalshare import analysis, cli
 from equalshare.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SIZE_CAP, main
 from equalshare.reproduce import RunReport, mv_table
 
@@ -110,6 +110,42 @@ def test_analyze_minimax(capsys, tmp_path):
     assert doc["value"] == pytest.approx(-0.5, abs=0.02)
     assert doc["quantity"] == "minimax:maxmin-identical"
     assert {"value", "argument", "tolerance", "method", "seed"} <= set(doc)
+    # what the returned x1 secures, certified, is at most the grid's value
+    assert doc["certified_lower"] <= doc["value"]
+
+
+def test_analyze_minimax_identical_reports_certified_bounds(tmp_path):
+    # minority3's grid maxmin reads 0.0, but its x1 secures only about
+    # -1.25e-5, which certified_lower reports; the minmax document adds no
+    # bound, since its lower end 0 would need a zero-sum game
+    docs = {}
+    for which in ("maxmin-identical", "minmax-identical"):
+        out = tmp_path / which
+        assert run_cli("--out", str(out), "analyze", "minimax", "--game", "minority3", "--which", which) == EXIT_OK
+        docs[which] = json.loads((out / "minimax.json").read_text())
+    maxmin, minmax = docs["maxmin-identical"], docs["minmax-identical"]
+    x1 = maxmin["argument"]["learner_strategy"]
+    assert abs(maxmin["value"]) < 1e-15 and -2e-5 < maxmin["certified_lower"] < -1e-5
+    assert maxmin["certified_lower"] <= analysis.exploitability(eq.minority3(), x1, method="grid")[0]
+    assert set(minmax) == {"quantity", "value", "argument", "tolerance", "method", "seed"}
+
+
+def test_analyze_minimax_identical_bounds_hold_on_a_non_zero_sum_table(tmp_path):
+    # a custom table is loaded without a zero-sum check: every payoff -1
+    # makes both minimax quantities -1, up to rounding, and the certified
+    # lower end is -1 too
+    table = {f"{a}|{c0},{2 - c0}": -1.0 for a in range(2) for c0 in range(3)}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"custom": {"n": 3, "A": 2, "payoff_table": table}}))
+    docs = {}
+    for which in ("maxmin-identical", "minmax-identical"):
+        out = tmp_path / which
+        assert run_cli("--out", str(out), "analyze", "minimax", "--game", f"file:{path}", "--which", which) == EXIT_OK
+        docs[which] = json.loads((out / "minimax.json").read_text())
+    maxmin, minmax = docs["maxmin-identical"], docs["minmax-identical"]
+    assert maxmin["certified_lower"] == -1.0 and maxmin["certified_lower"] <= maxmin["value"] + 1e-15
+    assert maxmin["value"] == pytest.approx(-1.0, abs=1e-15) and minmax["value"] == pytest.approx(-1.0, abs=1e-15)
+    assert "bracket" not in minmax and "certified_lower" not in minmax
 
 
 def test_analyze_minimax_independent_size_cap_exit_code():
@@ -124,15 +160,29 @@ def test_analyze_exploitability(capsys):
     assert "-29" in out
 
 
-def test_analyze_exploitability_auto_on_four_actions_reports_no_grid_tolerance(tmp_path):
-    # auto runs the exploiter protocol above 3 actions, which has no grid
-    # tolerance; an explicit grid run on the same game has one
+def test_analyze_exploitability_auto_on_four_actions_reports_the_certified_gap(tmp_path):
+    # auto is certified at any number of actions: its tolerance is the gap
+    # upper - lower, and it adds the lower end; the exploiter protocol has
+    # no tolerance, and an explicit grid run has the grid's
     game = ("--game", "extended_majority", "--n", "3", "--num-actions", "4", "--x", "1,0,0,0")
-    for method, tolerance in (("auto", None), ("exploiter", None), ("grid", 2.0 / 8)):
+    docs = {}
+    for method in ("auto", "exploiter", "grid"):
         out = tmp_path / method
         assert run_cli("--out", str(out), "analyze", "exploitability", *game, "--method", method) == EXIT_OK
-        doc = json.loads((out / "exploitability.json").read_text())
-        assert (doc["method"], doc["tolerance"]) == (method, tolerance)
+        docs[method] = json.loads((out / "exploitability.json").read_text())
+        assert docs[method]["method"] == method
+    auto = docs["auto"]
+    assert auto["tolerance"] == auto["value"] - auto["certified_lower"]
+    assert 0.0 <= auto["tolerance"] <= 1e-9 and auto["value"] == -1.0
+    assert (docs["exploiter"]["tolerance"], docs["grid"]["tolerance"]) == (None, 2.0 / 8)
+    assert "certified_lower" not in docs["exploiter"] and "certified_lower" not in docs["grid"]
+
+
+def test_analyze_exploitability_auto_exits_4_naming_the_bracket_past_the_split_budget(monkeypatch, capsys):
+    # minority3 against x = (0.3, 0.7) needs more than one split to close
+    monkeypatch.setattr(analysis, "MAX_SPLITS", 1)
+    assert run_cli("analyze", "exploitability", "--game", "minority3", "--x", "0.3,0.7") == EXIT_SIZE_CAP
+    assert "certified exploitability stopped at [" in capsys.readouterr().err
 
 
 def test_analyze_equilibrium_product(capsys):

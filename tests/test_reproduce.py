@@ -228,30 +228,30 @@ def test_a_table_with_fewer_than_two_eval_repeats_is_refused_before_training(rep
 
 def test_a_table_trains_each_kind_of_row_in_one_call(monkeypatch):
     # the self-play rows train in one roster call and every row's
-    # exploiters in one more; the grid oracle runs once per distinct worst
-    # action, and each row is exploited against its own worst limit
+    # exploiters in one more; the certified oracle runs once per distinct
+    # worst action, and each row is exploited against its own worst limit
     from equalshare import analysis, reproduce
 
-    calls = {"roster": [], "grid": []}
-    train_roster, exploitability = learners.train_roster, reproduce.exploitability
+    calls = {"roster": [], "certified": []}
+    train_roster, certified = learners.train_roster, reproduce.certified_exploitability
 
     def spy_roster(game, T, runs, eta, rows):
         calls["roster"].append([None if target is None else list(target) for *_, target in rows])
         return train_roster(game, T, runs, eta, rows)
 
-    def spy_exploitability(game, x, method="auto", **kwargs):
-        calls["grid"].append((method, list(x)))
-        return exploitability(game, x, method, **kwargs)
+    def spy_certified(game, x):
+        calls["certified"].append(list(x))
+        return certified(game, x)
 
     monkeypatch.setattr(learners, "train_roster", spy_roster)
     monkeypatch.setattr(analysis, "train_roster", spy_roster)
-    monkeypatch.setattr(reproduce, "exploitability", spy_exploitability)
+    monkeypatch.setattr(reproduce, "certified_exploitability", spy_certified)
     report = mv_table(seed=0, runs=20, hedge_horizon=2_000, sp_horizon=1_000, eval_games=1_000, eval_repeats=2,
                       exploit_runs=2, exploit_steps=50)
     worst = [list(r.worst_limit) for r in report.rows if r.worst_limit is not None]
     assert len(worst) > len({tuple(w) for w in worst})  # some rows share a worst action
     assert calls["roster"] == [[None] * 6, worst]
-    assert sorted(calls["grid"]) == sorted(("grid", list(w)) for w in {tuple(w) for w in worst})
+    assert sorted(calls["certified"]) == sorted(list(w) for w in {tuple(w) for w in worst})
 
 
 def test_lowerbound_sweep_rows():

@@ -185,15 +185,18 @@ class CountTable:
 class SymmetricGame:
     """An n-player symmetric zero-sum game over a shared action set.
 
-    payoff(a, counts) is the payoff of a player using action a when the
-    remaining n-1 players' actions have the given per-action counts.
+    payoff(a, counts) maps an int array of count rows, shape (..., A), each
+    row the per-action counts of the remaining n-1 players' actions, to the
+    payoffs of a player using action a against each row, shape (...).
+    payoff_matrix is its one reader and calls it once per action, so a
+    Python-defined custom game receives all (K, A) rows of count_table().
     scale bounds |payoff| over the whole domain.
     """
 
     name: str
     n: int
     A: int
-    payoff: Callable[[int, tuple[int, ...]], float]
+    payoff: Callable[[int, np.ndarray], np.ndarray]
     scale: float
     kind: str = "custom"
     params: dict = field(default_factory=dict)
@@ -212,13 +215,16 @@ class SymmetricGame:
         return self._cache["table"]
 
     def payoff_matrix(self) -> np.ndarray:
-        """(A, K) array of payoff(a, counts) over count_table()'s rows, built once."""
+        """(A, K) array of payoff(a, counts) over count_table()'s rows, built
+        once, with one payoff call per action."""
         if "payoffs" not in self._cache:
-            rows = self.count_table().counts.tolist()
-            mat = np.empty((self.A, len(rows)))
+            counts = self.count_table().counts
+            mat = np.empty((self.A, len(counts)))
             for a in range(self.A):
-                # one tuple per call: a held list of K tuples fragments the heap
-                mat[a] = [self.payoff(a, tuple(r)) for r in rows]
+                row = np.asarray(self.payoff(a, counts), dtype=float)
+                if row.shape != (len(counts),):
+                    raise DimensionError(f"payoff({a}, counts) returned shape {row.shape} for {len(counts)} count rows")
+                mat[a] = row
             self._cache["payoffs"] = mat
         return self._cache["payoffs"]
 
@@ -323,18 +329,14 @@ def validate(game: SymmetricGame) -> ValidationReport:
 # Built-in games.
 # ---------------------------------------------------------------------------
 
-def _majority_payoff(a: int, counts: tuple[int, ...]) -> float:
-    allies = counts[a] + 1
-    if allies == 3:
-        return 0.0
-    return 0.5 if allies == 2 else -1.0
+def _majority_payoff(a: int, counts: np.ndarray) -> np.ndarray:
+    allies = counts[..., a] + 1
+    return np.where(allies == 3, 0.0, np.where(allies == 2, 0.5, -1.0))
 
 
-def _minority_payoff(a: int, counts: tuple[int, ...]) -> float:
-    allies = counts[a] + 1
-    if allies == 3:
-        return 0.0
-    return -0.5 if allies == 2 else 1.0
+def _minority_payoff(a: int, counts: np.ndarray) -> np.ndarray:
+    allies = counts[..., a] + 1
+    return np.where(allies == 3, 0.0, np.where(allies == 2, -0.5, 1.0))
 
 
 def majority3() -> SymmetricGame:
@@ -347,31 +349,22 @@ def minority3() -> SymmetricGame:
     return SymmetricGame("minority3", 3, 2, _minority_payoff, 1.0, kind="minority3")
 
 
-def _sdg_payoff_fn(n: int) -> Callable[[int, tuple[int, ...]], float]:
+def _sdg_payoff_fn(n: int) -> Callable[[int, np.ndarray], np.ndarray]:
     # Actions 0, 1, 2 stand for A, B, C.  The dominance order flips on the
-    # count of action A among all n players; divisions are guarded by the
-    # indicator so a zero indicator never evaluates its term.
-    def pay(a: int, counts: tuple[int, ...]) -> float:
-        full = [counts[0], counts[1], counts[2]]
-        full[a] += 1
-        if 5 * full[0] > n:
-            order = (1, 0, 2)  # B > A > C
-        else:
-            order = (2, 1, 0)  # C > B > A
-        ni, nj, nk = full[order[0]], full[order[1]], full[order[2]]
-        if a == order[0]:
-            return 1.0 if nj + nk > 0 else 0.0
-        if a == order[1]:
-            r = 1.0 if nk > 0 else 0.0
-            if nj + nk > 0:
-                r -= ni / (nj + nk)
-            return r
-        r = 0.0
-        if nj + nk > 0:
-            r -= ni / (nj + nk)
-        if nk > 0:
-            r -= nj / nk
-        return r
+    # count of action A among all n players.  A division runs only on a
+    # non-zero denominator; a zero indicator subtracts +0.0, which is exact.
+    def pay(a: int, counts: np.ndarray) -> np.ndarray:
+        full = np.array(counts, dtype=np.int64)
+        full[..., a] += 1
+        flip = 5 * full[..., 0] > n
+        # the counts (ni, nj, nk) in rank order and a's rank: B > A > C when flipped, else C > B > A
+        ni, nj, nk = (np.where(flip, full[..., i], full[..., j]) for i, j in ((1, 2), (0, 1), (2, 0)))
+        rank = np.where(flip, (1, 0, 2)[a], (2, 1, 0)[a])
+        share = np.where(nj + nk > 0, ni / np.maximum(nj + nk, 1), 0.0)
+        top = np.where(nj + nk > 0, 1.0, 0.0)
+        middle = np.where(nk > 0, 1.0, 0.0) - share
+        bottom = (0.0 - share) - np.where(nk > 0, nj / np.maximum(nk, 1), 0.0)
+        return np.choose(rank, (top, middle, bottom))
 
     return pay
 
@@ -410,22 +403,20 @@ def _majority_symbol_payoff(a: int, b: int, c: int) -> float:
     return -1.0 if sa == 2 else 0.5
 
 
-def _extended_majority_payoff_fn(n: int) -> Callable[[int, tuple[int, ...]], float]:
+def _extended_majority_payoff_fn(n: int) -> Callable[[int, np.ndarray], np.ndarray]:
     scale = 1.0 / ((n - 1) * (n - 2))
 
-    def pay(a: int, counts: tuple[int, ...]) -> float:
+    def pay(a: int, counts: np.ndarray) -> np.ndarray:
         # Average of the 3-player payoff over all ordered pairs of distinct
-        # opponents, computed from action counts.
-        total = 0.0
-        for b, cb in enumerate(counts):
-            if cb == 0:
-                continue
-            for c, cc in enumerate(counts):
-                if cc == 0:
-                    continue
-                mult = cb * (cc - 1) if b == c else cb * cc
-                if mult:
-                    total += mult * _majority_symbol_payoff(a, b, c)
+        # opponents, computed from action counts.  A pair of actions that no
+        # pair of opponents plays adds 0 * payoff = +-0.0, which leaves the
+        # sum, never -0.0, as it is.
+        total = np.zeros(counts.shape[:-1])
+        for b in range(counts.shape[-1]):
+            cb = counts[..., b]
+            for c in range(counts.shape[-1]):
+                mult = cb * (cb - 1) if b == c else cb * counts[..., c]
+                total += mult * _majority_symbol_payoff(a, b, c)
         return total * scale
 
     return pay
@@ -536,11 +527,12 @@ def game_from_json(doc: dict) -> SymmetricGame:
     for key, value in entries.items():
         if not (is_json(value, float) and math.isfinite(value)):
             raise ValueError(f"payoff {key!r} must be a finite JSON number, got {value!r}")
-    table = {}  # filled from entries once every key is checked, before the game is returned
-    game = SymmetricGame("custom", n, A, lambda a, counts: table[(a, counts)],
+    mat = None  # (A, K) in count-table order, filled once every key is checked, before the game is returned
+    game = SymmetricGame("custom", n, A, lambda a, counts: mat[a, table.rows(counts)],
                          max(map(abs, entries.values()), default=0.0) or 1.0)
+    table = game.count_table()
     # game_to_json's keys in its order, one spelling per entry, so no key can stand in for another
-    keys = {f"{a}|{','.join(map(str, c))}": (a, tuple(c)) for a in range(A) for c in game.count_table().counts.tolist()}
+    keys = {f"{a}|{','.join(map(str, c))}": (a, k) for a in range(A) for k, c in enumerate(table.counts.tolist())}
     for key in entries:
         if key not in keys:
             raise ValueError(f"bad payoff key {key!r} for n={n}, A={A}: want a|c0,...,c{A - 1} "
@@ -548,7 +540,9 @@ def game_from_json(doc: dict) -> SymmetricGame:
     for key in keys:
         if key not in entries:
             raise ValueError(f"payoff table for n={n}, A={A} has no entry {key!r}")
-    table.update((keys[key], float(value)) for key, value in entries.items())
+    mat = np.empty((A, len(table.counts)))
+    for key, value in entries.items():
+        mat[keys[key]] = float(value)
     return game
 
 

@@ -33,6 +33,7 @@ from equalshare.games import (
     game_from_json,
     game_to_json,
     payoff_vectors_batch,
+    realized_payoff_vector,
     validate,
 )
 from equalshare.sampling import counts_from_actions, sample_actions
@@ -133,7 +134,7 @@ def test_minimax_independent_refuses_oversized_grids_before_allocating():
 
 def test_payoff_matrix_is_the_only_reader_of_the_payoff_function():
     """The oracles read payoffs through payoff_matrix: on a fresh game they
-    make K*A payoff calls between them, one per (action, count vector)."""
+    make A payoff calls between them, one per action on all K count rows."""
     for base in (eq.majority3(), eq.sdg(5), eq.extended_majority(3, 3)):
         calls = 0
 
@@ -152,8 +153,8 @@ def test_payoff_matrix_is_the_only_reader_of_the_payoff_function():
             pass  # sdg(5) has 5 players; extended_majority(3,3) is over the cap
         population = [np.full(game.A, 1.0 / game.A)] * game.n
         pooling_check(game, population, np.eye(game.A)[0])
-        assert len(game_to_json(game)["custom"]["payoff_table"]) == calls
-        assert calls == game.A * len(game.count_table().counts)
+        assert len(game_to_json(game)["custom"]["payoff_table"]) == game.A * len(game.count_table().counts)
+        assert calls == game.A
 
 
 def test_joint_payoffs_equals_the_payoff_loop():
@@ -163,7 +164,7 @@ def test_joint_payoffs_equals_the_payoff_loop():
         want = np.empty((A,) * n)
         for a, *others in np.ndindex(*want.shape):
             counts = np.bincount(others, minlength=A)
-            want[(a, *others)] = game.payoff(a, tuple(int(v) for v in counts))
+            want[(a, *others)] = realized_payoff_vector(game, counts)[a]
         assert _joint_payoffs(game).tobytes() == want.reshape(A, -1).tobytes(), game.name
 
 
@@ -553,8 +554,8 @@ def test_pooling_two_player_game_gap_is_zero():
     # with a single opponent, drawing without replacement averages the
     # population exactly like the pooled mixture does
     def advantage(a, counts):
-        other = 0 if counts[0] == 1 else 1
-        return float(np.sign(other - a)) if a != other else 0.0
+        other = np.where(counts[..., 0] == 1, 0, 1)
+        return np.sign(other - a).astype(float)
 
     duel = SymmetricGame("duel", 2, 2, advantage, 1.0)
     assert eq.validate(duel).passed
@@ -574,7 +575,7 @@ def test_pooling_mixed_population_example():
         counts = np.zeros(2, dtype=int)
         counts[int(pop[i][1])] += 1
         counts[int(pop[j][1])] += 1
-        vals.append(MV.payoff(0, tuple(counts)))
+        vals.append(realized_payoff_vector(MV, counts)[0])
     oracle_wo = np.mean(vals)
     pooled = expected_payoff_mixed(MV, z, [0.5, 0.5])
     report = pooling_check(MV, pop, z)

@@ -9,6 +9,7 @@ import pytest
 import equalshare as eq
 from equalshare import analysis, cli
 from equalshare.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_SIZE_CAP, main
+from equalshare.games import realized_payoff_vector
 from equalshare.reproduce import RunReport, mv_table
 
 
@@ -22,9 +23,16 @@ def test_verify_builtins_pass():
     assert run_cli("verify", "--game", "extended_majority", "--n", "3", "--num-actions", "3") == EXIT_OK
 
 
+def test_verify_passes_sdg_at_700_players(capsys):
+    # 246,051 full profiles, just under MAX_PROFILES: the zero-sum check of
+    # the array-form payoff on a 245,350-row table
+    assert run_cli("verify", "--game", "sdg", "--n", "700") == EXIT_OK
+    assert capsys.readouterr().out.startswith("zero-sum check: pass over 246051 profiles")
+
+
 def test_verify_tampered_game_fails(tmp_path, capsys):
     g = eq.majority3()
-    table = {f"{a}|{c0},{2 - c0}": g.payoff(a, (c0, 2 - c0)) for a in range(2) for c0 in range(3)}
+    table = {f"{a}|{c0},{2 - c0}": realized_payoff_vector(g, (c0, 2 - c0))[a] for a in range(2) for c0 in range(3)}
     table["0|0,2"] = -0.9
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"custom": {"n": 3, "A": 2, "payoff_table": table}}))
@@ -59,7 +67,7 @@ def test_verify_refuses_a_payoff_key_the_game_never_reads(key, value, tmp_path, 
     # the scale to 50 or 9, the third by replacing the entry "0|1,1"; the
     # last three raised bare unpacking and int() errors
     g = eq.majority3()
-    table = {f"{a}|{c0},{2 - c0}": g.payoff(a, (c0, 2 - c0)) for a in range(2) for c0 in range(3)}
+    table = {f"{a}|{c0},{2 - c0}": realized_payoff_vector(g, (c0, 2 - c0))[a] for a in range(2) for c0 in range(3)}
     path = tmp_path / "game.json"
     path.write_text(json.dumps({"custom": {"n": 3, "A": 2, "payoff_table": {**table, key: value}}}))
     assert run_cli("verify", "--game", f"file:{path}") == EXIT_CONFIG
@@ -73,7 +81,7 @@ def test_verify_refuses_a_payoff_table_with_a_missing_entry(drop, missing, tmp_p
     # empty table used to fail on max() of an empty sequence, and a partial
     # one to load and fail only when first read
     g = eq.majority3()
-    table = {f"{a}|{c0},{2 - c0}": g.payoff(a, (c0, 2 - c0)) for a in range(2) for c0 in range(3)}
+    table = {f"{a}|{c0},{2 - c0}": realized_payoff_vector(g, (c0, 2 - c0))[a] for a in range(2) for c0 in range(3)}
     table = {} if drop is None else {k: v for k, v in table.items() if k != drop}
     path = tmp_path / "game.json"
     path.write_text(json.dumps({"custom": {"n": 3, "A": 2, "payoff_table": table}}))
@@ -92,7 +100,7 @@ def test_verify_refuses_a_payoff_value_that_is_not_a_finite_number(value, tmp_pa
     # each would load: the string with scale 2.5, true as 1.0, and NaN as a
     # payoff that fails the zero-sum check with exit 3
     g = eq.majority3()
-    table = {f"{a}|{c0},{2 - c0}": g.payoff(a, (c0, 2 - c0)) for a in range(2) for c0 in range(3)}
+    table = {f"{a}|{c0},{2 - c0}": realized_payoff_vector(g, (c0, 2 - c0))[a] for a in range(2) for c0 in range(3)}
     path = tmp_path / "game.json"
     path.write_text(json.dumps({"custom": {"n": 3, "A": 2, "payoff_table": {**table, "0|1,1": value}}}))
     assert run_cli("verify", "--game", f"file:{path}") == EXIT_CONFIG

@@ -8,7 +8,7 @@ import pytest
 from equalshare.arena import SCHEDULE_FIELDS, realize_schedule, run_match
 from equalshare.cli import EXIT_CONFIG, main
 from equalshare.config import ConfigError, parse_config
-from equalshare.games import extended_majority
+from equalshare.games import extended_majority, realized_payoff_vector
 from equalshare.learners import LEARNER_FIELDS
 
 T = 100  # past 64, so a SAOL horizon of 2T changes the truncated cover
@@ -93,7 +93,7 @@ def test_seed_ranges():
 
 
 def test_custom_game_fields():
-    custom = {"n": 3, "A": 2, "payoff_table": {f"{a}|{c},{2 - c}": GAME.payoff(a, (c, 2 - c)) for a in range(2) for c in range(3)}}
+    custom = {"n": 3, "A": 2, "payoff_table": {f"{a}|{c},{2 - c}": realized_payoff_vector(GAME, (c, 2 - c))[a] for a in range(2) for c in range(3)}}
     assert parse_config({**BASE, "game": {"custom": custom}}).game.kind == "custom"
     for game, field in (({"custom": {**custom, "scale": 2}}, "scale"), ({"custom": custom, "kind": "custom"}, "kind")):
         with pytest.raises(ConfigError) as err:

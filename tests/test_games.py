@@ -136,11 +136,17 @@ def test_count_table_rows_and_switch_rows(total, parts):
 
 def _random_game(n, A, seed):
     """A custom game with i.i.d. normal payoffs: not zero-sum, no symmetry
-    in the table, so every lookup has to land on its own entry."""
+    in the table, so every lookup has to land on its own entry.  The payoff
+    looks each count row up by its tuple."""
     rng = np.random.default_rng(seed)
     table = {(a, tuple(int(v) for v in c)): float(rng.normal())
              for a in range(A) for c in compositions(n - 1, A)}
-    return SymmetricGame("random", n, A, lambda a, c: table[(a, c)], 3.0)
+
+    def payoff(a, counts):
+        values = [table[(a, tuple(row))] for row in counts.reshape(-1, A).tolist()]
+        return np.array(values).reshape(counts.shape[:-1])
+
+    return SymmetricGame("random", n, A, payoff, 3.0)
 
 
 @pytest.mark.parametrize("n, A", [(2, 2), (3, 2), (3, 3), (4, 3), (3, 5), (5, 2)])
@@ -154,7 +160,7 @@ def test_payoff_matrix_readers_equal_loops_over_the_payoff_function(n, A):
             if c[a] > 0:
                 others = c.copy()
                 others[a] -= 1
-                total += c[a] * game.payoff(a, tuple(int(v) for v in others))
+                total += c[a] * realized_payoff_vector(game, others)[a]
         if abs(total) > worst:
             worst, worst_profile = abs(total), tuple(int(v) for v in c)
     report = validate(game)
@@ -163,31 +169,32 @@ def test_payoff_matrix_readers_equal_loops_over_the_payoff_function(n, A):
     # _joint_payoffs: the first player's payoff at each joint action, its own action first
     assert _joint_payoffs(game).tobytes() == dense_utilities(game)[0].reshape(A, -1).tobytes()
     # game_to_json: the payoff table keyed by action and counts
-    want = {f"{a}|{','.join(map(str, c))}": game.payoff(a, tuple(int(v) for v in c))
+    want = {f"{a}|{','.join(map(str, c))}": realized_payoff_vector(game, c)[a]
             for a in range(A) for c in compositions(n - 1, A)}
     assert game_to_json(game)["custom"]["payoff_table"] == want
 
 
 def dense_utilities(game) -> np.ndarray:
     """U[i][joint]: each player's payoff at each joint action, one
-    game.payoff call per entry; shape (n, A, ..., A).  The dense reference
+    game.payoff call on one count row per entry; shape (n, A, ..., A).  The dense reference
     of the count-form and joint-action-table oracles."""
     n, A = game.n, game.A
     util = np.empty((n,) + (A,) * n)
     for joint in np.ndindex(*(A,) * n):
         for i in range(n):
             others = np.bincount(np.delete(joint, i), minlength=A)
-            util[(i,) + joint] = game.payoff(joint[i], tuple(int(v) for v in others))
+            util[(i,) + joint] = game.payoff(joint[i], others)
     return util
 
 
 def _payoff_matrix_per_entry(game):
-    """payoff_matrix as one numpy-row-to-tuple call per entry: the reference."""
+    """payoff_matrix as one payoff call on one count row per entry: the
+    reference, which no other row of the call can affect."""
     counts = game.count_table().counts
     mat = np.empty((game.A, counts.shape[0]))
     for a in range(game.A):
         for k, row in enumerate(counts):
-            mat[a, k] = game.payoff(a, tuple(int(v) for v in row))
+            mat[a, k] = game.payoff(a, row)
     return mat
 
 
@@ -210,6 +217,89 @@ TABULATED_GAMES = [
 def test_tabulated_payoffs_and_coefficients_equal_per_entry_evaluation(game):
     assert game.payoff_matrix().tobytes() == _payoff_matrix_per_entry(game).tobytes()
     assert game.count_table().log_coeffs.tobytes() == _log_coeffs_per_entry(game.n - 1, game.A).tobytes()
+
+
+# The built-in payoffs in their scalar form, one count tuple per call, with
+# the operation order the array forms keep: their references.
+
+def _majority_scalar(a, counts):
+    allies = counts[a] + 1
+    if allies == 3:
+        return 0.0
+    return 0.5 if allies == 2 else -1.0
+
+
+def _minority_scalar(a, counts):
+    allies = counts[a] + 1
+    if allies == 3:
+        return 0.0
+    return -0.5 if allies == 2 else 1.0
+
+
+def _sdg_scalar(n):
+    def pay(a, counts):
+        full = [counts[0], counts[1], counts[2]]
+        full[a] += 1
+        order = (1, 0, 2) if 5 * full[0] > n else (2, 1, 0)  # B > A > C, else C > B > A
+        ni, nj, nk = full[order[0]], full[order[1]], full[order[2]]
+        if a == order[0]:
+            return 1.0 if nj + nk > 0 else 0.0
+        if a == order[1]:
+            r = 1.0 if nk > 0 else 0.0
+            if nj + nk > 0:
+                r -= ni / (nj + nk)
+            return r
+        r = 0.0
+        if nj + nk > 0:
+            r -= ni / (nj + nk)
+        if nk > 0:
+            r -= nj / nk
+        return r
+
+    return pay
+
+
+def _extended_majority_scalar(n):
+    scale = 1.0 / ((n - 1) * (n - 2))
+
+    def pay(a, counts):
+        total = 0.0
+        for b, cb in enumerate(counts):
+            if cb == 0:
+                continue
+            for c, cc in enumerate(counts):
+                if cc == 0:
+                    continue
+                mult = cb * (cc - 1) if b == c else cb * cc
+                if mult:
+                    total += mult * games._majority_symbol_payoff(a, b, c)
+        return total * scale
+
+    return pay
+
+
+SCALAR_REFERENCES = [
+    (eq.majority3(), _majority_scalar),
+    (eq.minority3(), _minority_scalar),
+    # every n up to 40 puts the 5 * count > n flip at each residue of n mod 5
+    *((eq.sdg(n), _sdg_scalar(n)) for n in (*range(2, 41), 200)),
+    *((eq.extended_majority(n, A), _extended_majority_scalar(n))
+      for n, A in ((3, 2), (3, 3), (5, 2), (6, 4), (3, 7), (10, 5))),
+]
+
+
+@pytest.mark.parametrize("game, reference", SCALAR_REFERENCES, ids=[g.name for g, _ in SCALAR_REFERENCES])
+def test_builtin_payoff_matrix_is_byte_equal_to_its_scalar_reference(game, reference):
+    rows = game.count_table().counts.tolist()
+    want = np.array([[reference(a, tuple(row)) for row in rows] for a in range(game.A)])
+    assert game.payoff_matrix().tobytes() == want.tobytes()
+
+
+def test_payoff_matrix_refuses_a_payoff_without_one_value_per_count_row():
+    # a payoff written for one count vector, returning a scalar, would broadcast
+    for payoff in (lambda a, counts: 0.0, lambda a, counts: np.zeros(2)):
+        with pytest.raises(DimensionError):
+            SymmetricGame("scalar", 3, 2, payoff, 1.0).payoff_matrix()
 
 
 def test_count_table_index_is_keyed_by_all_but_the_last_count():
@@ -297,7 +387,7 @@ def test_monte_carlo_agreement(game, a, y):
     # Independent sampling oracle for the exact multinomial expectation.
     rng = np.random.default_rng(11)
     samples = rng.multinomial(game.n - 1, y, size=100_000)
-    vals = np.array([game.payoff(a, tuple(int(v) for v in c)) for c in samples])
+    vals = game.payoff(a, samples)
     exact = eq.payoff_vector(game, y)[a]
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - exact) <= 3 * max(se, 1e-12)
@@ -310,10 +400,9 @@ def test_payoff_vector_permutation_consistency():
         perm = rng.permutation(game.A)
 
         def relabeled_payoff(a, counts, _g=game, _p=perm):
-            old_counts = [0] * _g.A
-            for new_idx, c in enumerate(counts):
-                old_counts[_p[new_idx]] = c
-            return _g.payoff(int(_p[a]), tuple(old_counts))
+            old_counts = np.empty_like(counts)
+            old_counts[..., _p] = counts
+            return _g.payoff(int(_p[a]), old_counts)
 
         relabeled = SymmetricGame("relabel", game.n, game.A, relabeled_payoff, game.scale)
         y_old = rng.dirichlet(np.ones(game.A))
@@ -415,10 +504,9 @@ def test_sdg_exact_utilities_against_meta_strategy():
 def test_extended_majority_reduces_to_majority3():
     em = eq.extended_majority(3, 2)
     g = eq.majority3()
+    rows = compositions(2, 2)
     for a in range(2):
-        for c0 in range(3):
-            counts = (c0, 2 - c0)
-            assert em.payoff(a, counts) == g.payoff(a, counts)
+        np.testing.assert_array_equal(em.payoff(a, rows), g.payoff(a, rows))
 
 
 def test_dummy_action_penalty_against_binary_opponents():
@@ -468,7 +556,7 @@ def test_extended_majority_pairwise_average_brute_force():
                     if i != j
                 )
                 expected = total / ((n - 1) * (n - 2))
-                assert em.payoff(a, tuple(int(v) for v in row)) == pytest.approx(expected, abs=1e-12)
+                assert float(em.payoff(a, row)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_builtin_game_dispatch_and_errors():
@@ -497,9 +585,7 @@ def test_validator_catches_tampering():
     g = eq.majority3()
 
     def tampered(a, counts):
-        if a == 0 and counts == (0, 2):
-            return -0.9
-        return g.payoff(a, counts)
+        return np.where((a == 0) & np.all(counts == (0, 2), axis=-1), -0.9, g.payoff(a, counts))
 
     bad = SymmetricGame("bad", 3, 2, tampered, 1.0)
     report = validate(bad)
@@ -651,14 +737,14 @@ def test_game_json_roundtrip_custom(tmp_path):
     table = {}
     for a in range(2):
         for c0 in range(3):
-            table[f"{a}|{c0},{2 - c0}"] = g.payoff(a, (c0, 2 - c0))
+            table[f"{a}|{c0},{2 - c0}"] = realized_payoff_vector(g, (c0, 2 - c0))[a]
     doc = {"custom": {"n": 3, "A": 2, "payoff_table": table}}
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
     loaded = load_game(f"file:{path}")
+    rows = compositions(2, 2)[::-1]
     for a in range(2):
-        for c0 in range(3):
-            assert loaded.payoff(a, (c0, 2 - c0)) == g.payoff(a, (c0, 2 - c0))
+        np.testing.assert_array_equal(loaded.payoff(a, rows), g.payoff(a, rows))
     assert validate(loaded).passed
 
 

@@ -106,7 +106,7 @@ def _insertion_average_gains(game, a1, counts):
             swapped = counts.copy()
             swapped[b] -= 1
             swapped[a] += 1
-            total += counts[b] * game.payoff(a1, tuple(int(v) for v in swapped))
+            total += counts[b] * realized_payoff_vector(game, swapped)[a1]
         gains[a] = -total / (game.n - 1)
     return gains
 

@@ -7,13 +7,13 @@ exploitability is bracketed by a branch and bound over the Bernstein
 coefficients of the count form (`certified_exploitability`).  The pooling
 check and Nash verification build the exact count-vector law of a set of
 opponents by seating one opponent at a time (`_seater`), so both reach any
-n.  Inner maximizations over the learner's own strategy are always exact
-over pure actions (the payoff is linear in it), so only opponent variables
-get gridded.  The grid oracles (minimax, grid exploitability) share one
-search, `_grid_search`: a scan of the simplex grid, then one rescan at 10x
-resolution around its first minimum.  Both maxmin quantities run one
-row-chunked scan, `_maxmin`.  CE, CCE and minimax_independent read one
-(A, A^(n-1)) joint-action payoff table that all players share (`_joint_payoffs`).
+n.  Inner maximizations over the learner's own strategy are exact over pure
+actions (the payoff is linear in it), as is independent maxmin's minimum
+over the opponents' pure joints (it is multilinear in theirs).  The grid
+oracles (minimax, grid exploitability) share one search, `_grid_search`: a
+scan of the simplex grid, then one rescan at 10x resolution around its
+first minimum.  Both maxmin quantities run one row-chunked scan,
+`_maxmin`.  Every oracle reads its payoffs from payoff_matrix(), by count.
 """
 
 from __future__ import annotations
@@ -147,54 +147,37 @@ def minimax_identical(
     raise ValueError(f"which must be 'minmax' or 'maxmin', got {which!r}")
 
 
-def _joint_payoffs(game: SymmetricGame) -> np.ndarray:
-    """(A, A^(n-1)) payoffs of each action against each joint action of the
-    n-1 others, in C order.  Refused (SizeCapExceeded) before anything is
-    built when A^n exceeds MAX_ARRAY_ENTRIES."""
-    n, A = game.n, game.A
-    if A**n > MAX_ARRAY_ENTRIES:
-        raise SizeCapExceeded(f"joint-action table of {A}^{n} entries exceeds the cap of {MAX_ARRAY_ENTRIES}")
-    # the joints' count vectors, seating the fastest-varying player last: no array exceeds A^n entries
-    counts = np.zeros((1, A), dtype=np.int64)
-    for _ in range(n - 1):
-        counts = (counts[:, None, :] + np.eye(A, dtype=np.int64)).reshape(-1, A)
-    return game.payoff_matrix()[:, game.count_table().rows(counts)]
-
-
 def minimax_independent(
     game: SymmetricGame, grid: SimplexGrid | None = None
 ) -> dict[str, tuple[float, dict]]:
     """The two minimax quantities when the opponents may use different
     (independent) strategies; 3-player games only.
 
-    Returns {"maxmin": ..., "minmax": ...} where minmax's inner max over the
-    learner is exact over pure actions.
+    Returns {"maxmin": ..., "minmax": ...}.  minmax's inner max over the
+    learner is exact over pure actions, and maxmin's inner minimum is exact
+    over the opponents' count vectors (payoff_matrix()'s columns): the
+    payoff is multilinear in their strategies, so least at a pure joint.
     """
     if game.n != 3:
         raise SizeCapExceeded("independent-opponent search supports n = 3 only")
     grid = _default_grid(game, grid)
     if game.A > 3:
         raise SizeCapExceeded("independent-opponent grid limited to A <= 3")
-    if len(grid) ** 3 > MAX_ARRAY_ENTRIES:
+    if game.A * len(grid) ** 2 > MAX_ARRAY_ENTRIES:
         raise SizeCapExceeded(
-            f"independent-opponent search over {len(grid)} grid points needs {len(grid) ** 3} "
+            f"independent-opponent search over {len(grid)} grid points needs {game.A * len(grid) ** 2} "
             f"values, more than the cap of {MAX_ARRAY_ENTRIES}"
         )
-    M = _joint_payoffs(game).reshape(game.A, game.A, game.A)
+    # M[a, b, c] = payoff of a against the opponents' joint action (b, c)
+    M = game.payoff_matrix()[:, game.count_table().joint_rows()].reshape(game.A, game.A, game.A)
 
-    def pure_vals(y2s, y3s):
-        # V[a, i, j] = payoff of pure a vs (y2s[i], y3s[j])
-        return np.einsum("abc,ib,jc->aij", M, y2s, y3s, optimize=True)
+    def max_over_pure(y2s, y3s):
+        return np.einsum("abc,ib,jc->aij", M, y2s, y3s, optimize=True).max(axis=0)
 
-    # minmax: min over (x2, x3) of max_a
-    value, (y2, y3), _ = _grid_search(lambda y2s, y3s: pure_vals(y2s, y3s).max(axis=0), grid, dims=2)
+    value, (y2, y3), _ = _grid_search(max_over_pure, grid, dims=2)
     minmax = (value, {"y2": y2, "y3": y3})
-
-    # maxmin: max over x1 of min over (x2, x3)
-    pts = grid.points()
-    value, x1, _ = _maxmin(pure_vals(pts, pts).reshape(game.A, -1), grid)
-    maxmin = (value, {"learner_strategy": x1})
-    return {"maxmin": maxmin, "minmax": minmax}
+    value, x1, _ = _maxmin(game.payoff_matrix(), grid)
+    return {"maxmin": (value, {"learner_strategy": x1}), "minmax": minmax}
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +236,10 @@ def check_equilibrium(game: SymmetricGame, dist, concept: str, tol: float = 1e-9
     concept "ce" / "cce": dist is a joint array over A^n <= MAX_ARRAY_ENTRIES
     entries; "ce" conditions the deviation on the recommended action
     (skipping zero-probability recommendations), "cce" does not.  One
-    deviation table per player i serves both: with p the joint with i's
-    action first and u = _joint_payoffs(game), gain[a, b] = sum_r p[a, r]
-    (u[b, r] - u[a, r]).  CCE takes its largest column sum, CE its largest
-    entry over its row's mass.
+    deviation table per player i serves both: with q[a, k] the joint's mass
+    on i playing a while the others' counts are count_table() row k, and P =
+    payoff_matrix(), gain[a, b] = sum_k q[a, k] (P[b, k] - P[a, k]).  CCE
+    takes its largest column sum, CE its largest entry over its row's mass.
     """
     if not 0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
@@ -277,17 +260,19 @@ def check_equilibrium(game: SymmetricGame, dist, concept: str, tol: float = 1e-9
         return EquilibriumReport(concept, eps, tol)
     if concept not in ("ce", "cce"):
         raise ValueError(f"concept must be ne/ce/cce, got {concept!r}")
-    u = _joint_payoffs(game)
+    if A**n > MAX_ARRAY_ENTRIES:
+        raise SizeCapExceeded(f"joint-action table of {A}^{n} entries exceeds the cap of {MAX_ARRAY_ENTRIES}")
     joint = np.asarray(dist, dtype=float)
     if joint.shape != (A,) * n:
         raise ValueError(f"joint distribution must have shape {(A,) * n}")
     if not (abs(joint.sum() - 1.0) <= 1e-9 and np.all(joint >= 0)):  # NaN fails both
         raise ValueError("joint distribution must be a probability array")
+    P, rows = game.payoff_matrix(), game.count_table().joint_rows()
     for i in range(n):
-        p = np.moveaxis(joint, i, 0).reshape(A, -1)
-        gain = p @ u.T - (p * u).sum(axis=1)[:, None]
+        q = np.array([np.bincount(rows, np.take(joint, a, axis=i).reshape(-1), P.shape[1]) for a in range(A)])
+        gain = q @ P.T - (q * P).sum(axis=1)[:, None]
         if concept == "ce":
-            mass = p.sum(axis=1)
+            mass = q.sum(axis=1)
             live = mass > 0.0  # the conditional expectation is undefined elsewhere
             worst = (gain[live] / mass[live, None]).max()
         else:

@@ -40,16 +40,16 @@ class SizeCapExceeded(RuntimeError):
 
 
 # The most entries a dense array may have: the count index, a composition
-# enumeration, the exploiter's gain table, pooling_check's levels, the
-# joint-action payoff table (A^n) and minimax_independent's (Nx, Ny^2) values.
+# enumeration, the exploiter's gain table, pooling_check's levels, the joint
+# actions CE and CCE check (A^n) and minimax_independent's (A, Ny, Ny) values.
 MAX_ARRAY_ENTRIES = 2**25
 
 # The most full action profiles (count vectors of all n players) validate enumerates.
 MAX_PROFILES = 250_000
 
 # The most entries (8 MB of float64) one chunk of a row-chunked product may
-# hold: grid scans build their (Ny, K) multinomial weights, and
-# minimax_independent its (Nx, Ny^2) payoffs, a chunk of rows at a time.
+# hold: grid scans build their (Ny, K) multinomial weights, and the maxmin
+# scans their (Nx, K) or (Nx, Ny) payoffs, a chunk of rows at a time.
 CHUNK_ENTRIES = 2**20
 
 
@@ -157,6 +157,18 @@ class CountTable:
     def rows(self, counts: np.ndarray) -> np.ndarray:
         """Row numbers of count vectors of this table's total: (..., A) -> (...)."""
         return self._index[counts @ self._radix]
+
+    def joint_rows(self) -> np.ndarray:
+        """Row number of each of the A^total joint actions of `total`
+        players, in C order (the last player fastest): (A^total,).  Refused
+        (SizeCapExceeded) before anything is built past MAX_ARRAY_ENTRIES."""
+        A = len(self._radix)
+        if A**self.total > MAX_ARRAY_ENTRIES:
+            raise SizeCapExceeded(f"{A}^{self.total} joint actions exceed the cap of {MAX_ARRAY_ENTRIES}")
+        key = np.zeros(1, dtype=np.int64)
+        for _ in range(self.total):  # a seat adds its action's radix key
+            key = (key[:, None] + self._radix).reshape(-1)
+        return self._index[key]
 
     def index(self, counts: Sequence[int]) -> int:
         c = np.asarray(counts, dtype=np.int64)

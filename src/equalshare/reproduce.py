@@ -58,7 +58,7 @@ class AlgorithmResult:
             "exact_utility": self.exact_utility,
             "mc_utility": None if self.mc_utility is None else list(self.mc_utility),
             "exploitability_protocol": self.exploit_protocol,
-            "exploitability_grid": self.exploit_exact,  # the certified value, under the reports' existing key
+            "exploitability_certified": self.exploit_exact,
         }
 
 

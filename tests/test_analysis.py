@@ -13,7 +13,6 @@ from equalshare import analysis, games
 from equalshare.analysis import (
     MC_CHUNK_ROWS,
     SimplexGrid,
-    _joint_payoffs,
     _refine_near,
     certified_exploitability,
     check_equilibrium,
@@ -121,15 +120,35 @@ def test_minimax_independent_rejects_large_games():
 
 
 def test_minimax_independent_refuses_oversized_grids_before_allocating():
-    # extended_majority(3,3) at m=60: 1,891 points, 6.8e9 values (50 GiB)
+    # majority3 at m=5000: minmax's coarse scan would need 2 x 5,001^2 = 50 M values (400 MB)
     start = time.perf_counter()
-    with pytest.raises(SizeCapExceeded):
-        minimax_independent(eq.extended_majority(3, 3))
+    with pytest.raises(SizeCapExceeded, match="5001 grid points needs 50020002 values"):
+        minimax_independent(MV, SimplexGrid(2, 5000))
     assert time.perf_counter() - start < 1.0
-    with pytest.raises(SizeCapExceeded):
-        minimax_independent(MV, SimplexGrid(2, 400))
-    # majority3 at the default m=200 needs 201^3 = 8.1 M values and runs
+    # majority3 at the default m=200 needs 2 x 201^2 values and runs
     minimax_independent(eq.extended_majority(3, 2))
+
+
+@pytest.mark.parametrize("make", [eq.majority3, eq.minority3, lambda: eq.extended_majority(3, 2),
+                                  lambda: eq.extended_majority(3, 3),
+                                  lambda: game_from_json({"custom": {"n": 3, "A": 2, "payoff_table": _zero_sum_table(
+                                      np.random.default_rng(31), 3, 2)}}),
+                                  lambda: game_from_json({"custom": {"n": 3, "A": 3, "payoff_table": _zero_sum_table(
+                                      np.random.default_rng(32), 3, 3)}})],
+                         ids=["majority3", "minority3", "extended_majority3_2", "extended_majority3_3",
+                              "random3_2", "random3_3"])
+def test_independent_maxmin_is_exact_over_the_opponents(make):
+    # x1's payoff is multilinear in the opponents' strategies, so its minimum
+    # over independent (y2, y3) is the minimum over the A^2 pure joints
+    game = make()
+    value, arg = minimax_independent(game)["maxmin"]
+    x1 = arg["learner_strategy"]
+    U = dense_utilities(game)[0]
+    tol = 1e-12 * game.scale
+    assert abs(value - np.einsum("a,abc->bc", x1, U).min()) <= tol
+    rng = np.random.default_rng(game.A)
+    for y2, y3 in zip(rng.dirichlet(np.ones(game.A), 200), rng.dirichlet(np.ones(game.A), 200)):
+        assert np.einsum("a,abc,b,c->", x1, U, y2, y3) >= value - tol
 
 
 def test_payoff_matrix_is_the_only_reader_of_the_payoff_function():
@@ -150,22 +169,40 @@ def test_payoff_matrix_is_the_only_reader_of_the_payoff_function():
         try:
             minimax_independent(game)
         except SizeCapExceeded:
-            pass  # sdg(5) has 5 players; extended_majority(3,3) is over the cap
+            pass  # sdg(5) has 5 players
         population = [np.full(game.A, 1.0 / game.A)] * game.n
         pooling_check(game, population, np.eye(game.A)[0])
         assert len(game_to_json(game)["custom"]["payoff_table"]) == game.A * len(game.count_table().counts)
         assert calls == game.A
 
 
-def test_joint_payoffs_equals_the_payoff_loop():
-    for game in (MV, MINORITY, eq.extended_majority(3, 3), eq.extended_majority(3, 5), eq.sdg(4),
-                 eq.extended_majority(5, 2)):
-        n, A = game.n, game.A
-        want = np.empty((A,) * n)
-        for a, *others in np.ndindex(*want.shape):
-            counts = np.bincount(others, minlength=A)
-            want[(a, *others)] = realized_payoff_vector(game, counts)[a]
-        assert _joint_payoffs(game).tobytes() == want.reshape(A, -1).tobytes(), game.name
+@pytest.mark.parametrize("make", [eq.majority3, eq.minority3, lambda: eq.extended_majority(3, 3),
+                                  lambda: eq.extended_majority(3, 5), lambda: eq.sdg(4),
+                                  lambda: eq.extended_majority(5, 2)],
+                         ids=["majority3", "minority3", "extended_majority3_3", "extended_majority3_5", "sdg4",
+                              "extended_majority5_2"])
+def test_joint_rows_read_the_payoff_loop(make):
+    game = make()
+    n, A = game.n, game.A
+    want = np.empty((A,) * n)
+    for a, *others in np.ndindex(*want.shape):
+        counts = np.bincount(others, minlength=A)
+        want[(a, *others)] = realized_payoff_vector(game, counts)[a]
+    table = game.count_table()
+    got = game.payoff_matrix()[:, table.joint_rows()]
+    assert got.tobytes() == want.reshape(A, -1).tobytes() == dense_utilities(game)[0].reshape(A, -1).tobytes()
+    # the joints of the n-1 others, in C order, and their count vectors
+    joints = np.indices((A,) * (n - 1)).reshape(n - 1, -1).T
+    counts = (joints[:, :, None] == np.arange(A)).sum(axis=1)
+    np.testing.assert_array_equal(table.joint_rows(), table.rows(counts))
+
+
+def test_joint_rows_are_refused_before_they_are_built(monkeypatch):
+    table = eq.sdg(12).count_table()
+    assert len(table.joint_rows()) == 3**11
+    monkeypatch.setattr(games, "MAX_ARRAY_ENTRIES", 3**11 - 1)
+    with pytest.raises(SizeCapExceeded, match="3\\^11 joint actions"):
+        table.joint_rows()
 
 
 def test_minimax_identical_bad_which():
@@ -209,7 +246,7 @@ def _per_oracle_searches(game, grid, xs, independent):
     if not independent:
         return out
 
-    M = _joint_payoffs(game).reshape(game.A, game.A, game.A)
+    M = dense_utilities(game)[0]
 
     def pure_vals(y2s, y3s):
         return np.einsum("abc,ib,jc->aij", M, y2s, y3s, optimize=True)
@@ -220,15 +257,15 @@ def _per_oracle_searches(game, grid, xs, independent):
     Vr = pure_vals(pairs2, pairs3).max(axis=0)
     ri, rj = np.unravel_index(np.argmin(Vr), Vr.shape)
     out["minmax_independent"] = (float(Vr[ri, rj]), pairs2[ri], pairs3[rj])
-    flat = V.reshape(game.A, -1)
+    pure = M.reshape(game.A, -1)  # the opponents' minimum is reached at a pure joint
 
-    def best_flat(x1s):
-        mins = (x1s @ flat).min(axis=1)
+    def best_pure(x1s):
+        mins = (x1s @ pure).min(axis=1)
         k = int(np.argmax(mins))
         return float(mins[k]), x1s[k]
 
-    value, x1 = best_flat(pts)
-    out["maxmin_independent"] = best_flat(_refine_near(x1, grid.resolution))
+    value, x1 = best_pure(pts)
+    out["maxmin_independent"] = best_pure(_refine_near(x1, grid.resolution))
     return out
 
 

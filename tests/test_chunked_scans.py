@@ -1,4 +1,5 @@
-"""Grid scans hold a bounded chunk of rows, not the whole (Ny, K) matrix."""
+"""Grid scans hold a bounded chunk of rows, not the whole (Ny, K) matrix,
+and the correlated-equilibrium checks less than their joint."""
 
 import tracemalloc
 
@@ -34,6 +35,16 @@ def test_identical_maxmin_holds_a_bounded_chunk_of_its_product():
     # sdg(30) at m=60 has 1,891 grid points: the whole (Nx, Ny) product is 27 MB
     peak = _traced_peak(lambda: analysis.minimax_identical(games.sdg(30), "maxmin"))
     assert peak < 12 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("concept", ["ce", "cce"])
+def test_correlated_checks_hold_less_than_their_joint(concept):
+    # sdg(13)'s uniform joint is 3^13 doubles, 12.2 MB: each player's (A, K)
+    # deviation table is built from count rows, not from the joint's layout
+    game = games.sdg(13)
+    joint = np.full((3,) * 13, 3.0**-13)
+    peak = _traced_peak(lambda: analysis.check_equilibrium(game, joint, concept))
+    assert peak < joint.nbytes, f"{concept}: traced peak {peak / 2**20:.1f} MB"
 
 
 def test_chunked_payoff_vectors_equal_per_point_payoff_vectors(monkeypatch):

@@ -157,8 +157,16 @@ def test_analyze_minimax_identical_bounds_hold_on_a_non_zero_sum_table(tmp_path)
 
 
 def test_analyze_minimax_independent_size_cap_exit_code():
-    argv = ("analyze", "minimax", "--which", "maxmin-independent", "--game", "extended_majority", "--n", "3", "--num-actions", "3")
+    argv = ("analyze", "minimax", "--which", "maxmin-independent", "--game", "extended_majority", "--n", "3", "--num-actions", "4")
     assert run_cli(*argv) == EXIT_SIZE_CAP
+
+
+def test_analyze_minimax_independent_runs_on_three_actions(tmp_path):
+    # extended_majority(3,3): minmax's coarse scan holds 3 x 1,891^2 values
+    argv = ("analyze", "minimax", "--which", "maxmin-independent", "--game", "extended_majority", "--n", "3", "--num-actions", "3")
+    assert run_cli("--out", str(tmp_path), *argv) == EXIT_OK
+    doc = json.loads((tmp_path / "minimax.json").read_text())
+    assert doc["value"] == pytest.approx(-2.0 / 3.0, abs=1e-15)
 
 
 def test_analyze_exploitability(capsys):
@@ -546,7 +554,7 @@ def test_reproduce_mv_end_to_end(tmp_path):
     report = json.loads((tmp_path / "mv_report.json").read_text())
     rows = {r["label"]: r for r in report["rows"]}
     assert rows["hedge"]["limit_shares"]["pure_1"] == 1.0
-    assert rows["hedge"]["exploitability_grid"] == pytest.approx(-1.0, abs=1e-9)
+    assert rows["hedge"]["exploitability_certified"] == pytest.approx(-1.0, abs=1e-9)
     assert (tmp_path / "mv_summary.md").exists()
     lines = (tmp_path / "mv_convergence.csv").read_text().splitlines()
     assert lines[0] == "algorithm,run,label,mass_on_label"

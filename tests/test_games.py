@@ -11,7 +11,7 @@ import pytest
 
 import equalshare as eq
 from equalshare import games
-from equalshare.analysis import _joint_payoffs
+from equalshare.analysis import check_equilibrium
 from equalshare.games import (
     CountTable,
     DimensionError,
@@ -166,8 +166,9 @@ def test_payoff_matrix_readers_equal_loops_over_the_payoff_function(n, A):
     report = validate(game)
     assert (report.worst_violation, report.worst_profile) == (worst, worst_profile)
     assert not report.passed
-    # _joint_payoffs: the first player's payoff at each joint action, its own action first
-    assert _joint_payoffs(game).tobytes() == dense_utilities(game)[0].reshape(A, -1).tobytes()
+    # joint_rows: the first player's payoff at each joint action, its own action first
+    joint = game.payoff_matrix()[:, game.count_table().joint_rows()]
+    assert joint.tobytes() == dense_utilities(game)[0].reshape(A, -1).tobytes()
     # game_to_json: the payoff table keyed by action and counts
     want = {f"{a}|{','.join(map(str, c))}": realized_payoff_vector(game, c)[a]
             for a in range(A) for c in compositions(n - 1, A)}
@@ -177,7 +178,7 @@ def test_payoff_matrix_readers_equal_loops_over_the_payoff_function(n, A):
 def dense_utilities(game) -> np.ndarray:
     """U[i][joint]: each player's payoff at each joint action, one
     game.payoff call on one count row per entry; shape (n, A, ..., A).  The dense reference
-    of the count-form and joint-action-table oracles."""
+    of the count-form oracles."""
     n, A = game.n, game.A
     util = np.empty((n,) + (A,) * n)
     for joint in np.ndindex(*(A,) * n):
@@ -718,7 +719,7 @@ def test_dense_caps():
     # 3^30 joint actions: refused before the count table or payoff matrix is built
     game = eq.sdg(30)
     with pytest.raises(SizeCapExceeded, match="joint-action table of 3\\^30 entries"):
-        _joint_payoffs(game)
+        check_equilibrium(game, np.ones(1), "ce")
     assert game._cache == {}
 
 

@@ -107,7 +107,7 @@ def oracles() -> dict:
             out[f"minimax_identical/{which}/{name}"] = analysis.minimax_identical(game, which)
         for a in range(game.A):
             out[f"exploitability/grid/{name}/pure{a}"] = analysis.exploitability(game, np.eye(game.A)[a], method="grid")
-        if name in ("majority3", "minority3"):
+        if game.n == 3:
             out[f"minimax_independent/{name}"] = analysis.minimax_independent(game)
     # sdg(200)'s coarse scan is the one pinned scan that payoff_vectors_batch
     # splits into row chunks (K = 20,100 count vectors per grid point)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (
+    CHUNK_ENTRIES,
     MAX_ARRAY_ENTRIES,
     SizeCapExceeded,
     SymmetricGame,
@@ -172,7 +173,8 @@ def minimax_independent(
     M = game.payoff_matrix()[:, game.count_table().joint_rows()].reshape(game.A, game.A, game.A)
 
     def max_over_pure(y2s, y3s):
-        return np.einsum("abc,ib,jc->aij", M, y2s, y3s, optimize=True).max(axis=0)
+        return map_row_chunks(lambda chunk: np.einsum("abc,ib,jc->aij", M, chunk, y3s, optimize=True).max(axis=0),
+                              y2s, game.A * len(y3s))
 
     value, (y2, y3), _ = _grid_search(max_over_pure, grid, dims=2)
     minmax = (value, {"y2": y2, "y3": y3})
@@ -441,10 +443,6 @@ def pooling_check(game: SymmetricGame, population, z) -> PoolingReport:
 # Monte Carlo utility estimation.
 # ---------------------------------------------------------------------------
 
-# opponents' rows per Monte Carlo draw: bounds memory at one chunk's uniforms
-MC_CHUNK_ROWS = 65_536
-
-
 def _count_rows(flags: np.ndarray) -> np.ndarray:
     """The True entries of each row of a 2-D bool array.  Rows shorter than
     256 are summed as bytes, which is exact and faster than a bool sum."""
@@ -457,7 +455,9 @@ def monte_carlo_utility(
     game: SymmetricGame, x, y, num_games: int, rng: np.random.Generator | int = 0
 ) -> tuple[float, float]:
     """Sample-mean payoff of x against opponents i.i.d. from y, with the
-    standard error of the mean."""
+    standard error of the mean.  The opponents' uniforms are drawn for
+    max(1, CHUNK_ENTRIES // (n - 1)) games at a time: the same doubles as
+    one (num_games, n-1) draw."""
     if num_games < 1:
         raise ValueError("need at least one game")
     if isinstance(rng, (int, np.integer)):
@@ -465,21 +465,16 @@ def monte_carlo_utility(
     xv = as_strategy(x, game.A)
     yv = as_strategy(y, game.A)
     a1 = sample_actions(rng, xv, num_games)
-    # the opponents' uniforms, drawn row chunk by row chunk (the same doubles as
-    # one (num_games, n-1) draw), are counted per action without an action array
     cdf, mat, table = action_cdf(yv), game.payoff_matrix(), game.count_table()
     K = mat.shape[1]
+    chunk = max(1, CHUNK_ENTRIES // (game.n - 1))
     payoffs = np.empty(num_games)
-    for start in range(0, num_games, MC_CHUNK_ROWS):
-        stop = min(start + MC_CHUNK_ROWS, num_games)
+    for start in range(0, num_games, chunk):
+        stop = min(start + chunk, num_games)
         u = rng.random((stop - start, game.n - 1))
-        # opponents playing an action <= a, for a < A-1; all n-1 play one <= A-1
-        counts = np.empty((stop - start, game.A), dtype=np.int64)
-        counts[:, -1] = game.n - 1
-        for a in range(game.A - 1):
-            counts[:, a] = _count_rows(u < cdf[a])
-        counts[:, 1:] -= counts[:, :-1]  # ufuncs read overlapping operands as copies
-        payoffs[start:stop] = mat.take(a1[start:stop] * K + table.rows(counts))
+        # opponents playing an action <= a, for a < A-1, counted without an action array
+        rows = table.rows_at_most(_count_rows(u < cdf[a]) for a in range(game.A - 1))
+        payoffs[start:stop] = mat.take(a1[start:stop] * K + rows)
     mean = float(payoffs.mean())
     se = float(payoffs.std(ddof=1) / math.sqrt(num_games)) if num_games > 1 else float("inf")
     return mean, se

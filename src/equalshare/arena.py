@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (
+    CHUNK_ENTRIES,
     SymmetricGame,
     as_strategy,
     check_fields,
@@ -195,9 +196,6 @@ def _draw_match(game: SymmetricGame, schedule: Schedule, T: int, seed: int):
     return ys, opp_actions, realized_payoff_vectors(game, opp_actions), rngs["learner"]
 
 
-SAOL_BATCH_ENTRIES = 2**20  # entries of the (R, T, A) gains of one SAOL batch
-
-
 def run_matches(
     game: SymmetricGame,
     learner: LearnerSpec,
@@ -209,11 +207,11 @@ def run_matches(
     seed's transcript in seed order.  A transcript is deterministic given
     its seed alone: it does not depend on the other seeds or their order.
     Hedge and clone play one seed at a time, and SAOL batches of at most
-    SAOL_BATCH_ENTRIES // (T * A) seeds, so a caller that keeps only each
+    CHUNK_ENTRIES // (T * A) seeds, so a caller that keeps only each
     transcript's metrics holds one batch at a time, however many seeds."""
     A = game.A
     seeds = list(seeds)
-    size = max(1, SAOL_BATCH_ENTRIES // max(1, T * A)) if learner.kind == "saol" else 1
+    size = max(1, CHUNK_ENTRIES // max(1, T * A)) if learner.kind == "saol" else 1
     for first in range(0, len(seeds), size):
         batch = seeds[first : first + size]
         draws = [_draw_match(game, schedule, T, seed) for seed in batch]

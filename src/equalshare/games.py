@@ -47,9 +47,12 @@ MAX_ARRAY_ENTRIES = 2**25
 # The most full action profiles (count vectors of all n players) validate enumerates.
 MAX_PROFILES = 250_000
 
-# The most entries (8 MB of float64) one chunk of a row-chunked product may
-# hold: grid scans build their (Ny, K) multinomial weights, and the maxmin
-# scans their (Nx, K) or (Nx, Ny) payoffs, a chunk of rows at a time.
+# The most entries (8 MB of float64) one batched temporary may hold.  Grid
+# scans build their (Ny, K) multinomial weights, the maxmin scans their
+# (Nx, K) or (Nx, Ny) payoffs and minimax_independent's minmax its (A, Ny2,
+# Ny3) values a chunk of rows at a time; batch_hedge_vs_fixed gathers its
+# (rounds, runs, A) gains and monte_carlo_utility its (games, n-1) uniforms
+# a chunk at a time, and run_matches plays SAOL seeds in (R, T, A) batches.
 CHUNK_ENTRIES = 2**20
 
 
@@ -157,6 +160,13 @@ class CountTable:
     def rows(self, counts: np.ndarray) -> np.ndarray:
         """Row numbers of count vectors of this table's total: (..., A) -> (...)."""
         return self._index[counts @ self._radix]
+
+    def rows_at_most(self, at_most) -> np.ndarray:
+        """rows() of N count vectors given by their running sums, so no
+        (N, A) count array is built: at_most[a], for a < A-1, is the (N,)
+        array of counts[:, :a + 1].sum(axis=1)."""
+        step = self._radix[:-1] - self._radix[1:]  # the last running sum is the total, keyed 0
+        return self._index[sum(c * s for c, s in zip(at_most, step))]
 
     def joint_rows(self) -> np.ndarray:
         """Row number of each of the A^total joint actions of `total`

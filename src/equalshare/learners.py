@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .games import MAX_ARRAY_ENTRIES, SizeCapExceeded, SymmetricGame, as_strategy, check_fields, json_field, num_compositions
+from .games import CHUNK_ENTRIES, MAX_ARRAY_ENTRIES, SizeCapExceeded, SymmetricGame, as_strategy, check_fields, json_field, num_compositions
 from .sampling import action_cdf, actions_from_cdf, sample_actions
 
 
@@ -385,12 +385,14 @@ def batch_hedge_vs_fixed(
 ) -> np.ndarray:
     """Final strategies of `runs` independent hedge runs against opponents
     i.i.d. from a fixed meta-strategy.  Fully vectorized: the opponent count
-    vector of every round is drawn from its exact multinomial law."""
+    vector of every round is drawn from its exact multinomial law, for
+    max(1, CHUNK_ENTRIES // (runs * A)) rounds at a time: the same draws,
+    in the same order, whatever the chunk."""
     weights = game.count_table().weights(np.asarray(y, dtype=float))
     gains = _gains_table(game, normalize=True)
     eta_t = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1))
     log_w = np.zeros((runs, game.A))
-    chunk = max(1, 2_000_000 // max(runs, 1))
+    chunk = max(1, CHUNK_ENTRIES // max(1, runs * game.A))
     for start in range(0, T, chunk):
         stop = min(start + chunk, T)
         idx = sample_actions(rng, weights, (stop - start, runs))

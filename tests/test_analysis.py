@@ -11,7 +11,6 @@ import pytest
 import equalshare as eq
 from equalshare import analysis, games
 from equalshare.analysis import (
-    MC_CHUNK_ROWS,
     SimplexGrid,
     _refine_near,
     certified_exploitability,
@@ -713,12 +712,24 @@ def _monte_carlo_from_actions(game, x, y, num_games, rng):
     (SDG30, [0.2, 0.3, 0.5], [0.4, 0.0, 0.6]),  # an action no opponent plays
     (SDG30, [0, 1, 0], [0.3, 0.3, 0.4 - 5e-10]),  # the clamp lets the last action play
 ], ids=["mv", "sdg-pure-x", "sdg-zero-y", "sdg-short-y"])
-@pytest.mark.parametrize("num_games", [1, 2, MC_CHUNK_ROWS + 100])
-def test_monte_carlo_counts_equal_the_action_array_form(game, x, y, num_games):
+@pytest.mark.parametrize("num_games", [1, 2, 350])
+def test_monte_carlo_counts_equal_the_action_array_form(game, x, y, num_games, monkeypatch):
+    # a bound of 100 games' uniforms per chunk: 350 games span four chunks, the last one partial
+    monkeypatch.setattr(analysis, "CHUNK_ENTRIES", 100 * (game.n - 1) + game.n - 2)
+    chunks = []
+    rows_at_most = games.CountTable.rows_at_most
+
+    def spy(table, at_most):
+        rows = rows_at_most(table, at_most)
+        chunks.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(games.CountTable, "rows_at_most", spy)
     for seed in (0, 5):
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert monte_carlo_utility(game, x, y, num_games, got_rng) == _monte_carlo_from_actions(game, x, y, num_games, ref_rng)
         assert got_rng.random() == ref_rng.random()
+    assert chunks == 2 * ([100, 100, 100, 50] if num_games == 350 else [num_games])
 
 
 @pytest.mark.parametrize("n, y", [(256, [1.0, 0.0]), (257, [1.0, 0.0]), (300, [0.4, 0.6])],

@@ -232,7 +232,7 @@ def test_run_matches_plays_saol_in_batches_bounded_by_the_entry_budget(monkeypat
         return saol_strategies(gains, horizon, eta)
 
     monkeypatch.setattr(arena, "saol_strategies", spy)
-    monkeypatch.setattr(arena, "SAOL_BATCH_ENTRIES", 2 * T * g.A + 1)
+    monkeypatch.setattr(arena, "CHUNK_ENTRIES", 2 * T * g.A + 1)
     split = list(run_matches(g, spec, schedule, T, seeds))
     assert batch_sizes == [2, 2, 1]
     for got, want in zip(split, whole, strict=True):

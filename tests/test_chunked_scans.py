@@ -1,12 +1,13 @@
 """Grid scans hold a bounded chunk of rows, not the whole (Ny, K) matrix,
-and the correlated-equilibrium checks less than their joint."""
+the batched hedge trainer and Monte Carlo a bounded chunk of draws, and the
+correlated-equilibrium checks less than their joint."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from equalshare import analysis, games
+from equalshare import analysis, games, learners
 from equalshare.games import CHUNK_ENTRIES, payoff_vector, payoff_vectors_batch
 
 # tracemalloc sees numpy's buffers; sdg(200)'s whole (Ny, K) weight matrix is 304 MB
@@ -35,6 +36,52 @@ def test_identical_maxmin_holds_a_bounded_chunk_of_its_product():
     # sdg(30) at m=60 has 1,891 grid points: the whole (Nx, Ny) product is 27 MB
     peak = _traced_peak(lambda: analysis.minimax_identical(games.sdg(30), "maxmin"))
     assert peak < 12 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_independent_minmax_holds_a_bounded_chunk_of_its_values():
+    # extended_majority(3,3) at m=60: the (A, Ny, Ny) values are 86 MB, the (Ny, Ny) maxima 29 MB
+    ny = len(analysis.SimplexGrid(3, 60))
+    peak = _traced_peak(lambda: analysis.minimax_independent(games.extended_majority(3, 3)))
+    assert peak < 8 * (ny**2 + 2 * CHUNK_ENTRIES), f"traced peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("game, y, T", [
+    (games.majority3(), [0.49, 0.51], 200_000),
+    (games.sdg(30), [0.399, 0.6, 0.001], 20_000),
+], ids=["mv", "sdg30"])
+def test_batch_hedge_holds_a_bounded_chunk_of_its_gains(game, y, T):
+    # 100 runs: one gather of every round's (T, runs, A) gains would be 320 MB and 48 MB
+    call = lambda: learners.batch_hedge_vs_fixed(game, np.array(y), T, 100, 0.5, np.random.default_rng(0))
+    peak = _traced_peak(call)
+    assert peak < 3 * 8 * CHUNK_ENTRIES, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_batch_hedge_chunks_draw_what_one_chunk_draws(monkeypatch):
+    game, y, T, runs = games.majority3(), np.array([0.49, 0.51]), 20_000, 100
+    sizes = []
+    sample_actions = learners.sample_actions
+
+    def spy(rng, probs, size):
+        sizes.append(size)
+        return sample_actions(rng, probs, size)
+
+    monkeypatch.setattr(learners, "sample_actions", spy)
+    chunked_rng = np.random.default_rng(4)
+    chunked = learners.batch_hedge_vs_fixed(game, y, T, runs, 0.5, chunked_rng)
+    assert len(sizes) > 1 and max(t * r * game.A for t, r in sizes) <= CHUNK_ENTRIES, sizes
+    monkeypatch.setattr(learners, "CHUNK_ENTRIES", T * runs * game.A)
+    whole_rng = np.random.default_rng(4)
+    whole = learners.batch_hedge_vs_fixed(game, y, T, runs, 0.5, whole_rng)
+    assert sizes[-1] == (T, runs)
+    assert chunked_rng.random() == whole_rng.random()
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+
+
+def test_monte_carlo_holds_a_bounded_chunk_of_its_uniforms():
+    # sdg(200): one draw of 100,000 games' 199 opponents is 152 MB of uniforms
+    game = games.sdg(200)
+    peak = _traced_peak(lambda: analysis.monte_carlo_utility(game, [0, 1, 0], [0.399, 0.6, 0.001], 100_000, 0))
+    assert peak < 3 * 8 * CHUNK_ENTRIES, f"traced peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("concept", ["ce", "cce"])

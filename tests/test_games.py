@@ -132,6 +132,9 @@ def test_count_table_rows_and_switch_rows(total, parts):
     np.testing.assert_array_equal(table.rows(table.counts), np.arange(K))
     # leading axes pass through
     np.testing.assert_array_equal(table.rows(table.counts[::-1].reshape(1, K, parts))[0], np.arange(K)[::-1])
+    # the same rows from the running sums of the counts, each count column in its narrowest integer type
+    running = np.cumsum(table.counts[:, :-1], axis=1).astype(np.min_scalar_type(total))
+    np.testing.assert_array_equal(table.rows_at_most(running.T), np.arange(K))
 
 
 def _random_game(n, A, seed):

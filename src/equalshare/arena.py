@@ -5,19 +5,23 @@ from a common per-round meta-strategy.  The schedule fixes that sequence;
 the two hard schedules batch the horizon and flip a coin per batch, which
 is the construction that separates the adaptive learners from each other.
 
-Nothing in a match reacts to the learner's play, so `run_matches` draws
-each seed's randomness for the whole match up front and runs the learner's
-whole-match form, which for SAOL is batched over the seeds (in batches of
-bounded size, so memory does not grow with the seed count).  `run_match` is
-`run_matches` with one seed.  A seed's transcript does not depend on the
-other seeds in the call, and is byte-identical to a round-by-round loop over
-the single-step learner API, which the tests keep as reference.
+Nothing in a match reacts to the learner's play, so a match is a
+(schedule, seed) pair whose randomness `run_matches` draws once, up front:
+the meta-strategies, the opponents' actions and gains, and the uniforms the
+learner samples its actions with.  Every learner in the call then plays
+that draw through its whole-match form, which for SAOL is batched over the
+matches (in batches of bounded size, so memory does not grow with the
+match count).  `run_match` is `run_matches` with one learner and one match.
+A transcript does not depend on the other matches or learners in the call,
+and is byte-identical to a round-by-round loop over the single-step learner
+API, which the tests keep as reference.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,61 +176,78 @@ class Transcript:
         the realized, expected and oracle payoffs; floats as repr."""
         A = self.strategies.shape[1]
         head = ["t", *(f"x{a}" for a in range(A)), "action", "realized_payoff", "expected_payoff", "oracle_payoff"]
-        lines = [",".join(head)]
-        rounds = zip(
-            self.strategies.tolist(),
-            self.actions.tolist(),
-            self.realized.tolist(),
-            self.expected.tolist(),
-            self.u_vectors.max(axis=1).tolist(),
-        )
-        for t, (x, action, realized, expected, oracle) in enumerate(rounds, 1):
-            lines.append(f"{t},{','.join(map(repr, x))},{action},{realized!r},{expected!r},{oracle!r}")
-        lines.append("")
-        return "\n".join(lines)
+        columns = [range(1, self.T + 1), *self.strategies.T.tolist(), self.actions.tolist(), self.realized.tolist(),
+                   self.expected.tolist(), self.u_vectors.max(axis=1).tolist()]
+        rows = map(",".join, zip(*(map(repr, column) for column in columns)))
+        return "\n".join([",".join(head), *rows, ""])
 
 
-def _draw_match(game: SymmetricGame, schedule: Schedule, T: int, seed: int):
-    """One seed's meta-strategies, opponent actions and realized gains, and
-    its learner stream: the schedule, learner, and opponents each own a
+class _Draw(NamedTuple):
+    """A match's randomness, the same for every learner that plays it."""
+
+    ys: np.ndarray  # (T, A) meta-strategy per round
+    opponent_actions: np.ndarray  # (T, n-1)
+    gains: np.ndarray  # (T, A) raw realized payoff of each action
+    learner: np.random.Generator  # the stream the learner samples its actions from
+
+
+def _draw_match(game: SymmetricGame, schedule: Schedule, T: int, seed: int) -> _Draw:
+    """One match's draw: the schedule, learner, and opponents each own a
     spawned stream, read in the order a round-by-round match reads it."""
     rngs = role_rngs(seed)
     ys = realize_schedule(schedule, game, T, rngs["schedule"])
     opp_actions = actions_from_uniforms(ys, rngs["opponents"].random((T, game.n - 1)))
-    return ys, opp_actions, realized_payoff_vectors(game, opp_actions), rngs["learner"]
+    return _Draw(ys, opp_actions, realized_payoff_vectors(game, opp_actions), rngs["learner"])
+
+
+def _strategies(game: SymmetricGame, learner: LearnerSpec, draws: list[_Draw], T: int):
+    """Each draw's (T, A) strategies for one learner: SAOL plays the whole
+    batch in one call, hedge and clone one draw at a time as they are read."""
+    if learner.kind == "saol":
+        return saol_strategies(np.stack([d.gains for d in draws]) / game.scale, learner.horizon or T, learner.eta)
+    if learner.kind == "hedge":
+        return (hedge_strategies(d.gains / game.scale, learner.eta, learner.rule) for d in draws)
+    return (clone_strategies(d.opponent_actions[:, 0], game.A) for d in draws)
 
 
 def run_matches(
     game: SymmetricGame,
-    learner: LearnerSpec,
-    schedule: Schedule,
+    learners: Sequence[LearnerSpec],
+    matches: Iterable[tuple[Schedule, int]],
     T: int,
-    seeds,
-) -> Iterator[Transcript]:
-    """Play T rounds of learner vs schedule once per seed, and yield each
-    seed's transcript in seed order.  A transcript is deterministic given
-    its seed alone: it does not depend on the other seeds or their order.
-    Hedge and clone play one seed at a time, and SAOL batches of at most
-    CHUNK_ENTRIES // (T * A) seeds, so a caller that keeps only each
-    transcript's metrics holds one batch at a time, however many seeds."""
-    A = game.A
-    seeds = list(seeds)
-    size = max(1, CHUNK_ENTRIES // max(1, T * A)) if learner.kind == "saol" else 1
-    for first in range(0, len(seeds), size):
-        batch = seeds[first : first + size]
-        draws = [_draw_match(game, schedule, T, seed) for seed in batch]
-        if learner.kind == "hedge":
-            strategies = [hedge_strategies(draws[0][2] / game.scale, learner.eta, learner.rule)]
-        elif learner.kind == "saol":
-            gains = np.stack([gains for _, _, gains, _ in draws]) / game.scale
-            strategies = saol_strategies(gains, learner.horizon or T, learner.eta)
-        else:
-            strategies = [clone_strategies(draws[0][1][:, 0], A)]
-        for seed, (ys, opp_actions, gains_raw, rng), x in zip(batch, draws, strategies):
-            actions = actions_from_uniforms(x, rng.random((T, 1)))[:, 0]
-            u_vectors = _payoff_vectors_by_row(game, ys)
-            yield Transcript(seed, x, actions, opp_actions, gains_raw[np.arange(T), actions], ys, u_vectors,
-                             np.vecdot(x, u_vectors))
+) -> Iterator[list[Transcript]]:
+    """Play T rounds of each learner on each (schedule, seed) match, and
+    yield each match's transcripts, one per learner, in match order.  A
+    match is drawn once and every learner plays that draw; a transcript is
+    deterministic given its learner, schedule and seed alone.  With a SAOL
+    learner the matches go in batches of at most CHUNK_ENTRIES // (T * A),
+    otherwise one at a time, so a caller that keeps only each transcript's
+    metrics holds one batch at a time, however many matches."""
+    matches = list(matches)
+    size = max(1, CHUNK_ENTRIES // max(1, T * game.A)) if any(spec.kind == "saol" for spec in learners) else 1
+    for first in range(0, len(matches), size):
+        yield from _play_batch(game, learners, matches[first : first + size], T)
+
+
+def _play_batch(
+    game: SymmetricGame, learners: Sequence[LearnerSpec], batch: list[tuple[Schedule, int]], T: int
+) -> Iterator[list[Transcript]]:
+    """Draw a batch of matches and yield each one's transcripts; the batch
+    is released when this generator ends, before the next one is drawn.
+    A match's action uniforms and expected payoffs are made when it is
+    reached, once for all its learners, so the batch never holds them: the
+    uniforms do not depend on the strategies, so every learner samples its
+    actions from the same doubles."""
+    draws = [_draw_match(game, schedule, T, seed) for schedule, seed in batch]
+    plays = [_strategies(game, spec, draws, T) for spec in learners]
+    for (_, seed), (ys, opp_actions, gains, rng), xs in zip(batch, draws, zip(*plays)):
+        uniforms, u_vectors = rng.random((T, 1)), _payoff_vectors_by_row(game, ys)
+        transcripts = []
+        for x in xs:
+            actions = actions_from_uniforms(x, uniforms)[:, 0]
+            transcripts.append(Transcript(seed, x, actions, opp_actions, gains[np.arange(T), actions], ys, u_vectors,
+                                          np.vecdot(x, u_vectors)))
+        yield transcripts
 
 
 def run_match(
@@ -236,8 +257,9 @@ def run_match(
     T: int,
     seed: int,
 ) -> Transcript:
-    """run_matches with one seed."""
-    return next(run_matches(game, learner, schedule, T, [seed]))
+    """run_matches with one learner and one match."""
+    (transcript,) = next(run_matches(game, [learner], [(schedule, seed)], T))
+    return transcript
 
 
 # ---------------------------------------------------------------------------

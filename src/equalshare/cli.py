@@ -130,9 +130,9 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out or cfg.out)
-    transcripts = run_matches(cfg.game, cfg.learner, cfg.schedule, cfg.T, cfg.seeds)
+    transcripts = run_matches(cfg.game, [cfg.learner], [(cfg.schedule, seed) for seed in cfg.seeds], cfg.T)
     metrics_rows = []
-    for tr in transcripts:
+    for (tr,) in transcripts:
         # made only now: a config that parses can still fail its first match
         out.mkdir(parents=True, exist_ok=True)
         (out / f"transcript_seed{tr.seed}.csv").write_text(tr.to_csv())

@@ -52,7 +52,7 @@ MAX_PROFILES = 250_000
 # (Nx, K) or (Nx, Ny) payoffs and minimax_independent's minmax its (A, Ny2,
 # Ny3) values a chunk of rows at a time; batch_hedge_vs_fixed gathers its
 # (rounds, runs, A) gains and monte_carlo_utility its (games, n-1) uniforms
-# a chunk at a time, and run_matches plays SAOL seeds in (R, T, A) batches.
+# a chunk at a time, and run_matches plays SAOL on (R, T, A) batches of matches.
 CHUNK_ENTRIES = 2**20
 
 

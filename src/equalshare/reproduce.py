@@ -225,7 +225,7 @@ def sdg_table(seed: int = 0, runs: int = 100, **overrides) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Lower-bound sweeps and scaling fit (one run_matches call per row).
+# Lower-bound sweeps and scaling fit (one run_matches call per horizon).
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -249,18 +249,29 @@ def lowerbound_sweep(
     base_seed: int = 0,
 ) -> list[SweepRow]:
     """Run each learner, at eta 1, against each (schedule kind, V, T)
-    configuration; a row's stds need at least two seeds."""
+    configuration; a row's stds need at least two seeds.  Every learner
+    plays the same matches: one run_matches call per horizon plays all its
+    configurations, and each transcript is reduced to its metrics as it
+    comes, so the sweep holds one batch of matches at a time."""
     if seeds < 2:
         raise ValueError(f"a std needs at least two seeds, got {seeds}")
+    seed_list = [base_seed * 1_000_003 + s for s in range(seeds)]
+    specs = [LearnerSpec(kind) for kind in kinds]
+    schedules = [(BiasedCoinSchedule if sched_kind == "biased_coin" else PureSwapSchedule)(v, T)
+                 for sched_kind, v, T in configs]
+    found = [[[] for _ in kinds] for _ in configs]  # per config and kind, each seed's (u_avg, dreg)
+    for T in dict.fromkeys(T for _, _, T in configs):
+        at_T = [i for i, (_, _, t) in enumerate(configs) if t == T]
+        matches = [(schedules[i], s) for i in at_T for s in seed_list]
+        owners = [i for i in at_T for _ in seed_list]
+        # map keeps no transcript once it is reduced, so none outlives its batch
+        for i, values in zip(owners, map(_sweep_values, run_matches(game, specs, matches, T))):
+            for per_kind, value in zip(found[i], values):
+                per_kind.append(value)
     rows = []
-    for sched_kind, v, T in configs:
-        sched = (BiasedCoinSchedule if sched_kind == "biased_coin" else PureSwapSchedule)(v, T)
-        for kind in kinds:
-            runs = run_matches(game, LearnerSpec(kind), sched, T,
-                               [base_seed * 1_000_003 + s for s in range(seeds)])
-            metrics = [compute_metrics(tr) for tr in runs]
-            uavg = [m.u_avg for m in metrics]
-            dreg = [m.dynamic_regret for m in metrics]
+    for (sched_kind, v, T), per_config in zip(configs, found):
+        for kind, per_kind in zip(kinds, per_config):
+            uavg, dreg = zip(*per_kind)
             rows.append(
                 SweepRow(
                     sched_kind, kind, T, v, seeds,
@@ -269,6 +280,11 @@ def lowerbound_sweep(
                 )
             )
     return rows
+
+
+def _sweep_values(transcripts) -> list[tuple[float, float]]:
+    """Each transcript's (u_avg, dynamic regret)."""
+    return [(m.u_avg, m.dynamic_regret) for m in map(compute_metrics, transcripts)]
 
 
 def fit_scaling_exponent(
@@ -282,9 +298,8 @@ def fit_scaling_exponent(
     +/-eps hard schedule at variation budget SCALING_V_BUDGET."""
     means = []
     for T in horizons:
-        runs = run_matches(game, LearnerSpec(kind), BiasedCoinSchedule(SCALING_V_BUDGET, T), T,
-                           [base_seed * 7_777_777 + s for s in range(seeds)])
-        vals = [compute_metrics(tr).dynamic_regret for tr in runs]
+        matches = [(BiasedCoinSchedule(SCALING_V_BUDGET, T), base_seed * 7_777_777 + s) for s in range(seeds)]
+        vals = [compute_metrics(tr).dynamic_regret for (tr,) in run_matches(game, [LearnerSpec(kind)], matches, T)]
         means.append((T, float(np.mean(vals))))
     slope = float(np.polyfit(np.log([t for t, _ in means]), np.log([max(m, 1e-12) for _, m in means]), 1)[0])
     return slope, means

@@ -152,8 +152,9 @@ U_STAR = 0.0098
 def _c5_gaps():
     gaps = {}
     for T in (1_000, 10_000):
-        runs = run_matches(MV, LearnerSpec("hedge", eta=1.0), FixedSchedule((0.49, 0.51)), T, range(500_000, 500_020))
-        gaps[T] = U_STAR - float(np.mean([compute_metrics(tr).u_avg for tr in runs]))
+        matches = [(FixedSchedule((0.49, 0.51)), seed) for seed in range(500_000, 500_020)]
+        runs = run_matches(MV, [LearnerSpec("hedge", eta=1.0)], matches, T)
+        gaps[T] = U_STAR - float(np.mean([compute_metrics(tr).u_avg for (tr,) in runs]))
     return gaps
 
 
@@ -191,8 +192,8 @@ def test_c5_decade_ratio(c5_gaps):
 
 def test_c6_cloning_tracks_slow_budgets():
     for v_budget, T in ((32.0, 1_024), (128.0, 4_096)):
-        runs = run_matches(EM2, LearnerSpec("clone"), PureSwapSchedule(v_budget, T), T, range(600_000, 600_050))
-        vals = [compute_metrics(tr).u_avg for tr in runs]
+        matches = [(PureSwapSchedule(v_budget, T), seed) for seed in range(600_000, 600_050)]
+        vals = [compute_metrics(tr).u_avg for (tr,) in run_matches(EM2, [LearnerSpec("clone")], matches, T)]
         sigma = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         assert float(np.mean(vals)) >= -(v_budget + 1) / T - 3 * sigma
 
@@ -202,9 +203,12 @@ def test_c6_no_learner_survives_quarter_budget():
     # the pilot (measured: hedge -0.49, adaptive mixture -0.52, clone -0.12)
     T = 1_024
     v_budget = T / 4.0
-    for kind in ("hedge", "saol", "clone"):
-        runs = run_matches(EM2, LearnerSpec(kind, horizon=T), PureSwapSchedule(v_budget, T), T, range(610_000, 610_020))
-        vals = [compute_metrics(tr).u_avg for tr in runs]
+    kinds = ("hedge", "saol", "clone")
+    matches = [(PureSwapSchedule(v_budget, T), seed) for seed in range(610_000, 610_020)]
+    uavg = [[compute_metrics(tr).u_avg for tr in transcripts]
+            for transcripts in run_matches(EM2, [LearnerSpec(kind, horizon=T) for kind in kinds], matches, T)]
+    for k, kind in enumerate(kinds):
+        vals = [u[k] for u in uavg]
         assert float(np.mean(vals)) <= -0.05 * v_budget / T, kind
 
 
@@ -219,20 +223,22 @@ C7_SEEDS = 20
 
 @pytest.fixture(scope="module")
 def c7_sweep():
+    kinds = ("saol", "hedge", "clone")
+    dreg_means, uavg_means = {kind: [] for kind in kinds}, {kind: [] for kind in kinds}
+    for T in C7_HORIZONS:
+        # every kind plays the same matches, in one call per horizon
+        matches = [(BiasedCoinSchedule(C7_V, T), seed) for seed in range(700_000, 700_000 + C7_SEEDS)]
+        metrics = [[compute_metrics(tr) for tr in transcripts]
+                   for transcripts in run_matches(EM2, [LearnerSpec(kind, horizon=T) for kind in kinds], matches, T)]
+        for k, kind in enumerate(kinds):
+            dreg_means[kind].append(float(np.mean([m[k].dynamic_regret for m in metrics])))
+            uavg_means[kind].append(float(np.mean([m[k].u_avg for m in metrics])))
     out = {}
-    for kind in ("saol", "hedge", "clone"):
-        dreg_means, uavg_means = [], []
-        for T in C7_HORIZONS:
-            runs = run_matches(
-                EM2, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(C7_V, T), T, range(700_000, 700_000 + C7_SEEDS)
-            )
-            metrics = [compute_metrics(tr) for tr in runs]
-            dreg_means.append(float(np.mean([m.dynamic_regret for m in metrics])))
-            uavg_means.append(float(np.mean([m.u_avg for m in metrics])))
+    for kind in kinds:
         slope = float(
-            np.polyfit(np.log(C7_HORIZONS), np.log(np.maximum(dreg_means, 1e-12)), 1)[0]
+            np.polyfit(np.log(C7_HORIZONS), np.log(np.maximum(dreg_means[kind], 1e-12)), 1)[0]
         )
-        out[kind] = {"dreg": dreg_means, "uavg": uavg_means, "slope": slope}
+        out[kind] = {"dreg": dreg_means[kind], "uavg": uavg_means[kind], "slope": slope}
     return out
 
 

@@ -191,21 +191,31 @@ def _assert_same_transcript(got, want, what):
     assert got.to_csv() == want.to_csv(), what
 
 
-@pytest.mark.parametrize("kind", ["hedge", "saol", "clone"])
+KINDS = ("hedge", "saol", "clone")
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_run_matches_rows_equal_run_match_per_seed(kind):
+    # several learners, led by `kind`, on matches that mix schedules: each
+    # transcript is the one run_match plays for its learner and match alone
     T = 300  # not a multiple of the SAOL time block
+    order = KINDS[KINDS.index(kind):] + KINDS[: KINDS.index(kind)]
     em, sdg30 = eq.extended_majority(3, 2), eq.sdg(30)
     cases = [
-        (em, LearnerSpec(kind, horizon=T), BiasedCoinSchedule(8.0, T)),
-        (em, LearnerSpec(kind, horizon=T), PureSwapSchedule(32.0, T)),
-        (sdg30, LearnerSpec(kind, eta=2.0), FixedSchedule((0.399, 0.6, 0.001))),
+        # a second SAOL with its own eta and horizon gets its own strategies
+        (em, [*(LearnerSpec(k, horizon=T) for k in order), LearnerSpec("saol", eta=0.5, horizon=2 * T)],
+         (BiasedCoinSchedule(8.0, T), PureSwapSchedule(32.0, T))),
+        (sdg30, [LearnerSpec(k, eta=2.0) for k in order], (FixedSchedule((0.399, 0.6, 0.001)),)),
     ]
-    for game, spec, schedule in cases:
+    for game, specs, schedules in cases:
         for seeds in ([4], [4, 17], [9, 0, 4, 31, 2]):
-            rows = list(run_matches(game, spec, schedule, T, seeds))
-            assert [tr.seed for tr in rows] == seeds
-            for seed, tr in zip(seeds, rows):
-                _assert_same_transcript(tr, run_match(game, spec, schedule, T, seed), (schedule, seeds, seed))
+            matches = [(schedule, seed) for seed in seeds for schedule in schedules]
+            rows = list(run_matches(game, specs, matches, T))
+            assert len(rows) == len(matches)
+            for (schedule, seed), transcripts in zip(matches, rows):
+                assert len(transcripts) == len(specs)
+                for spec, tr in zip(specs, transcripts):
+                    _assert_same_transcript(tr, run_match(game, spec, schedule, T, seed), (spec, schedule, seeds, seed))
 
 
 def test_run_matches_row_does_not_depend_on_its_batch():
@@ -213,30 +223,43 @@ def test_run_matches_row_does_not_depend_on_its_batch():
     spec, schedule = LearnerSpec("saol", horizon=T), BiasedCoinSchedule(8.0, T)
     alone = run_match(g, spec, schedule, T, 7)
     for seeds in ([7, 1, 2], [3, 7], [5, 6, 8, 9, 7], [7, 7]):
-        rows = list(run_matches(g, spec, schedule, T, seeds))
-        _assert_same_transcript(rows[seeds.index(7)], alone, seeds)
-    assert list(run_matches(g, spec, schedule, T, [])) == []
+        rows = list(run_matches(g, [spec], [(schedule, seed) for seed in seeds], T))
+        _assert_same_transcript(rows[seeds.index(7)][0], alone, seeds)
+    assert list(run_matches(g, [spec], [], T)) == []
 
 
 def test_run_matches_plays_saol_in_batches_bounded_by_the_entry_budget(monkeypatch):
     from equalshare import arena
 
     g, T = eq.extended_majority(3, 2), 300
-    spec, schedule = LearnerSpec("saol", horizon=T), BiasedCoinSchedule(8.0, T)
-    seeds = [9, 0, 4, 31, 2]
-    whole = list(run_matches(g, spec, schedule, T, seeds))
-    batch_sizes = []
+    specs = [LearnerSpec(kind, horizon=T) for kind in KINDS]
+    coin, swap = BiasedCoinSchedule(8.0, T), PureSwapSchedule(32.0, T)
+    matches = [(coin, 9), (swap, 0), (coin, 4), (swap, 31), (coin, 2)]
+    whole = list(run_matches(g, specs, matches, T))
+    batch_sizes, draws = [], []
 
     def spy(gains, horizon, eta):
         batch_sizes.append(gains.shape[0])
         return saol_strategies(gains, horizon, eta)
 
+    def drawn(seed):
+        draws.append(seed)
+        return role_rngs(seed)
+
     monkeypatch.setattr(arena, "saol_strategies", spy)
+    monkeypatch.setattr(arena, "role_rngs", drawn)
     monkeypatch.setattr(arena, "CHUNK_ENTRIES", 2 * T * g.A + 1)
-    split = list(run_matches(g, spec, schedule, T, seeds))
+    split = list(run_matches(g, specs, matches, T))
     assert batch_sizes == [2, 2, 1]
+    assert draws == [seed for _, seed in matches]  # each match drawn once, for all three learners
     for got, want in zip(split, whole, strict=True):
-        _assert_same_transcript(got, want, got.seed)
+        for a, b in zip(got, want, strict=True):
+            _assert_same_transcript(a, b, a.seed)
+    # a batch is drawn before its first transcript; without SAOL it is one match
+    for learners, size in ((specs, 2), (specs[::2], 1)):
+        draws.clear()
+        next(run_matches(g, learners, matches, T))
+        assert draws == [seed for _, seed in matches[:size]], learners
 
 
 def test_run_match_rejects_non_arena_learners_and_short_saol_horizons():

@@ -77,15 +77,19 @@ def _digest(obj) -> str:
 
 def transcripts() -> dict:
     game, T = games.extended_majority(3, 2), 1024
+    schedules = {f"biased_coin(V=8,T={T})": BiasedCoinSchedule(8.0, T), f"pure_swap(V=32,T={T})": PureSwapSchedule(32.0, T)}
+    matches = [(label, seed) for label in schedules for seed in (0, 1)]
+    # every kind plays every match in one call
+    played = dict(zip(matches, run_matches(game, [LearnerSpec(kind) for kind in LEARNER_FIELDS],
+                                           [(schedules[label], seed) for label, seed in matches], T)))
     out = {}
-    for kind in LEARNER_FIELDS:
-        for label, schedule in ((f"biased_coin(V=8,T={T})", BiasedCoinSchedule(8.0, T)),
-                                (f"pure_swap(V=32,T={T})", PureSwapSchedule(32.0, T))):
-            for tr in run_matches(game, LearnerSpec(kind), schedule, T, [0, 1]):
-                key = f"run_matches/{kind}/{label}/seed{tr.seed}"
-                for name in TRANSCRIPT_FIELDS:
-                    out[f"{key}/{name}"] = getattr(tr, name)
-                out[f"{key}/to_csv"] = tr.to_csv()
+    for k, kind in enumerate(LEARNER_FIELDS):
+        for label, seed in matches:
+            tr = played[label, seed][k]
+            key = f"run_matches/{kind}/{label}/seed{tr.seed}"
+            for name in TRANSCRIPT_FIELDS:
+                out[f"{key}/{name}"] = getattr(tr, name)
+            out[f"{key}/to_csv"] = tr.to_csv()
     return out
 
 

@@ -9,8 +9,10 @@ import pytest
 
 import equalshare as eq
 from equalshare import learners
+from equalshare.arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
 from equalshare.games import SizeCapExceeded, expected_payoff_mixed, num_compositions, realized_payoff_vector
 from equalshare.learners import (
+    LearnerSpec,
     RateSchedule,
     batch_exploiter,
     batch_hedge_vs_fixed,
@@ -18,12 +20,14 @@ from equalshare.learners import (
     exploiter_gain_table,
 )
 from equalshare.reproduce import (
+    SweepRow,
     classify,
     fit_scaling_exponent,
     lowerbound_sweep,
     mv_table,
     sdg_table,
 )
+from equalshare.sampling import role_rngs
 
 MV = eq.majority3()
 Y_MV = np.array([0.49, 0.51])
@@ -263,6 +267,59 @@ def test_lowerbound_sweep_rows():
     assert row.u_avg_mean >= -(16.0 + 1) / 256 - 3 * row.u_avg_std
 
 
+def _sweep_per_schedule(game, configs, kinds, seeds, base_seed=0):
+    """lowerbound_sweep as one run_matches call per configuration and kind."""
+    rows = []
+    for sched_kind, v, T in configs:
+        sched = (BiasedCoinSchedule if sched_kind == "biased_coin" else PureSwapSchedule)(v, T)
+        for kind in kinds:
+            matches = [(sched, base_seed * 1_000_003 + s) for s in range(seeds)]
+            metrics = [compute_metrics(tr) for (tr,) in run_matches(game, [LearnerSpec(kind)], matches, T)]
+            uavg = [m.u_avg for m in metrics]
+            dreg = [m.dynamic_regret for m in metrics]
+            rows.append(SweepRow(sched_kind, kind, T, v, seeds, float(np.mean(uavg)), float(np.std(uavg, ddof=1)),
+                                 float(np.mean(dreg)), float(np.std(dreg, ddof=1))))
+    return rows
+
+
+SWEEP_KINDS = ("hedge", "saol", "clone")
+
+
+@pytest.mark.parametrize("configs", [
+    [("pure_swap", 32.0, 300), ("pure_swap", 75.0, 300), ("biased_coin", 8.0, 300)],
+    # two horizons, interleaved: rows keep the order of the configs
+    [("biased_coin", 8.0, 256), ("pure_swap", 16.0, 300), ("pure_swap", 32.0, 256), ("biased_coin", 4.0, 300)],
+], ids=["one_horizon", "two_horizons"])
+def test_lowerbound_sweep_equals_the_per_schedule_loop(configs):
+    g = eq.extended_majority(3, 2)
+    got = lowerbound_sweep(g, configs, kinds=SWEEP_KINDS, seeds=4, base_seed=2)
+    want = _sweep_per_schedule(g, configs, SWEEP_KINDS, seeds=4, base_seed=2)
+    assert [(r.schedule, r.kind, r.T) for r in got] == [(c[0], k, c[2]) for c in configs for k in SWEEP_KINDS]
+    assert got == want  # float == on every field
+
+
+def test_lowerbound_sweep_draws_each_match_once_and_plays_saol_once_per_horizon(monkeypatch):
+    from equalshare import arena
+
+    draws, saol_calls = [], []
+
+    def drawn(seed):
+        draws.append(seed)
+        return role_rngs(seed)
+
+    def saol(gains, horizon, eta):
+        saol_calls.append((gains.shape[:2], horizon))
+        return learners.saol_strategies(gains, horizon, eta)
+
+    monkeypatch.setattr(arena, "role_rngs", drawn)
+    monkeypatch.setattr(arena, "saol_strategies", saol)
+    configs = [("biased_coin", 8.0, 256), ("pure_swap", 16.0, 300), ("pure_swap", 32.0, 256), ("biased_coin", 4.0, 300)]
+    lowerbound_sweep(eq.extended_majority(3, 2), configs, kinds=SWEEP_KINDS, seeds=3, base_seed=1)
+    seeds = [1_000_003 + s for s in range(3)]
+    assert draws == 4 * seeds  # one draw per (schedule, seed), whatever the number of kinds
+    assert saol_calls == [((6, 256), 256), ((6, 300), 300)]
+
+
 def test_lowerbound_sweep_memory_does_not_grow_with_the_seed_count():
     import tracemalloc
 
@@ -281,6 +338,29 @@ def test_lowerbound_sweep_memory_does_not_grow_with_the_seed_count():
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + 2**20, (kind, peaks)
         assert peaks[1] < 16 * 2**20, (kind, peaks)
+
+def test_lowerbound_sweep_memory_with_every_kind_holds_one_batch(monkeypatch):
+    import tracemalloc
+    from equalshare import arena
+
+    # batches of B = 8 matches at T = 2^12: holding every seed's transcripts
+    # would take about 0.65 MB more per match, and drawing a batch while the
+    # last one is still held, or a transcript that outlives its batch, more
+    # than 1 MB more in all
+    T, B = 1 << 12, 8
+    monkeypatch.setattr(arena, "CHUNK_ENTRIES", B * T * 2)
+    config = [("pure_swap", 32.0, T)]
+    # a first call allocates once what later calls reuse
+    lowerbound_sweep(eq.extended_majority(3, 2), config, kinds=SWEEP_KINDS, seeds=B)
+    peaks = []
+    for seeds in (B, 3 * B):
+        tracemalloc.start()
+        try:
+            lowerbound_sweep(eq.extended_majority(3, 2), config, kinds=SWEEP_KINDS, seeds=seeds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**20, peaks
 
 
 def test_fit_scaling_exponent_smoke():

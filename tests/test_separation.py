@@ -19,11 +19,15 @@ HORIZONS = (512, 1024, 2048, 4096)
 SEEDS = 8
 
 
-def _dreg_means(kind):
-    means = []
+def _dreg_means(kinds):
+    """Per kind, the seed-mean dynamic regret at each horizon; every kind plays the same matches."""
+    means = {kind: [] for kind in kinds}
     for T in HORIZONS:
-        runs = run_matches(EM2, LearnerSpec(kind, horizon=T), PureSwapSchedule(8.0, T), T, range(42_000, 42_000 + SEEDS))
-        means.append(float(np.mean([compute_metrics(tr).dynamic_regret for tr in runs])))
+        matches = [(PureSwapSchedule(8.0, T), seed) for seed in range(42_000, 42_000 + SEEDS)]
+        dreg = [[compute_metrics(tr).dynamic_regret for tr in transcripts]
+                for transcripts in run_matches(EM2, [LearnerSpec(kind, horizon=T) for kind in kinds], matches, T)]
+        for k, kind in enumerate(kinds):
+            means[kind].append(float(np.mean([d[k] for d in dreg])))
     return means
 
 
@@ -32,9 +36,8 @@ def _slope(means):
 
 
 def test_pure_swap_family_separates_the_learners():
-    hedge = _dreg_means("hedge")
-    saol = _dreg_means("saol")
-    clone = _dreg_means("clone")
+    means = _dreg_means(("hedge", "saol", "clone"))
+    hedge, saol, clone = means["hedge"], means["saol"], means["clone"]
     # frozen hedge pays linearly (pilot slope 1.00), the interval mixture
     # stays sublinear (pilot slope 0.78), cloning pays a constant
     assert _slope(hedge) >= 0.9
@@ -47,9 +50,10 @@ def test_hedge_fails_two_round_batches():
     # batches of length 2: copying survives, reweighting does not
     T = 1024
     sched = PureSwapSchedule(T / 2.0, T)
-    seeds = range(52_000, 52_010)
-    hedge_vals = [compute_metrics(tr).u_avg for tr in run_matches(EM2, LearnerSpec("hedge"), sched, T, seeds)]
-    clone_vals = [compute_metrics(tr).u_avg for tr in run_matches(EM2, LearnerSpec("clone"), sched, T, seeds)]
+    matches = [(sched, seed) for seed in range(52_000, 52_010)]
+    runs = list(run_matches(EM2, [LearnerSpec("hedge"), LearnerSpec("clone")], matches, T))
+    hedge_vals = [compute_metrics(hedge).u_avg for hedge, _ in runs]
+    clone_vals = [compute_metrics(clone).u_avg for _, clone in runs]
     assert float(np.mean(hedge_vals)) <= -0.1
     v = T / 2.0
     sigma = float(np.std(clone_vals, ddof=1)) / np.sqrt(len(clone_vals))

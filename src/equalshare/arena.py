@@ -223,6 +223,8 @@ def run_matches(
     learner the matches go in batches of at most CHUNK_ENTRIES // (T * A),
     otherwise one at a time, so a caller that keeps only each transcript's
     metrics holds one batch at a time, however many matches."""
+    if not learners:
+        raise ValueError("run_matches needs at least one learner")
     matches = list(matches)
     size = max(1, CHUNK_ENTRIES // max(1, T * game.A)) if any(spec.kind == "saol" for spec in learners) else 1
     for first in range(0, len(matches), size):

@@ -28,7 +28,7 @@ from . import analysis
 from .arena import compute_metrics, run_matches
 from .config import ConfigError, load_config
 from .games import SizeCapExceeded, SymmetricGame, as_strategy, extended_majority, load_game, validate
-from .reproduce import SCALING_V_BUDGET, fit_scaling_exponent, lowerbound_sweep, mv_table, sdg_table
+from .reproduce import SCALING_HORIZONS, SCALING_V_BUDGET, fit_scaling_exponent, lowerbound_sweep, mv_table, sdg_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,11 +180,16 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _sweep_seeds(args, stride: int) -> list[int]:
+    """A sweep verb's match seeds: --runs of them (default 20), from --seed times the verb's stride."""
+    return [args.seed * stride + s for s in range(args.runs or 20)]
+
+
 def cmd_lowerbound(args) -> int:
     game = extended_majority(3, 2)
     T = args.horizon
     configs = [("pure_swap", 32.0, T), ("pure_swap", T / 4.0, T), ("biased_coin", 8.0, T)]
-    rows = [asdict(r) for r in lowerbound_sweep(game, configs, base_seed=args.seed, **_given(seeds=args.runs))]
+    rows = [asdict(r) for r in lowerbound_sweep(game, configs, _sweep_seeds(args, 1_000_003))]
     out = _reproduce_dir(args)
     _emit({"game": game.name, "rows": rows}, out, "lowerbound.json")
     (out / "lowerbound.csv").write_text(_csv(rows))
@@ -194,12 +199,14 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    out = _reproduce_dir(args)
     game = extended_majority(3, 2)
+    configs = [("biased_coin", SCALING_V_BUDGET, T) for T in SCALING_HORIZONS]
+    swept = lowerbound_sweep(game, configs, _sweep_seeds(args, 7_777_777), kinds=("saol", "hedge"))
     results = {}
     for kind in ("saol", "hedge"):
-        slope, means = fit_scaling_exponent(game, kind, base_seed=args.seed, **_given(seeds=args.runs))
+        slope, means = fit_scaling_exponent(swept, kind)
         results[kind] = {"slope": slope, "dreg_by_T": {str(t): m for t, m in means}}
+    out = _reproduce_dir(args)
     _emit({"v_budget": SCALING_V_BUDGET, **results}, out, "scaling.json")
     rows = [{"kind": kind, "T": t, "dreg_mean": m} for kind, res in results.items() for t, m in res["dreg_by_T"].items()]
     (out / "scaling.csv").write_text(_csv(rows))
@@ -302,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exploit-runs", type=_count, help="exploiter restarts per strategy (default 100)")
     p = leaf(tables, "lowerbound", cmd_lowerbound, "learners against the lower-bound schedules", [runs, audit])
     p.add_argument("--horizon", type=_count, default=1024, help="rounds per match (default 1024)")
-    leaf(tables, "scaling", cmd_scaling, "dynamic-regret scaling fit over horizons 1024..16384", [runs])
+    leaf(tables, "scaling", cmd_scaling,
+         f"dynamic-regret scaling fit over horizons {SCALING_HORIZONS[0]}..{SCALING_HORIZONS[-1]}", [runs])
 
     quantities = verbs.add_parser("analyze", help="run an analysis oracle").add_subparsers(dest="quantity", required=True)
     p = leaf(quantities, "minimax", cmd_minimax, "minimax values against identical or independent opponents", [game])

@@ -7,12 +7,16 @@ own generators: one `self_play_roster` call trains the self-play rows, and
 one `analysis.exploiter_protocol` call every row's exploiters.  The tests
 replay each trainer's rule round by round to cross-check it, as they do
 for the whole-match forms behind `arena.run_matches`.
+
+Every horizon x schedule x learner experiment is one `lowerbound_sweep`
+call, and `fit_scaling_exponent` fits a slope to its rows.
 """
 
 from __future__ import annotations
 
 import functools
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +30,7 @@ from .learners import LearnerSpec, batch_exploiter, batch_hedge_vs_fixed, batch_
 CONVERGENCE_THRESHOLD = 0.99
 REGULARIZATION_STRENGTHS = (1e-5, 1e-4, 1e-3, 1e-2)  # the roster's sp_bc_reg rows
 SCALING_V_BUDGET = 8.0  # variation budget of the scaling fit's biased-coin schedule
+SCALING_HORIZONS = (1024, 2048, 4096, 8192, 16384)  # the scaling fit's horizons
 
 
 def classify(finals: np.ndarray) -> np.ndarray:
@@ -244,26 +249,25 @@ class SweepRow:
 def lowerbound_sweep(
     game: SymmetricGame,
     configs: list[tuple[str, float, int]],
+    seeds: Sequence[int],
     kinds=("hedge", "saol", "clone"),
-    seeds: int = 20,
-    base_seed: int = 0,
 ) -> list[SweepRow]:
     """Run each learner, at eta 1, against each (schedule kind, V, T)
-    configuration; a row's stds need at least two seeds.  Every learner
-    plays the same matches: one run_matches call per horizon plays all its
+    configuration, one match per seed in `seeds`, which are the match seeds
+    themselves; a row's stds need at least two seeds.  Every learner plays
+    the same matches: one run_matches call per horizon plays all its
     configurations, and each transcript is reduced to its metrics as it
     comes, so the sweep holds one batch of matches at a time."""
-    if seeds < 2:
-        raise ValueError(f"a std needs at least two seeds, got {seeds}")
-    seed_list = [base_seed * 1_000_003 + s for s in range(seeds)]
+    if len(seeds) < 2:
+        raise ValueError(f"a std needs at least two seeds, got {len(seeds)}")
     specs = [LearnerSpec(kind) for kind in kinds]
     schedules = [(BiasedCoinSchedule if sched_kind == "biased_coin" else PureSwapSchedule)(v, T)
                  for sched_kind, v, T in configs]
     found = [[[] for _ in kinds] for _ in configs]  # per config and kind, each seed's (u_avg, dreg)
     for T in dict.fromkeys(T for _, _, T in configs):
         at_T = [i for i, (_, _, t) in enumerate(configs) if t == T]
-        matches = [(schedules[i], s) for i in at_T for s in seed_list]
-        owners = [i for i in at_T for _ in seed_list]
+        matches = [(schedules[i], s) for i in at_T for s in seeds]
+        owners = [i for i in at_T for _ in seeds]
         # map keeps no transcript once it is reduced, so none outlives its batch
         for i, values in zip(owners, map(_sweep_values, run_matches(game, specs, matches, T))):
             for per_kind, value in zip(found[i], values):
@@ -272,13 +276,8 @@ def lowerbound_sweep(
     for (sched_kind, v, T), per_config in zip(configs, found):
         for kind, per_kind in zip(kinds, per_config):
             uavg, dreg = zip(*per_kind)
-            rows.append(
-                SweepRow(
-                    sched_kind, kind, T, v, seeds,
-                    float(np.mean(uavg)), float(np.std(uavg, ddof=1)),
-                    float(np.mean(dreg)), float(np.std(dreg, ddof=1)),
-                )
-            )
+            rows.append(SweepRow(sched_kind, kind, T, v, len(seeds), float(np.mean(uavg)), float(np.std(uavg, ddof=1)),
+                                 float(np.mean(dreg)), float(np.std(dreg, ddof=1))))
     return rows
 
 
@@ -287,19 +286,10 @@ def _sweep_values(transcripts) -> list[tuple[float, float]]:
     return [(m.u_avg, m.dynamic_regret) for m in map(compute_metrics, transcripts)]
 
 
-def fit_scaling_exponent(
-    game: SymmetricGame,
-    kind: str,
-    horizons=(1024, 2048, 4096, 8192, 16384),
-    seeds: int = 20,
-    base_seed: int = 0,
-) -> tuple[float, list[tuple[int, float]]]:
-    """Log-log slope of the seed-averaged dynamic regret against the
-    +/-eps hard schedule at variation budget SCALING_V_BUDGET."""
-    means = []
-    for T in horizons:
-        matches = [(BiasedCoinSchedule(SCALING_V_BUDGET, T), base_seed * 7_777_777 + s) for s in range(seeds)]
-        vals = [compute_metrics(tr).dynamic_regret for (tr,) in run_matches(game, [LearnerSpec(kind)], matches, T)]
-        means.append((T, float(np.mean(vals))))
+def fit_scaling_exponent(rows: list[SweepRow], kind: str) -> tuple[float, list[tuple[int, float]]]:
+    """Log-log slope of one learner's seed-mean dynamic regret against the
+    horizon, fitted over its sweep rows, one per horizon; and the
+    (T, dreg_mean) points it fits, in row order."""
+    means = [(row.T, row.dreg_mean) for row in rows if row.kind == kind]
     slope = float(np.polyfit(np.log([t for t, _ in means]), np.log([max(m, 1e-12) for _, m in means]), 1)[0])
     return slope, means

@@ -25,13 +25,15 @@ from equalshare.analysis import (
     monte_carlo_utility,
     pooling_check,
 )
-from equalshare.arena import FixedSchedule, BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
+from equalshare.arena import FixedSchedule, compute_metrics, run_matches
 from equalshare.games import expected_payoff_mixed, validate
 from equalshare.learners import LearnerSpec
 from equalshare.reproduce import (
     batch_hedge_vs_fixed,
     batch_self_play,
     classify,
+    fit_scaling_exponent,
+    lowerbound_sweep,
     mv_table,
 )
 
@@ -191,11 +193,10 @@ def test_c5_decade_ratio(c5_gaps):
 # ---------------------------------------------------------------------------
 
 def test_c6_cloning_tracks_slow_budgets():
-    for v_budget, T in ((32.0, 1_024), (128.0, 4_096)):
-        matches = [(PureSwapSchedule(v_budget, T), seed) for seed in range(600_000, 600_050)]
-        vals = [compute_metrics(tr).u_avg for (tr,) in run_matches(EM2, [LearnerSpec("clone")], matches, T)]
-        sigma = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
-        assert float(np.mean(vals)) >= -(v_budget + 1) / T - 3 * sigma
+    configs = [("pure_swap", 32.0, 1_024), ("pure_swap", 128.0, 4_096)]
+    for row in lowerbound_sweep(EM2, configs, range(600_000, 600_050), kinds=("clone",)):
+        sigma = row.u_avg_std / math.sqrt(row.seeds)
+        assert row.u_avg_mean >= -(row.v_budget + 1) / row.T - 3 * sigma
 
 
 def test_c6_no_learner_survives_quarter_budget():
@@ -203,13 +204,9 @@ def test_c6_no_learner_survives_quarter_budget():
     # the pilot (measured: hedge -0.49, adaptive mixture -0.52, clone -0.12)
     T = 1_024
     v_budget = T / 4.0
-    kinds = ("hedge", "saol", "clone")
-    matches = [(PureSwapSchedule(v_budget, T), seed) for seed in range(610_000, 610_020)]
-    uavg = [[compute_metrics(tr).u_avg for tr in transcripts]
-            for transcripts in run_matches(EM2, [LearnerSpec(kind, horizon=T) for kind in kinds], matches, T)]
-    for k, kind in enumerate(kinds):
-        vals = [u[k] for u in uavg]
-        assert float(np.mean(vals)) <= -0.05 * v_budget / T, kind
+    for row in lowerbound_sweep(EM2, [("pure_swap", v_budget, T)], range(610_000, 610_020),
+                                kinds=("hedge", "saol", "clone")):
+        assert row.u_avg_mean <= -0.05 * v_budget / T, row.kind
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +220,14 @@ C7_SEEDS = 20
 
 @pytest.fixture(scope="module")
 def c7_sweep():
+    # every kind plays the same matches, in one call per horizon
     kinds = ("saol", "hedge", "clone")
-    dreg_means, uavg_means = {kind: [] for kind in kinds}, {kind: [] for kind in kinds}
-    for T in C7_HORIZONS:
-        # every kind plays the same matches, in one call per horizon
-        matches = [(BiasedCoinSchedule(C7_V, T), seed) for seed in range(700_000, 700_000 + C7_SEEDS)]
-        metrics = [[compute_metrics(tr) for tr in transcripts]
-                   for transcripts in run_matches(EM2, [LearnerSpec(kind, horizon=T) for kind in kinds], matches, T)]
-        for k, kind in enumerate(kinds):
-            dreg_means[kind].append(float(np.mean([m[k].dynamic_regret for m in metrics])))
-            uavg_means[kind].append(float(np.mean([m[k].u_avg for m in metrics])))
+    rows = lowerbound_sweep(EM2, [("biased_coin", C7_V, T) for T in C7_HORIZONS], range(700_000, 700_000 + C7_SEEDS),
+                            kinds=kinds)
     out = {}
     for kind in kinds:
-        slope = float(
-            np.polyfit(np.log(C7_HORIZONS), np.log(np.maximum(dreg_means[kind], 1e-12)), 1)[0]
-        )
-        out[kind] = {"dreg": dreg_means[kind], "uavg": uavg_means[kind], "slope": slope}
+        slope, means = fit_scaling_exponent(rows, kind)
+        out[kind] = {"dreg": [m for _, m in means], "uavg": [r.u_avg_mean for r in rows if r.kind == kind], "slope": slope}
     return out
 
 

@@ -228,6 +228,21 @@ def test_run_matches_row_does_not_depend_on_its_batch():
     assert list(run_matches(g, [spec], [], T)) == []
 
 
+def test_run_matches_refuses_no_learners_before_any_draw(monkeypatch):
+    from equalshare import arena
+
+    draws = []
+    draw_match = arena._draw_match
+    monkeypatch.setattr(arena, "_draw_match", lambda *args: draws.append(args[-1]) or draw_match(*args))
+    g, T = eq.extended_majority(3, 2), 64
+    matches = [(BiasedCoinSchedule(8.0, T), seed) for seed in range(3)]
+    with pytest.raises(ValueError, match="at least one learner"):
+        list(run_matches(g, [], matches, T))
+    assert draws == []
+    list(run_matches(g, [LearnerSpec("clone")], matches, T))
+    assert draws == [0, 1, 2]  # the spy sees the draws of a match that is played
+
+
 def test_run_matches_plays_saol_in_batches_bounded_by_the_entry_budget(monkeypatch):
     from equalshare import arena
 

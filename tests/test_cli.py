@@ -477,10 +477,12 @@ def test_simulate_refuses_every_field_its_kinds_do_not_read(tmp_path, capsys):
     assert not (tmp_path / "sim").exists()
 
 
-def test_reproduce_lowerbound_refuses_a_single_seed(tmp_path, capsys):
-    # the sweep reports a std over the seeds, which one seed cannot give
-    out = tmp_path / "lb"
-    assert run_cli("--out", str(out), "reproduce", "lowerbound", "--runs", "1", "--horizon", "64", "--self-audit") == EXIT_CONFIG
+@pytest.mark.parametrize("verb", [("lowerbound", "--horizon", "64", "--self-audit"), ("scaling",)],
+                         ids=["lowerbound", "scaling"])
+def test_reproduce_sweep_refuses_a_single_seed(verb, tmp_path, capsys):
+    # a sweep row reports a std over the seeds, which one seed cannot give
+    out = tmp_path / "sweep"
+    assert run_cli("--out", str(out), "reproduce", *verb, "--runs", "1") == EXIT_CONFIG
     assert "a std needs at least two seeds, got 1" in capsys.readouterr().err
     assert not out.exists()
 

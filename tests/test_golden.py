@@ -2,8 +2,8 @@
 
 `golden.json` maps each key of a fixed grid of (game, learner, schedule, T,
 seed) transcripts, tiny convergence tables, grid oracles, pooling checks,
-batch trainers and Monte Carlo estimates to the first 16 hex digits of a
-SHA-256 of its bytes.
+batch trainers, Monte Carlo estimates and the files of the sweep verbs to
+the first 16 hex digits of a SHA-256 of its bytes.
 A change that moves an output fails here and names the key.  Float bytes
 depend on numpy, the BLAS build and the BLAS thread count (conftest.py pins
 it to one thread), so the file records all three, and a failure says when
@@ -14,9 +14,12 @@ After a change that moves a hash on purpose, regenerate the file by hand:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 # before numpy: importing conftest pins BLAS to one thread, run as a script too
@@ -160,7 +163,23 @@ def trainers() -> dict:
     return out
 
 
-PARTS = {"transcripts": transcripts, "tables": tables, "oracles": oracles, "trainers": trainers}
+def sweeps() -> dict:
+    """Every file that `reproduce lowerbound` and `reproduce scaling` write, through cli.main."""
+    from equalshare import cli
+
+    runs = {f"lowerbound/horizon256_runs3/seed{seed}": [str(seed), "reproduce", "lowerbound", "--horizon", "256", "--runs", "3"]
+            for seed in (0, 5)}
+    runs |= {f"scaling/runs2/seed{seed}": [str(seed), "reproduce", "scaling", "--runs", "2"] for seed in (0, 3)}
+    out = {}
+    for key, (seed, *verb) in runs.items():
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(["--seed", seed, "--out", tmp, *verb]) != cli.EXIT_OK:
+                raise RuntimeError(f"{key}: the CLI failed")
+            out |= {f"cli/{key}/{path.name}": path.read_text() for path in sorted(Path(tmp).iterdir())}
+    return out
+
+
+PARTS = {"transcripts": transcripts, "tables": tables, "oracles": oracles, "trainers": trainers, "sweeps": sweeps}
 
 
 def _versions() -> dict:

@@ -20,6 +20,8 @@ from equalshare.learners import (
     exploiter_gain_table,
 )
 from equalshare.reproduce import (
+    SCALING_HORIZONS,
+    SCALING_V_BUDGET,
     SweepRow,
     classify,
     fit_scaling_exponent,
@@ -260,24 +262,24 @@ def test_a_table_trains_each_kind_of_row_in_one_call(monkeypatch):
 
 def test_lowerbound_sweep_rows():
     g = eq.extended_majority(3, 2)
-    rows = lowerbound_sweep(g, [("pure_swap", 16.0, 256)], kinds=("clone",), seeds=5)
+    rows = lowerbound_sweep(g, [("pure_swap", 16.0, 256)], range(5), kinds=("clone",))
     assert len(rows) == 1
     row = rows[0]
     assert row.kind == "clone" and row.T == 256
     assert row.u_avg_mean >= -(16.0 + 1) / 256 - 3 * row.u_avg_std
 
 
-def _sweep_per_schedule(game, configs, kinds, seeds, base_seed=0):
+def _sweep_per_schedule(game, configs, kinds, seeds):
     """lowerbound_sweep as one run_matches call per configuration and kind."""
     rows = []
     for sched_kind, v, T in configs:
         sched = (BiasedCoinSchedule if sched_kind == "biased_coin" else PureSwapSchedule)(v, T)
         for kind in kinds:
-            matches = [(sched, base_seed * 1_000_003 + s) for s in range(seeds)]
+            matches = [(sched, s) for s in seeds]
             metrics = [compute_metrics(tr) for (tr,) in run_matches(game, [LearnerSpec(kind)], matches, T)]
             uavg = [m.u_avg for m in metrics]
             dreg = [m.dynamic_regret for m in metrics]
-            rows.append(SweepRow(sched_kind, kind, T, v, seeds, float(np.mean(uavg)), float(np.std(uavg, ddof=1)),
+            rows.append(SweepRow(sched_kind, kind, T, v, len(seeds), float(np.mean(uavg)), float(np.std(uavg, ddof=1)),
                                  float(np.mean(dreg)), float(np.std(dreg, ddof=1))))
     return rows
 
@@ -292,13 +294,16 @@ SWEEP_KINDS = ("hedge", "saol", "clone")
 ], ids=["one_horizon", "two_horizons"])
 def test_lowerbound_sweep_equals_the_per_schedule_loop(configs):
     g = eq.extended_majority(3, 2)
-    got = lowerbound_sweep(g, configs, kinds=SWEEP_KINDS, seeds=4, base_seed=2)
-    want = _sweep_per_schedule(g, configs, SWEEP_KINDS, seeds=4, base_seed=2)
+    seeds = [2 * 1_000_003 + s for s in range(4)]
+    got = lowerbound_sweep(g, configs, seeds, kinds=SWEEP_KINDS)
+    want = _sweep_per_schedule(g, configs, SWEEP_KINDS, seeds)
     assert [(r.schedule, r.kind, r.T) for r in got] == [(c[0], k, c[2]) for c in configs for k in SWEEP_KINDS]
     assert got == want  # float == on every field
 
 
-def test_lowerbound_sweep_draws_each_match_once_and_plays_saol_once_per_horizon(monkeypatch):
+def _spy_draws_and_saol(monkeypatch):
+    """Record the seed of every match drawn, and the (matches, T) shape and
+    horizon of every saol_strategies call."""
     from equalshare import arena
 
     draws, saol_calls = [], []
@@ -313,11 +318,26 @@ def test_lowerbound_sweep_draws_each_match_once_and_plays_saol_once_per_horizon(
 
     monkeypatch.setattr(arena, "role_rngs", drawn)
     monkeypatch.setattr(arena, "saol_strategies", saol)
+    return draws, saol_calls
+
+
+def test_lowerbound_sweep_draws_each_match_once_and_plays_saol_once_per_horizon(monkeypatch):
+    draws, saol_calls = _spy_draws_and_saol(monkeypatch)
     configs = [("biased_coin", 8.0, 256), ("pure_swap", 16.0, 300), ("pure_swap", 32.0, 256), ("biased_coin", 4.0, 300)]
-    lowerbound_sweep(eq.extended_majority(3, 2), configs, kinds=SWEEP_KINDS, seeds=3, base_seed=1)
     seeds = [1_000_003 + s for s in range(3)]
+    lowerbound_sweep(eq.extended_majority(3, 2), configs, seeds, kinds=SWEEP_KINDS)
     assert draws == 4 * seeds  # one draw per (schedule, seed), whatever the number of kinds
     assert saol_calls == [((6, 256), 256), ((6, 300), 300)]
+
+
+def test_reproduce_scaling_draws_each_match_once_and_plays_saol_once_per_horizon(monkeypatch, tmp_path):
+    from equalshare import cli
+
+    draws, saol_calls = _spy_draws_and_saol(monkeypatch)
+    assert cli.main(["--seed", "1", "--out", str(tmp_path), "reproduce", "scaling", "--runs", "2"]) == cli.EXIT_OK
+    seeds = [7_777_777, 7_777_778]
+    assert draws == len(SCALING_HORIZONS) * seeds  # one draw per (horizon, seed), for SAOL and hedge both
+    assert saol_calls == [((2, T), T) for T in SCALING_HORIZONS]
 
 
 def test_lowerbound_sweep_memory_does_not_grow_with_the_seed_count():
@@ -332,7 +352,7 @@ def test_lowerbound_sweep_memory_does_not_grow_with_the_seed_count():
         for seeds in (2, 24):
             tracemalloc.start()
             try:
-                lowerbound_sweep(eq.extended_majority(3, 2), config, kinds=(kind,), seeds=seeds)
+                lowerbound_sweep(eq.extended_majority(3, 2), config, range(seeds), kinds=(kind,))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -351,12 +371,12 @@ def test_lowerbound_sweep_memory_with_every_kind_holds_one_batch(monkeypatch):
     monkeypatch.setattr(arena, "CHUNK_ENTRIES", B * T * 2)
     config = [("pure_swap", 32.0, T)]
     # a first call allocates once what later calls reuse
-    lowerbound_sweep(eq.extended_majority(3, 2), config, kinds=SWEEP_KINDS, seeds=B)
+    lowerbound_sweep(eq.extended_majority(3, 2), config, range(B), kinds=SWEEP_KINDS)
     peaks = []
     for seeds in (B, 3 * B):
         tracemalloc.start()
         try:
-            lowerbound_sweep(eq.extended_majority(3, 2), config, kinds=SWEEP_KINDS, seeds=seeds)
+            lowerbound_sweep(eq.extended_majority(3, 2), config, range(seeds), kinds=SWEEP_KINDS)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -365,6 +385,8 @@ def test_lowerbound_sweep_memory_with_every_kind_holds_one_batch(monkeypatch):
 
 def test_fit_scaling_exponent_smoke():
     g = eq.extended_majority(3, 2)
-    slope, means = fit_scaling_exponent(g, "clone", horizons=(256, 512, 1024), seeds=3)
+    configs = [("biased_coin", SCALING_V_BUDGET, T) for T in (256, 512, 1024)]
+    rows = lowerbound_sweep(g, configs, range(3), kinds=("clone",))
+    slope, means = fit_scaling_exponent(rows, "clone")
     assert len(means) == 3
     assert 0.2 <= slope <= 1.1  # eps-coin ceiling scaling

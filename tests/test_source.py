@@ -60,6 +60,19 @@ def test_weights_batch_is_called_only_by_payoff_vectors_batch():
     assert callers == ["games.py:payoff_vectors_batch"]
 
 
+def test_run_matches_is_called_only_by_the_sweep_run_match_and_simulate():
+    # lowerbound_sweep plays every horizon x schedule x learner experiment;
+    # another caller would be a second loop over matches to keep in step
+    callers = [
+        f"{path.name}:{getattr(top, 'name', top.lineno)}"
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "run_matches"
+    ]
+    assert callers == ["arena.py:run_match", "cli.py:cmd_simulate", "reproduce.py:lowerbound_sweep"]
+
+
 def _named_outside(node, trees) -> bool:
     """Whether any of the trees names the definition `node` outside it."""
     own = {id(n) for n in ast.walk(node)}

@@ -387,7 +387,10 @@ def exploiter_protocol(game: SymmetricGame, targets, seeds, runs: int, steps: in
     np.random.default_rng(seeds[i]) against targets[i], all trained in one
     `learners.train_roster` call.  The exploiter can stall where its sampled
     gains are flat (on sdg(200) against x = B, every action gains -1 from
-    the uniform start), so y = x, at exactly 0, is always a candidate."""
+    the uniform start), so y = x, at exactly 0, is always a candidate.
+    Fewer than one run or one step is refused before any draw."""
+    if runs < 1 or steps < 1:
+        raise ValueError(f"the exploiter protocol needs at least one run and one step, got runs={runs}, steps={steps}")
     xs = [as_strategy(x, game.A) for x in targets]
     rows = [(0.0, 0.0, np.random.default_rng(seed), x) for x, seed in zip(xs, seeds, strict=True)]
     results = []

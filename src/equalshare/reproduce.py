@@ -3,8 +3,11 @@ evaluation, lower-bound sweeps, and the scaling fit.
 
 The table experiments need hundreds of seeded training runs, advanced in
 lockstep by the batched trainers of `learners`, each row of a table on its
-own generators: one `self_play_roster` call trains the self-play rows, and
-one `analysis.exploiter_protocol` call every row's exploiters.  The tests
+own training generator: one `self_play_roster` call trains the self-play
+rows.  Each distinct worst limit, a pure action that several rows may
+share, is then evaluated once, on generators seeded by the action: Monte
+Carlo and the certified oracle per action, and one
+`analysis.exploiter_protocol` call for the exploiters of all.  The tests
 replay each trainer's rule round by round to cross-check it, as they do
 for the whole-match forms behind `arena.run_matches`.
 
@@ -14,7 +17,6 @@ call, and `fit_scaling_exponent` fits a slope to its rows.
 
 from __future__ import annotations
 
-import functools
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -152,22 +154,30 @@ def run_table_experiment(
     name: str = "table",
 ) -> RunReport:
     """Train the whole roster, classify limits, and evaluate the worst
-    converged limit's utility (Monte Carlo) and exploitability.
+    converged limit's utility (exact and Monte Carlo) and exploitability
+    (protocol and certified).
 
     Self-play rows are evaluated at their worst observed limit, mirroring
     the worst-case reading of multi-limit convergence; hedge converges to a
-    single limit so its worst limit is its only one.  Every row has its own
-    generators, seeded by its label, so the self-play rows train in one
-    self_play_roster call and, once every row is classified, all their
-    exploiters in one exploiter_protocol call.  The exact utility and the
-    certified exploitability are computed once per distinct worst action.
+    single limit so its worst limit is its only one.  Every row trains on
+    its own generator, seeded by its label, so the self-play rows train in
+    one self_play_roster call.  Every limit is a pure action, and each
+    distinct worst action is evaluated once, on eval and exploiter
+    generators seeded by the table seed and the action alone: rows with the
+    same worst limit share its numbers, and the exploiters of all distinct
+    limits train in one exploiter_protocol call.  Sizes below their floor
+    (eval_repeats 2, the others 1) are refused before anything trains.
     """
+    sizes = {"runs": runs, "eval_games": eval_games, "exploit_runs": exploit_runs, "exploit_steps": exploit_steps}
+    for size, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{size} must be at least 1, got {value}")
     if eval_repeats < 2:
         raise ValueError(f"a std over eval repeats needs at least two repeats, got {eval_repeats}")
     y_meta = np.asarray(y_meta, dtype=float)
-    # per label: the train, eval and exploiter seeds
-    seeds = {label: np.random.SeedSequence((seed, zlib.crc32(label.encode()))).spawn(3) for label, _ in roster()}
-    train = {label: np.random.default_rng(ss_train) for label, (ss_train, _, _) in seeds.items()}
+    # each label's training generator: child 0 of its seed sequence
+    train = {label: np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(label.encode()))).spawn(1)[0])
+             for label, _ in roster()}
     self_play = [(label, cfg) for label, cfg in roster() if label != "hedge"]
     sp_rows = [(cfg["mode"], cfg.get("lam", 0.0), train[label]) for label, cfg in self_play]
     finals_by_label = dict(zip([label for label, _ in self_play],
@@ -175,30 +185,30 @@ def run_table_experiment(
     finals_by_label["hedge"] = batch_hedge_vs_fixed(game, y_meta, hedge_horizon, runs, eta, train["hedge"])
     horizons = {label: hedge_horizon if label == "hedge" else sp_horizon for label, _ in roster()}
     payoffs = payoff_vector(game, y_meta)
-    certified_value = functools.cache(lambda a: certified_exploitability(game, np.eye(game.A)[a])[1])
-    rows = []
-    for label, _ in roster():
-        finals = finals_by_label[label]
-        labels = classify(finals)
-        result = AlgorithmResult(label, finals, labels, _limit_shares(labels, game.A))
-        converged = labels[labels >= 0]
-        if converged.size:
-            # worst converged limit by exact utility against the meta-strategy
-            utils = {a: float(payoffs[a]) for a in sorted(set(int(v) for v in converged))}
-            worst_action = min(utils, key=utils.get)
-            result.worst_limit = np.eye(game.A)[worst_action]
-            result.exact_utility = utils[worst_action]
-            eval_rng = np.random.default_rng(seeds[label][1])
-            estimates = [monte_carlo_utility(game, result.worst_limit, y_meta, eval_games, eval_rng)[0]
-                         for _ in range(eval_repeats)]
-            result.mc_utility = (float(np.mean(estimates)), float(np.std(estimates, ddof=1)))
-            result.exploit_exact = certified_value(worst_action)
-        rows.append(result)
-    exploited = [r for r in rows if r.worst_limit is not None]
-    protocol = exploiter_protocol(game, [r.worst_limit for r in exploited], [seeds[r.label][2] for r in exploited],
+    labels_by_label = {label: classify(finals_by_label[label]) for label, _ in roster()}
+    worst = {}  # per label with a converged run, its worst limit's action by exact utility against y_meta
+    for label, labels in labels_by_label.items():
+        converged = sorted({int(v) for v in labels[labels >= 0]})
+        if converged:
+            worst[label] = min(converged, key=lambda a: payoffs[a])
+    actions = sorted(set(worst.values()))
+    # per distinct worst action, its eval and exploiter seeds: a row's numbers depend on its worst limit alone
+    streams = {a: np.random.SeedSequence((seed, zlib.crc32(f"pure_{a}".encode()))).spawn(2) for a in actions}
+    pure = np.eye(game.A)
+    protocol = exploiter_protocol(game, [pure[a] for a in actions], [streams[a][1] for a in actions],
                                   exploit_runs, exploit_steps, eta)
-    for result, (value, _) in zip(exploited, protocol):
-        result.exploit_protocol = value
+    evaluation = {}  # per distinct worst action, the AlgorithmResult fields of its rows
+    for a, (exploit_value, _) in zip(actions, protocol):
+        eval_rng = np.random.default_rng(streams[a][0])
+        estimates = [monte_carlo_utility(game, pure[a], y_meta, eval_games, eval_rng)[0] for _ in range(eval_repeats)]
+        evaluation[a] = dict(exact_utility=float(payoffs[a]),
+                             mc_utility=(float(np.mean(estimates)), float(np.std(estimates, ddof=1))),
+                             exploit_protocol=exploit_value,
+                             exploit_exact=certified_exploitability(game, pure[a])[1])
+    rows = []
+    for label, labels in labels_by_label.items():
+        evaluated = {"worst_limit": pure[worst[label]].copy(), **evaluation[worst[label]]} if label in worst else {}
+        rows.append(AlgorithmResult(label, finals_by_label[label], labels, _limit_shares(labels, game.A), **evaluated))
     return RunReport(
         name,
         game.name,
@@ -209,7 +219,9 @@ def run_table_experiment(
         notes={"eta": eta, "y_meta": [float(v) for v in y_meta],
                "threshold": CONVERGENCE_THRESHOLD,
                "eval_games": eval_games, "eval_repeats": eval_repeats,
-               "exploiter": f"best of {exploit_runs} runs x {exploit_steps} steps"},
+               "exploiter": f"best of {exploit_runs} runs x {exploit_steps} steps",
+               "evaluation": "once per distinct worst limit, seeded by the table seed and the limit's action, "
+                             "so rows with the same worst limit share its Monte Carlo and exploiter numbers"},
     )
 
 

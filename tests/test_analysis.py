@@ -575,6 +575,20 @@ def test_exploiter_protocol_needs_one_seed_per_target():
         exploiter_protocol(MV, [[0.5, 0.5], [1.0, 0.0]], [0], 2, 10, 1.0)
 
 
+@pytest.mark.parametrize("runs, steps", [(0, 10), (2, 0), (-1, 10)])
+def test_exploiter_protocol_refuses_no_run_or_no_step_before_any_draw(runs, steps, monkeypatch):
+    # no run would report y = x at exactly 0, and no step an untrained
+    # uniform exploiter; both are refused before anything trains
+    from equalshare import analysis
+
+    def trained(*args, **kwargs):
+        raise AssertionError("an exploiter trained")
+
+    monkeypatch.setattr(analysis, "train_roster", trained)
+    with pytest.raises(ValueError, match="at least one run and one step"):
+        exploiter_protocol(MV, [[1.0, 0.0]], [0], runs, steps, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Population pooling bound.
 # ---------------------------------------------------------------------------

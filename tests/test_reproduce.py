@@ -4,11 +4,14 @@ The batch trainers advance many runs in lockstep; these tests pin them to
 the functional single-run semantics by replaying the same generator draws.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
 import equalshare as eq
 from equalshare import learners
+from equalshare.analysis import exploiter_protocol, monte_carlo_utility
 from equalshare.arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
 from equalshare.games import SizeCapExceeded, expected_payoff_mixed, num_compositions, realized_payoff_vector
 from equalshare.learners import (
@@ -217,10 +220,12 @@ def test_sdg_table_small_smoke():
     assert by_label["hedge"].exploit_protocol <= -28.5
 
 
-@pytest.mark.parametrize("repeats", [0, 1])
-def test_a_table_with_fewer_than_two_eval_repeats_is_refused_before_training(repeats, monkeypatch):
-    # one repeat has no std and none has no mean; both are refused before
-    # any trainer runs
+@pytest.mark.parametrize("size, value", [("eval_repeats", 0), ("eval_repeats", 1), ("runs", 0), ("eval_games", 0),
+                                         ("exploit_runs", 0), ("exploit_steps", 0)])
+def test_a_table_with_a_size_below_its_floor_is_refused_before_training(size, value, monkeypatch):
+    # one eval repeat has no std and none has no mean; no run, game,
+    # exploiter run or exploiter step has nothing to report; each is
+    # refused before any trainer runs
     from equalshare import reproduce
 
     def trained(*args, **kwargs):
@@ -228,14 +233,16 @@ def test_a_table_with_fewer_than_two_eval_repeats_is_refused_before_training(rep
 
     monkeypatch.setattr(reproduce, "self_play_roster", trained)
     monkeypatch.setattr(reproduce, "batch_hedge_vs_fixed", trained)
-    with pytest.raises(ValueError, match="at least two"):
-        mv_table(seed=0, runs=2, hedge_horizon=10, sp_horizon=10, eval_games=10, eval_repeats=repeats)
+    sizes = dict(runs=2, eval_games=10, eval_repeats=2, exploit_runs=2, exploit_steps=2)
+    sizes[size] = value
+    with pytest.raises(ValueError, match="at least two" if size == "eval_repeats" else f"{size} must be at least 1"):
+        mv_table(seed=0, hedge_horizon=10, sp_horizon=10, **sizes)
 
 
 def test_a_table_trains_each_kind_of_row_in_one_call(monkeypatch):
-    # the self-play rows train in one roster call and every row's
-    # exploiters in one more; the certified oracle runs once per distinct
-    # worst action, and each row is exploited against its own worst limit
+    # the self-play rows train in one roster call and the exploiters in one
+    # more, one exploiter row per distinct worst limit; the certified
+    # oracle also runs once per distinct worst action
     from equalshare import analysis, reproduce
 
     calls = {"roster": [], "certified": []}
@@ -255,9 +262,49 @@ def test_a_table_trains_each_kind_of_row_in_one_call(monkeypatch):
     report = mv_table(seed=0, runs=20, hedge_horizon=2_000, sp_horizon=1_000, eval_games=1_000, eval_repeats=2,
                       exploit_runs=2, exploit_steps=50)
     worst = [list(r.worst_limit) for r in report.rows if r.worst_limit is not None]
-    assert len(worst) > len({tuple(w) for w in worst})  # some rows share a worst action
-    assert calls["roster"] == [[None] * 6, worst]
-    assert sorted(calls["certified"]) == sorted(list(w) for w in {tuple(w) for w in worst})
+    distinct = sorted(list(w) for w in {tuple(w) for w in worst})
+    assert len(worst) > len(distinct)  # some rows share a worst action
+    self_play_call, exploiter_call = calls["roster"]
+    assert self_play_call == [None] * 6
+    assert sorted(exploiter_call) == distinct
+    assert sorted(calls["certified"]) == distinct
+
+
+def test_a_table_evaluates_each_distinct_worst_limit_once_on_its_action_seed(monkeypatch):
+    # rows with the same worst limit share its Monte Carlo and exploiter
+    # numbers, and each equals a direct call on the generators seeded by the
+    # table seed and the action alone; Monte Carlo runs eval_repeats times
+    # per distinct action.  The convergence CSV is pinned by test_golden.py.
+    from equalshare import reproduce
+
+    seed, repeats, games_, runs_, steps = 5, 3, 2_000, 3, 20  # 20 steps stay off the -29 floor
+    mc_calls = []
+    monte_carlo = reproduce.monte_carlo_utility
+
+    def spy_monte_carlo(game, x, *args):
+        mc_calls.append(int(np.argmax(x)))
+        return monte_carlo(game, x, *args)
+
+    monkeypatch.setattr(reproduce, "monte_carlo_utility", spy_monte_carlo)
+    report = sdg_table(seed=seed, runs=6, hedge_horizon=4_000, sp_horizon=4_000, eval_games=games_,
+                       eval_repeats=repeats, exploit_runs=runs_, exploit_steps=steps)
+    by_action = {}
+    for row in report.rows:
+        if row.worst_limit is not None:
+            by_action.setdefault(int(np.argmax(row.worst_limit)), []).append(row)
+    assert sorted(by_action) == [1, 2] and len(by_action[2]) == 6  # hedge at B, every self-play row at C
+    assert sorted(mc_calls) == sorted(a for a in by_action for _ in range(repeats))
+    game, y_meta = eq.sdg(30), np.array([0.399, 0.6, 0.001])
+    for a, rows in by_action.items():
+        ss_eval, ss_exploit = np.random.SeedSequence((seed, zlib.crc32(f"pure_{a}".encode()))).spawn(2)
+        x = np.eye(game.A)[a]
+        rng = np.random.default_rng(ss_eval)
+        estimates = [monte_carlo_utility(game, x, y_meta, games_, rng)[0] for _ in range(repeats)]
+        want_mc = (float(np.mean(estimates)), float(np.std(estimates, ddof=1)))
+        want_exploit = exploiter_protocol(game, [x], [ss_exploit], runs_, steps, 2.0)[0][0]
+        for row in rows:
+            assert row.mc_utility == want_mc, row.label
+            assert row.exploit_protocol == want_exploit, row.label
 
 
 def test_lowerbound_sweep_rows():

@@ -11,8 +11,10 @@ n.  Inner maximizations over the learner's own strategy are exact over pure
 actions (the payoff is linear in it), as is independent maxmin's minimum
 over the opponents' pure joints (it is multilinear in theirs).  The grid
 oracles (minimax, grid exploitability) share one search, `_grid_search`: a
-scan of the simplex grid, then one rescan at 10x resolution around its
-first minimum.  Both maxmin quantities run one row-chunked scan,
+scan of one simplex grid, SimplexGrid(A, default_resolution(A)), then one
+rescan at 10x resolution around its first minimum.  That grid is refused
+(SizeCapExceeded) before it is built when its points x A entries exceed
+MAX_ARRAY_ENTRIES.  Both maxmin quantities run one row-chunked scan,
 `_maxmin`.  Every oracle reads its payoffs from payoff_matrix(), by count.
 """
 
@@ -62,11 +64,13 @@ class SimplexGrid:
         return math.comb(self.resolution + self.num_actions - 1, self.num_actions - 1)
 
 
-def _default_grid(game: SymmetricGame, grid: SimplexGrid | None) -> SimplexGrid:
-    if grid is None:
-        grid = SimplexGrid(game.A, default_resolution(game.A))
-    if len(grid) > 2_000_000:
-        raise SizeCapExceeded(f"simplex grid with {len(grid)} points refused")
+def _default_grid(game: SymmetricGame) -> SimplexGrid:
+    """The grid every grid oracle scans, refused (SizeCapExceeded) before
+    its points are built when they hold more than MAX_ARRAY_ENTRIES values."""
+    grid = SimplexGrid(game.A, default_resolution(game.A))
+    if len(grid) * game.A > MAX_ARRAY_ENTRIES:
+        raise SizeCapExceeded(f"simplex grid of {len(grid)} points x {game.A} actions exceeds the cap of "
+                              f"{MAX_ARRAY_ENTRIES} entries")
     return grid
 
 
@@ -126,10 +130,9 @@ def _maxmin(pure: np.ndarray, grid: SimplexGrid) -> tuple[float, np.ndarray, int
     return -value, x1, int(scored["last"][k, 1])
 
 
-def minimax_identical(
-    game: SymmetricGame, which: str, grid: SimplexGrid | None = None
-) -> tuple[float, dict]:
-    """Grid search of the two minimax quantities with identical opponents.
+def minimax_identical(game: SymmetricGame, which: str) -> tuple[float, dict]:
+    """Grid search of the two minimax quantities with identical opponents,
+    over the default grid (_default_grid, refused past its cap).
 
     minmax: min over meta-strategies x of max_a u(a | x^(n-1)); the inner
     max is exact because a best response can be pure.
@@ -137,7 +140,7 @@ def minimax_identical(
     the learner's payoff; both sides gridded, by the row-chunked scan
     (_maxmin) that minimax_independent's maxmin also runs.
     """
-    grid = _default_grid(game, grid)
+    grid = _default_grid(game)
     if which == "minmax":
         value, (y,), _ = _grid_search(lambda ys: payoff_vectors_batch(game, ys).max(axis=1), grid)
         return value, {"meta_strategy": y}
@@ -148,11 +151,10 @@ def minimax_identical(
     raise ValueError(f"which must be 'minmax' or 'maxmin', got {which!r}")
 
 
-def minimax_independent(
-    game: SymmetricGame, grid: SimplexGrid | None = None
-) -> dict[str, tuple[float, dict]]:
+def minimax_independent(game: SymmetricGame) -> dict[str, tuple[float, dict]]:
     """The two minimax quantities when the opponents may use different
-    (independent) strategies; 3-player games only.
+    (independent) strategies, over the default grid (_default_grid, refused
+    past its cap); 3-player games with A <= 3 only.
 
     Returns {"maxmin": ..., "minmax": ...}.  minmax's inner max over the
     learner is exact over pure actions, and maxmin's inner minimum is exact
@@ -161,14 +163,9 @@ def minimax_independent(
     """
     if game.n != 3:
         raise SizeCapExceeded("independent-opponent search supports n = 3 only")
-    grid = _default_grid(game, grid)
+    grid = _default_grid(game)
     if game.A > 3:
         raise SizeCapExceeded("independent-opponent grid limited to A <= 3")
-    if game.A * len(grid) ** 2 > MAX_ARRAY_ENTRIES:
-        raise SizeCapExceeded(
-            f"independent-opponent search over {len(grid)} grid points needs {game.A * len(grid) ** 2} "
-            f"values, more than the cap of {MAX_ARRAY_ENTRIES}"
-        )
     # M[a, b, c] = payoff of a against the opponents' joint action (b, c)
     M = game.payoff_matrix()[:, game.count_table().joint_rows()].reshape(game.A, game.A, game.A)
 
@@ -355,29 +352,28 @@ def exploitability(
     game: SymmetricGame,
     x,
     method: str = "auto",
-    grid: SimplexGrid | None = None,
     runs: int = 100,
     steps: int = 10_000,
-    eta: float = 1.0,
     seed: int | np.random.SeedSequence = 0,
 ) -> tuple[float, np.ndarray]:
     """min over meta-strategies y of the payoff of x against y^(n-1).
 
     Method "auto" is certified_exploitability's upper end and its y, within
-    CERTIFIED_TOL * scale of the minimum; "grid" scans a simplex grid with one
-    refinement pass (exact at pure strategies); "exploiter" is
-    exploiter_protocol against x alone, `runs` runs x `steps` steps from
-    seed (an int or a SeedSequence).  Always <= 0 in a symmetric zero-sum
-    game since y = x recovers the all-identical expectation 0.
+    CERTIFIED_TOL * scale of the minimum; "grid" scans the default grid
+    (_default_grid, refused past its cap) with one refinement pass (exact at
+    pure strategies); "exploiter" is exploiter_protocol against x alone at
+    eta 1, `runs` runs x `steps` steps from seed (an int or a SeedSequence).
+    Always <= 0 in a symmetric zero-sum game since y = x recovers the
+    all-identical expectation 0.
     """
     xv = as_strategy(x, game.A)
     if method == "auto":
         return certified_exploitability(game, xv)[1:]
     if method == "grid":
-        value, (y,), _ = _grid_search(lambda ys: payoff_vectors_batch(game, ys) @ xv, _default_grid(game, grid))
+        value, (y,), _ = _grid_search(lambda ys: payoff_vectors_batch(game, ys) @ xv, _default_grid(game))
         return value, y
     if method == "exploiter":
-        return exploiter_protocol(game, [xv], [seed], runs, steps, eta)[0]
+        return exploiter_protocol(game, [xv], [seed], runs, steps, 1.0)[0]
     raise ValueError(f"method must be auto/grid/exploiter, got {method!r}")
 
 

@@ -41,7 +41,7 @@ class SizeCapExceeded(RuntimeError):
 
 # The most entries a dense array may have: the count index, a composition
 # enumeration, the exploiter's gain table, pooling_check's levels, the joint
-# actions CE and CCE check (A^n) and minimax_independent's (A, Ny, Ny) values.
+# actions CE and CCE check (A^n) and the grid oracles' (Ny, A) simplex grid.
 MAX_ARRAY_ENTRIES = 2**25
 
 # The most full action profiles (count vectors of all n players) validate enumerates.
@@ -351,24 +351,17 @@ def validate(game: SymmetricGame) -> ValidationReport:
 # Built-in games.
 # ---------------------------------------------------------------------------
 
-def _majority_payoff(a: int, counts: np.ndarray) -> np.ndarray:
-    allies = counts[..., a] + 1
-    return np.where(allies == 3, 0.0, np.where(allies == 2, 0.5, -1.0))
-
-
-def _minority_payoff(a: int, counts: np.ndarray) -> np.ndarray:
-    allies = counts[..., a] + 1
-    return np.where(allies == 3, 0.0, np.where(allies == 2, -0.5, 1.0))
-
-
 def majority3() -> SymmetricGame:
-    """3-player majority vote on {0, 1}: majority wins 1/2 each, loner loses 1."""
-    return SymmetricGame("majority3", 3, 2, _majority_payoff, 1.0, kind="majority3")
+    """3-player majority vote on {0, 1}: majority wins 1/2 each, loner loses 1.
+    Its payoff is extended_majority(3, 2)'s."""
+    return SymmetricGame("majority3", 3, 2, _extended_majority_payoff_fn(3), 1.0, kind="majority3")
 
 
 def minority3() -> SymmetricGame:
-    """3-player minority game on {0, 1}: loner wins 1, majority loses 1/2 each."""
-    return SymmetricGame("minority3", 3, 2, _minority_payoff, 1.0, kind="minority3")
+    """3-player minority game on {0, 1}: loner wins 1, majority loses 1/2 each.
+    Its payoff is majority3's negated, from +0.0 so that unanimity stays +0.0."""
+    majority = _extended_majority_payoff_fn(3)
+    return SymmetricGame("minority3", 3, 2, lambda a, counts: 0.0 - majority(a, counts), 1.0, kind="minority3")
 
 
 def _sdg_payoff_fn(n: int) -> Callable[[int, np.ndarray], np.ndarray]:

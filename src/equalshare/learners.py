@@ -15,9 +15,10 @@ step with `saol_observe`.  Hedge against a fixed meta-strategy is one
 batched trainer.  Self-play and the exploiter share one sampled-count
 update loop, `train_roster`, which advances rows of runs in lockstep at
 the "sqrt_decay" rate, each row on its own generator (runs=1 is the
-sequential case); `self_play_roster`, `batch_self_play` and
-`batch_exploiter` build its rows, and `exploiter_step` steps one exploiter
-run by its rule.
+sequential case).  `self_play_roster` builds its self-play rows, a
+table's whole roster in one call; `batch_self_play` is the one-row scratch
+roster, `batch_exploiter` trains one exploiter row, and `exploiter_step`
+steps one exploiter run by its rule.
 """
 
 from __future__ import annotations
@@ -484,19 +485,10 @@ def self_play_roster(
     return train_roster(game, T, runs, eta, roster)
 
 
-def batch_self_play(
-    game: SymmetricGame,
-    T: int,
-    runs: int,
-    eta: float,
-    rng: np.random.Generator,
-    mode: str = "scratch",
-    lam: float = 0.0,
-    y_meta: np.ndarray | None = None,
-) -> np.ndarray:
-    """Final strategies of `runs` self-play runs advanced in lockstep: the
-    one-row self_play_roster."""
-    return self_play_roster(game, T, runs, eta, [(mode, lam, rng)], y_meta)[0]
+def batch_self_play(game: SymmetricGame, T: int, runs: int, eta: float, rng: np.random.Generator) -> np.ndarray:
+    """Final strategies of `runs` self-play runs from scratch (a uniform
+    start) advanced in lockstep: the one-row "scratch" self_play_roster."""
+    return self_play_roster(game, T, runs, eta, [("scratch", 0.0, rng)])[0]
 
 
 def exploiter_gain_table(game: SymmetricGame) -> np.ndarray:

@@ -6,8 +6,8 @@ lockstep by the batched trainers of `learners`, each row of a table on its
 own training generator: one `self_play_roster` call trains the self-play
 rows.  Each distinct worst limit, a pure action that several rows may
 share, is then evaluated once, on generators seeded by the action: Monte
-Carlo and the certified oracle per action, and one
-`analysis.exploiter_protocol` call for the exploiters of all.  The tests
+Carlo (EVAL_REPEATS estimates) and the certified oracle per action, and
+one `analysis.exploiter_protocol` call for the exploiters of all.  The tests
 replay each trainer's rule round by round to cross-check it, as they do
 for the whole-match forms behind `arena.run_matches`.
 
@@ -33,6 +33,7 @@ CONVERGENCE_THRESHOLD = 0.99
 REGULARIZATION_STRENGTHS = (1e-5, 1e-4, 1e-3, 1e-2)  # the roster's sp_bc_reg rows
 SCALING_V_BUDGET = 8.0  # variation budget of the scaling fit's biased-coin schedule
 SCALING_HORIZONS = (1024, 2048, 4096, 8192, 16384)  # the scaling fit's horizons
+EVAL_REPEATS = 10  # Monte Carlo estimates per evaluated limit, whose mean and std a table reports
 
 
 def classify(finals: np.ndarray) -> np.ndarray:
@@ -148,14 +149,14 @@ def run_table_experiment(
     hedge_horizon: int = 200_000,
     sp_horizon: int = 20_000,
     eval_games: int = 300_000,
-    eval_repeats: int = 10,
     exploit_runs: int = 100,
     exploit_steps: int = 10_000,
     name: str = "table",
 ) -> RunReport:
     """Train the whole roster, classify limits, and evaluate the worst
     converged limit's utility (exact and Monte Carlo) and exploitability
-    (protocol and certified).
+    (protocol and certified); the Monte Carlo utility is the mean and std
+    of EVAL_REPEATS estimates of eval_games games each.
 
     Self-play rows are evaluated at their worst observed limit, mirroring
     the worst-case reading of multi-limit convergence; hedge converges to a
@@ -165,15 +166,13 @@ def run_table_experiment(
     distinct worst action is evaluated once, on eval and exploiter
     generators seeded by the table seed and the action alone: rows with the
     same worst limit share its numbers, and the exploiters of all distinct
-    limits train in one exploiter_protocol call.  Sizes below their floor
-    (eval_repeats 2, the others 1) are refused before anything trains.
+    limits train in one exploiter_protocol call.  Sizes below 1 are refused
+    before anything trains.
     """
     sizes = {"runs": runs, "eval_games": eval_games, "exploit_runs": exploit_runs, "exploit_steps": exploit_steps}
     for size, value in sizes.items():
         if value < 1:
             raise ValueError(f"{size} must be at least 1, got {value}")
-    if eval_repeats < 2:
-        raise ValueError(f"a std over eval repeats needs at least two repeats, got {eval_repeats}")
     y_meta = np.asarray(y_meta, dtype=float)
     # each label's training generator: child 0 of its seed sequence
     train = {label: np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(label.encode()))).spawn(1)[0])
@@ -200,7 +199,7 @@ def run_table_experiment(
     evaluation = {}  # per distinct worst action, the AlgorithmResult fields of its rows
     for a, (exploit_value, _) in zip(actions, protocol):
         eval_rng = np.random.default_rng(streams[a][0])
-        estimates = [monte_carlo_utility(game, pure[a], y_meta, eval_games, eval_rng)[0] for _ in range(eval_repeats)]
+        estimates = [monte_carlo_utility(game, pure[a], y_meta, eval_games, eval_rng)[0] for _ in range(EVAL_REPEATS)]
         evaluation[a] = dict(exact_utility=float(payoffs[a]),
                              mc_utility=(float(np.mean(estimates)), float(np.std(estimates, ddof=1))),
                              exploit_protocol=exploit_value,
@@ -218,7 +217,7 @@ def run_table_experiment(
         rows,
         notes={"eta": eta, "y_meta": [float(v) for v in y_meta],
                "threshold": CONVERGENCE_THRESHOLD,
-               "eval_games": eval_games, "eval_repeats": eval_repeats,
+               "eval_games": eval_games, "eval_repeats": EVAL_REPEATS,
                "exploiter": f"best of {exploit_runs} runs x {exploit_steps} steps",
                "evaluation": "once per distinct worst limit, seeded by the table seed and the limit's action, "
                              "so rows with the same worst limit share its Monte Carlo and exploiter numbers"},

@@ -2,7 +2,7 @@
 
 All stochastic code draws from numpy Generators spawned from a single
 SeedSequence per run, one child stream per role, so runs are reproducible
-and roles (learner, opponents, schedule, evaluation) stay independent.
+and roles (schedule, learner, opponents) stay independent.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-ROLES = ("schedule", "learner", "opponents", "evaluation")
+ROLES = ("schedule", "learner", "opponents")
 
 
 def role_rngs(seed: int) -> dict[str, np.random.Generator]:

@@ -27,7 +27,7 @@ from equalshare.analysis import (
 )
 from equalshare.arena import FixedSchedule, compute_metrics, run_matches
 from equalshare.games import expected_payoff_mixed, validate
-from equalshare.learners import LearnerSpec
+from equalshare.learners import LearnerSpec, self_play_roster
 from equalshare.reproduce import (
     batch_hedge_vs_fixed,
     batch_self_play,
@@ -45,6 +45,9 @@ Y_MV = np.array([0.49, 0.51])
 SDG = eq.sdg(30)
 Y_SDG = np.array([0.399, 0.6, 0.001])
 EM2 = eq.extended_majority(3, 2)
+# the self-play rows of c2 and c3: (mode, lam)
+SP_VARIANTS = [("scratch", 0.0), ("bc_init", 0.0), ("regularized", 1e-5),
+               ("regularized", 1e-4), ("regularized", 1e-3), ("regularized", 1e-2)]
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +67,7 @@ def test_c1_mv_exact_and_monte_carlo_utilities():
 
     # the worse of the two self-play limits sits at the exact -0.0102
     rng = np.random.default_rng(np.random.SeedSequence(102))
-    finals = batch_self_play(MV, 10_000, 30, 1.0, rng, mode="scratch")
+    finals = batch_self_play(MV, 10_000, 30, 1.0, rng)
     labels = set(classify(finals).tolist())
     assert labels == {0, 1}  # both pure limits observed
     mean, se = monte_carlo_utility(MV, [1.0, 0.0], Y_MV, 300_000, rng=12)
@@ -81,17 +84,9 @@ def test_c2_mv_convergence_distribution():
     hedge_labels = classify(hedge_finals)
     assert np.all(hedge_labels == 1), "hedge must reach the good pure strategy in 100/100 runs"
 
-    sp_variants = [
-        ("scratch", 0.0),
-        ("bc_init", 0.0),
-        ("regularized", 1e-5),
-        ("regularized", 1e-4),
-        ("regularized", 1e-3),
-        ("regularized", 1e-2),
-    ]
-    for i, (mode, lam) in enumerate(sp_variants):
-        rng = np.random.default_rng(np.random.SeedSequence(210 + i))
-        finals = batch_self_play(MV, 20_000, 100, 1.0, rng, mode=mode, lam=lam, y_meta=Y_MV)
+    # the six self-play rows train in one roster call, each on its own seed
+    rows = [(mode, lam, np.random.default_rng(np.random.SeedSequence(210 + i))) for i, (mode, lam) in enumerate(SP_VARIANTS)]
+    for (mode, lam), finals in zip(SP_VARIANTS, self_play_roster(MV, 20_000, 100, 1.0, rows, Y_MV)):
         labels = classify(finals)
         share_bad = float(np.mean(labels == 0))
         assert np.all(labels >= 0), f"{mode}({lam}) left unconverged runs"
@@ -113,12 +108,8 @@ def test_c3_sdg_convergence_utilities_exploitability():
     hedge_finals = batch_hedge_vs_fixed(SDG, Y_SDG, 20_000, 100, 2.0, rng)
     assert np.all(classify(hedge_finals) == 1), "hedge must converge to the middle action"
 
-    for i, (mode, lam) in enumerate(
-        [("scratch", 0.0), ("bc_init", 0.0), ("regularized", 1e-5),
-         ("regularized", 1e-4), ("regularized", 1e-3), ("regularized", 1e-2)]
-    ):
-        rng = np.random.default_rng(np.random.SeedSequence(310 + i))
-        finals = batch_self_play(SDG, 20_000, 100, 2.0, rng, mode=mode, lam=lam, y_meta=Y_SDG)
+    rows = [(mode, lam, np.random.default_rng(np.random.SeedSequence(310 + i))) for i, (mode, lam) in enumerate(SP_VARIANTS)]
+    for (mode, lam), finals in zip(SP_VARIANTS, self_play_roster(SDG, 20_000, 100, 2.0, rows, Y_SDG)):
         assert np.all(classify(finals) == 2), f"{mode}({lam}) must converge to the last action"
 
     # exploitability of both limits is exactly -29 at a pure punishment:
@@ -350,7 +341,7 @@ def test_c10_reproduce_determinism(tmp_path):
 
     kwargs = dict(
         runs=8, hedge_horizon=4_000, sp_horizon=1_500,
-        eval_games=10_000, eval_repeats=2, exploit_runs=3, exploit_steps=1_000,
+        eval_games=10_000, exploit_runs=3, exploit_steps=1_000,
     )
     r1 = mv_table(seed=77, **kwargs)
     r2 = mv_table(seed=77, **kwargs)

@@ -3,7 +3,6 @@ population pooling, Monte Carlo estimation."""
 
 import itertools
 import math
-import time
 
 import numpy as np
 import pytest
@@ -118,14 +117,31 @@ def test_minimax_independent_rejects_large_games():
         minimax_independent(SDG30)
 
 
-def test_minimax_independent_refuses_oversized_grids_before_allocating():
-    # majority3 at m=5000: minmax's coarse scan would need 2 x 5,001^2 = 50 M values (400 MB)
-    start = time.perf_counter()
-    with pytest.raises(SizeCapExceeded, match="5001 grid points needs 50020002 values"):
-        minimax_independent(MV, SimplexGrid(2, 5000))
-    assert time.perf_counter() - start < 1.0
-    # majority3 at the default m=200 needs 2 x 201^2 values and runs
-    minimax_independent(eq.extended_majority(3, 2))
+def test_grid_oracles_refuse_a_grid_past_the_cap_before_building_it(monkeypatch, tmp_path):
+    # sdg(30)'s default grid holds 1,891 points x 3 actions = 5,673 entries
+    # and majority3's 201 x 2 = 402; under a cap between each and its count
+    # table, every grid oracle, and the CLI with exit 4, refuses the grid
+    # before any point of it is built
+    from equalshare import cli
+
+    built = []
+    points = SimplexGrid.points
+    monkeypatch.setattr(SimplexGrid, "points", lambda grid: built.append(grid) or points(grid))
+    monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", 5_000)
+    assert SDG30.count_table().counts.size == 1_395
+    refused = "simplex grid of 1891 points x 3 actions exceeds the cap of 5000 entries"
+    with pytest.raises(SizeCapExceeded, match=refused):
+        minimax_identical(SDG30, "minmax")
+    with pytest.raises(SizeCapExceeded, match=refused):
+        minimax_identical(SDG30, "maxmin")
+    with pytest.raises(SizeCapExceeded, match=refused):
+        exploitability(SDG30, [0, 1, 0], method="grid")
+    argv = ["--out", str(tmp_path), "analyze", "minimax", "--which", "minmax-identical", "--game", "sdg", "--n", "30"]
+    assert cli.main(argv) == cli.EXIT_SIZE_CAP
+    monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", 400)
+    with pytest.raises(SizeCapExceeded, match="simplex grid of 201 points x 2 actions"):
+        minimax_independent(MV)
+    assert built == []
 
 
 @pytest.mark.parametrize("make", [eq.majority3, eq.minority3, lambda: eq.extended_majority(3, 2),
@@ -269,19 +285,22 @@ def _per_oracle_searches(game, grid, xs, independent):
 
 
 @pytest.mark.parametrize("make", [eq.majority3, eq.minority3, lambda: eq.sdg(5), lambda: eq.extended_majority(3, 3)])
-def test_grid_oracles_equal_the_per_oracle_search(make):
+def test_grid_oracles_equal_the_per_oracle_search(make, monkeypatch):
+    # at coarse resolutions, so that the scans' first minima and their
+    # refinements differ from the default grid's
     game = make()
     xs = list(np.eye(game.A)) + list(np.random.default_rng(game.A).dirichlet(np.ones(game.A), 3))
     independent = game.name in ("majority3", "minority3")
     for m in (7, 13):
+        monkeypatch.setattr(analysis, "default_resolution", lambda A: m)
         grid = SimplexGrid(game.A, m)
         got = {
-            "minmax": minimax_identical(game, "minmax", grid),
-            "maxmin": minimax_identical(game, "maxmin", grid),
+            "minmax": minimax_identical(game, "minmax"),
+            "maxmin": minimax_identical(game, "maxmin"),
         }
-        got.update({f"exploit{i}": exploitability(game, x, "grid", grid) for i, x in enumerate(xs)})
+        got.update({f"exploit{i}": exploitability(game, x, "grid") for i, x in enumerate(xs)})
         if independent:
-            both = minimax_independent(game, grid)
+            both = minimax_independent(game)
             got["minmax_independent"] = both["minmax"]
             got["maxmin_independent"] = both["maxmin"]
         want = _per_oracle_searches(game, grid, xs, independent)
@@ -560,13 +579,13 @@ def test_exploiter_value_is_never_positive_on_a_flat_start():
 
 def test_exploiter_protocol_targets_are_their_one_target_calls():
     # several targets, each on its own seed, trained in one call, give each
-    # target's exploitability(method="exploiter") value and strategy
+    # target's exploitability(method="exploiter") value and strategy, at eta 1
     targets = [[0.0, 1.0, 0.0], [0.2, 0.5, 0.3], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     seeds = [3, np.random.SeedSequence(7), 5, 3]
-    got = exploiter_protocol(SDG30, targets, seeds, 6, 200, 2.0)
+    got = exploiter_protocol(SDG30, targets, seeds, 6, 200, 1.0)
     assert len(got) == len(targets)
     for (value, y), x, seed in zip(got, targets, seeds):
-        want_value, want_y = exploitability(SDG30, x, method="exploiter", runs=6, steps=200, eta=2.0, seed=seed)
+        want_value, want_y = exploitability(SDG30, x, method="exploiter", runs=6, steps=200, seed=seed)
         assert (value, y.tobytes()) == (want_value, want_y.tobytes()), x
 
 

@@ -567,7 +567,7 @@ def test_reproduce_mv_end_to_end(tmp_path):
 def test_reproduce_self_audit_reads_the_emitted_labels(tmp_path, monkeypatch):
     # a small table, then one whose convergence CSV flips the first run's label
     monkeypatch.setattr(cli, "mv_table", functools.partial(
-        mv_table, hedge_horizon=500, sp_horizon=300, eval_repeats=2, exploit_steps=100))
+        mv_table, hedge_horizon=500, sp_horizon=300, exploit_steps=100))
     argv = ("--out", str(tmp_path), "reproduce", "mv", "--runs", "2", "--eval-games", "100",
             "--exploit-runs", "1", "--self-audit")
     assert run_cli(*argv) == EXIT_OK

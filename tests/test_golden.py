@@ -21,6 +21,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 # before numpy: importing conftest pins BLAS to one thread, run as a script too
 from conftest import BLAS_THREAD_VARS
@@ -28,7 +29,7 @@ from conftest import BLAS_THREAD_VARS
 import numpy as np
 import pytest
 
-from equalshare import analysis, games, learners
+from equalshare import analysis, games, learners, reproduce
 from equalshare.arena import BiasedCoinSchedule, PureSwapSchedule, run_matches
 from equalshare.learners import LEARNER_FIELDS, LearnerSpec
 from equalshare.reproduce import mv_table, sdg_table
@@ -54,8 +55,8 @@ EQUILIBRIUM_CASES = (
     ("extended_majority3_3", games.extended_majority(3, 3)),
     ("sdg5", games.sdg(5)),
 )
-TINY_TABLE = dict(runs=4, hedge_horizon=2_000, sp_horizon=1_000, eval_games=5_000, eval_repeats=2,
-                  exploit_runs=2, exploit_steps=400)
+TINY_TABLE = dict(runs=4, hedge_horizon=2_000, sp_horizon=1_000, eval_games=5_000, exploit_runs=2, exploit_steps=400)
+TINY_EVAL_REPEATS = 2  # reproduce.EVAL_REPEATS in the tiny tables
 
 
 def _canonical(obj) -> bytes:
@@ -99,7 +100,8 @@ def transcripts() -> dict:
 def tables() -> dict:
     out = {}
     for name, table in (("mv", mv_table), ("sdg", sdg_table)):
-        report = table(seed=3, **TINY_TABLE)
+        with mock.patch.object(reproduce, "EVAL_REPEATS", TINY_EVAL_REPEATS):
+            report = table(seed=3, **TINY_TABLE)
         out[f"{name}_table/as_dict"] = json.dumps(report.as_dict(), default=float)
         out[f"{name}_table/convergence_csv"] = report.convergence_csv()
         out[f"{name}_table/to_markdown"] = report.to_markdown()
@@ -146,10 +148,11 @@ def trainers() -> dict:
         "batch_hedge_vs_fixed/majority3": lambda rng: learners.batch_hedge_vs_fixed(mv, y_mv, 3_000, 16, 1.0, rng),
         "batch_hedge_vs_fixed/sdg30": lambda rng: learners.batch_hedge_vs_fixed(sdg30, y_sdg, 1_000, 8, 2.0, rng),
         "batch_self_play/scratch/sdg30": lambda rng: learners.batch_self_play(sdg30, 300, 8, 2.0, rng),
-        "batch_self_play/bc_init/majority3": lambda rng: learners.batch_self_play(
-            mv, 500, 8, 1.0, rng, mode="bc_init", y_meta=y_mv),
-        "batch_self_play/regularized/majority3": lambda rng: learners.batch_self_play(
-            mv, 500, 8, 1.0, rng, mode="regularized", lam=1e-2, y_meta=y_mv),
+        # the one-row rosters of the bc_init and regularized modes
+        "batch_self_play/bc_init/majority3": lambda rng: learners.self_play_roster(
+            mv, 500, 8, 1.0, [("bc_init", 0.0, rng)], y_mv)[0],
+        "batch_self_play/regularized/majority3": lambda rng: learners.self_play_roster(
+            mv, 500, 8, 1.0, [("regularized", 1e-2, rng)], y_mv)[0],
         "batch_exploiter/majority3": lambda rng: learners.batch_exploiter(mv, np.array([0.3, 0.7]), 500, 8, 1.0, rng),
         "batch_exploiter/sdg30": lambda rng: learners.batch_exploiter(sdg30, np.array([0.0, 1.0, 0.0]), 300, 4, 2.0, rng),
     }

@@ -319,7 +319,7 @@ def test_self_play_pure_state_is_absorbing():
     g = eq.majority3()
     # start pure on action 0 up to a mass of 1e-300 on action 1 (bc_init
     # needs a positive meta-strategy); that mass never grows
-    x = batch_self_play(g, 20, 4, 1.0, np.random.default_rng(0), mode="bc_init", y_meta=np.array([1.0, 1e-300]))
+    x = self_play_roster(g, 20, 4, 1.0, [("bc_init", 0.0, np.random.default_rng(0))], np.array([1.0, 1e-300]))[0]
     assert np.all(x[:, 0] == 1.0) and np.all(x[:, 1] <= 1e-300)
 
 
@@ -329,43 +329,22 @@ def test_self_play_reg_lambda_zero_matches_plain():
     # a run of T steps is the first T steps of a longer run, so this compares
     # the two trajectories round by round
     for T in range(1, 201):
-        plain = batch_self_play(g, T, 1, 1.0, np.random.default_rng(33), mode="bc_init", y_meta=y)
-        reg = batch_self_play(g, T, 1, 1.0, np.random.default_rng(33), mode="regularized", lam=0.0, y_meta=y)
+        plain = self_play_roster(g, T, 1, 1.0, [("bc_init", 0.0, np.random.default_rng(33))], y)[0]
+        reg = self_play_roster(g, T, 1, 1.0, [("regularized", 0.0, np.random.default_rng(33))], y)[0]
         assert plain.tobytes() == reg.tobytes(), T
 
 
 def test_self_play_reg_lambda_huge_pins_to_meta_strategy():
     g = eq.majority3()
     y = np.array([0.3, 0.7])
-    x = batch_self_play(g, 50, 1, 1.0, np.random.default_rng(1), mode="regularized", lam=1e9, y_meta=y)
+    x = self_play_roster(g, 50, 1, 1.0, [("regularized", 1e9, np.random.default_rng(1))], y)[0]
     np.testing.assert_allclose(x[0], y, atol=1e-6)
 
 
 def test_self_play_reg_requires_positive_meta():
     g = eq.majority3()
     with pytest.raises(ValueError, match="positive"):
-        batch_self_play(g, 10, 1, 1.0, np.random.default_rng(0), mode="regularized", lam=0.1, y_meta=np.array([1.0, 0.0]))
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(mode="bogus", y_meta=[0.5, 0.5]),
-        dict(mode="bc_init"),
-        dict(mode="regularized", lam=0.1),
-        dict(mode="bc_init", y_meta=[1.0, 0.0]),
-        dict(mode="regularized", lam=0.1, y_meta=[0.5, -0.5]),
-        dict(mode="regularized", lam=-1.0, y_meta=[0.5, 0.5]),
-        dict(mode="scratch", lam=-1.0),
-    ],
-    ids=["unknown-mode", "bc-no-meta", "reg-no-meta", "bc-zero-meta", "reg-negative-meta", "reg-negative-lam", "scratch-negative-lam"],
-)
-def test_batch_self_play_rejects_bad_arguments_before_any_draw(kwargs):
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError):
-        batch_self_play(eq.majority3(), 10, 2, 1.0, rng, **kwargs)
-    assert rng.bit_generator.state == before
+        self_play_roster(g, 10, 1, 1.0, [("regularized", 0.1, np.random.default_rng(0))], np.array([1.0, 0.0]))
 
 
 def test_self_play_determinism():
@@ -378,7 +357,7 @@ def test_self_play_determinism():
 def test_self_play_sdg_bc_init_converges_to_last_action():
     g = eq.sdg(30)
     rng = np.random.default_rng(5)
-    x = batch_self_play(g, 3000, 1, 2.0, rng, mode="bc_init", y_meta=np.array([0.399, 0.6, 0.001]))
+    x = self_play_roster(g, 3000, 1, 2.0, [("bc_init", 0.0, rng)], np.array([0.399, 0.6, 0.001]))[0]
     assert x[0, 2] >= 0.99
 
 
@@ -394,7 +373,7 @@ ROSTER_ROWS = [("scratch", 0.0), ("bc_init", 0.0), ("regularized", 1e-4), ("regu
 )
 def test_roster_rows_are_their_one_row_calls(game, y_meta, eta, order):
     # each row, trained in the stacked loop, has the finals and leaves its
-    # generator where batch_self_play on that row alone does
+    # generator where a one-row roster of that row alone does
     T, runs = 120, 5
     rows = [(mode, lam, 40 + i) for i, (mode, lam) in enumerate(ROSTER_ROWS)]
     if order == "reversed":
@@ -404,7 +383,7 @@ def test_roster_rows_are_their_one_row_calls(game, y_meta, eta, order):
     assert len(finals) == len(rows)
     for (mode, lam, seed), got, rng in zip(rows, finals, rngs):
         alone = np.random.default_rng(seed)
-        want = batch_self_play(game, T, runs, eta, alone, mode=mode, lam=lam, y_meta=np.array(y_meta))
+        want = self_play_roster(game, T, runs, eta, [(mode, lam, alone)], np.array(y_meta))[0]
         assert got.shape == (runs, game.A)
         assert got.tobytes() == want.tobytes(), (mode, lam)
         assert rng.random(4).tobytes() == alone.random(4).tobytes(), (mode, lam)
@@ -413,8 +392,9 @@ def test_roster_rows_are_their_one_row_calls(game, y_meta, eta, order):
 @pytest.mark.parametrize(
     "bad, y_meta",
     [(("bogus", 0.0), [0.5, 0.5]), (("regularized", -1.0), [0.5, 0.5]), (("scratch", -1.0), [0.5, 0.5]),
-     (("bc_init", 0.0), [1.0, 0.0]), (("regularized", 0.1), None)],
-    ids=["unknown-mode", "negative-lam", "scratch-negative-lam", "zero-meta", "no-meta"],
+     (("bc_init", 0.0), [1.0, 0.0]), (("regularized", 0.1), [0.5, -0.5]), (("regularized", 0.1), None),
+     (("bc_init", 0.0), None)],
+    ids=["unknown-mode", "negative-lam", "scratch-negative-lam", "zero-meta", "negative-meta", "no-meta", "bc-no-meta"],
 )
 def test_a_bad_roster_row_is_refused_before_any_row_draws(bad, y_meta):
     # the bad row comes last, so the rows before it would have drawn first

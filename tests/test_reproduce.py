@@ -19,8 +19,8 @@ from equalshare.learners import (
     RateSchedule,
     batch_exploiter,
     batch_hedge_vs_fixed,
-    batch_self_play,
     exploiter_gain_table,
+    self_play_roster,
 )
 from equalshare.reproduce import (
     SCALING_HORIZONS,
@@ -61,7 +61,7 @@ def test_batch_hedge_matches_manual_replay():
 def test_batch_self_play_matches_manual_replay():
     T, eta = 200, 1.0
     rng = np.random.default_rng(200)
-    finals = batch_self_play(MV, T, 1, eta, rng, mode="bc_init", y_meta=Y_MV)
+    finals = self_play_roster(MV, T, 1, eta, [("bc_init", 0.0, rng)], Y_MV)[0]
 
     rng2 = np.random.default_rng(200)
     sched = RateSchedule(eta, "sqrt_decay", 2)
@@ -82,7 +82,7 @@ def test_batch_self_play_matches_manual_replay():
 def test_batch_regularized_matches_manual_replay():
     T, eta, lam = 150, 1.0, 1e-3
     rng = np.random.default_rng(300)
-    finals = batch_self_play(MV, T, 1, eta, rng, mode="regularized", lam=lam, y_meta=Y_MV)
+    finals = self_play_roster(MV, T, 1, eta, [("regularized", lam, rng)], Y_MV)[0]
 
     rng2 = np.random.default_rng(300)
     sched = RateSchedule(eta, "sqrt_decay", 2)
@@ -183,7 +183,6 @@ def test_mv_table_smoke_and_determinism():
         hedge_horizon=5_000,
         sp_horizon=2_000,
         eval_games=20_000,
-        eval_repeats=2,
         exploit_runs=4,
         exploit_steps=1_500,
     )
@@ -208,7 +207,7 @@ def test_mv_table_smoke_and_determinism():
 def test_sdg_table_small_smoke():
     report = sdg_table(
         seed=1, runs=6, hedge_horizon=4_000, sp_horizon=4_000,
-        eval_games=10_000, eval_repeats=2, exploit_runs=2, exploit_steps=1_500,
+        eval_games=10_000, exploit_runs=2, exploit_steps=1_500,
     )
     by_label = {row.label: row for row in report.rows}
     assert np.all(by_label["hedge"].labels == 1)
@@ -220,12 +219,10 @@ def test_sdg_table_small_smoke():
     assert by_label["hedge"].exploit_protocol <= -28.5
 
 
-@pytest.mark.parametrize("size, value", [("eval_repeats", 0), ("eval_repeats", 1), ("runs", 0), ("eval_games", 0),
-                                         ("exploit_runs", 0), ("exploit_steps", 0)])
+@pytest.mark.parametrize("size, value", [("runs", 0), ("eval_games", 0), ("exploit_runs", 0), ("exploit_steps", 0)])
 def test_a_table_with_a_size_below_its_floor_is_refused_before_training(size, value, monkeypatch):
-    # one eval repeat has no std and none has no mean; no run, game,
-    # exploiter run or exploiter step has nothing to report; each is
-    # refused before any trainer runs
+    # no run, game, exploiter run or exploiter step has nothing to report;
+    # each is refused before any trainer runs
     from equalshare import reproduce
 
     def trained(*args, **kwargs):
@@ -233,9 +230,9 @@ def test_a_table_with_a_size_below_its_floor_is_refused_before_training(size, va
 
     monkeypatch.setattr(reproduce, "self_play_roster", trained)
     monkeypatch.setattr(reproduce, "batch_hedge_vs_fixed", trained)
-    sizes = dict(runs=2, eval_games=10, eval_repeats=2, exploit_runs=2, exploit_steps=2)
+    sizes = dict(runs=2, eval_games=10, exploit_runs=2, exploit_steps=2)
     sizes[size] = value
-    with pytest.raises(ValueError, match="at least two" if size == "eval_repeats" else f"{size} must be at least 1"):
+    with pytest.raises(ValueError, match=f"{size} must be at least 1"):
         mv_table(seed=0, hedge_horizon=10, sp_horizon=10, **sizes)
 
 
@@ -259,7 +256,7 @@ def test_a_table_trains_each_kind_of_row_in_one_call(monkeypatch):
     monkeypatch.setattr(learners, "train_roster", spy_roster)
     monkeypatch.setattr(analysis, "train_roster", spy_roster)
     monkeypatch.setattr(reproduce, "certified_exploitability", spy_certified)
-    report = mv_table(seed=0, runs=20, hedge_horizon=2_000, sp_horizon=1_000, eval_games=1_000, eval_repeats=2,
+    report = mv_table(seed=0, runs=20, hedge_horizon=2_000, sp_horizon=1_000, eval_games=1_000,
                       exploit_runs=2, exploit_steps=50)
     worst = [list(r.worst_limit) for r in report.rows if r.worst_limit is not None]
     distinct = sorted(list(w) for w in {tuple(w) for w in worst})
@@ -273,7 +270,7 @@ def test_a_table_trains_each_kind_of_row_in_one_call(monkeypatch):
 def test_a_table_evaluates_each_distinct_worst_limit_once_on_its_action_seed(monkeypatch):
     # rows with the same worst limit share its Monte Carlo and exploiter
     # numbers, and each equals a direct call on the generators seeded by the
-    # table seed and the action alone; Monte Carlo runs eval_repeats times
+    # table seed and the action alone; Monte Carlo runs EVAL_REPEATS times
     # per distinct action.  The convergence CSV is pinned by test_golden.py.
     from equalshare import reproduce
 
@@ -286,8 +283,9 @@ def test_a_table_evaluates_each_distinct_worst_limit_once_on_its_action_seed(mon
         return monte_carlo(game, x, *args)
 
     monkeypatch.setattr(reproduce, "monte_carlo_utility", spy_monte_carlo)
+    monkeypatch.setattr(reproduce, "EVAL_REPEATS", repeats)
     report = sdg_table(seed=seed, runs=6, hedge_horizon=4_000, sp_horizon=4_000, eval_games=games_,
-                       eval_repeats=repeats, exploit_runs=runs_, exploit_steps=steps)
+                       exploit_runs=runs_, exploit_steps=steps)
     by_action = {}
     for row in report.rows:
         if row.worst_limit is not None:

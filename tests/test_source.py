@@ -171,6 +171,64 @@ def test_every_cli_option_is_read():
     assert unread == []
 
 
+def test_every_library_option_is_passed():
+    # an option that no verb, table or benchmark unit sets is a constant
+    # with extra steps: every parameter with a default, of every public
+    # function and method, is passed by keyword or by position in at least
+    # one call in src/ or bench/ that names the function.  A call with a
+    # ** argument counts as passing every parameter.
+    bench = SRC.parent.parent / "bench"
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in modules]
+    calls = [
+        node
+        for path in sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+    ]
+
+    classes = {node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def defined(tree):
+        """(qualified name, node, owning class or None) of each function and method."""
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, node, None
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{n.name}", n, node.name) for n in node.body if isinstance(n, ast.FunctionDef))
+
+    def names(call, name, owner):
+        """Whether the call names the function: a method through its own
+        class (HedgeState.fresh) or through an instance, not another class."""
+        func = call.func
+        if owner is None or not isinstance(func, ast.Attribute):
+            return getattr(func, "id", getattr(func, "attr", None)) == name
+        receiver = getattr(func.value, "id", getattr(func.value, "attr", None))
+        return func.attr == name and (receiver == owner or receiver not in classes)
+
+    def passed(call, params):
+        if any(k.arg is None for k in call.keywords):
+            return set(params)
+        return set(params[:len(call.args)]) | {k.arg for k in call.keywords}
+
+    # a test reference takes the parameters of the form it checks
+    exempt = {("HedgeState.fresh", "rule"), ("ExploiterState.fresh", "eta"),
+              # cmd_table and bench/rep.py pass these through a variable bound to either table
+              ("mv_table", "seed"), ("mv_table", "runs"), ("sdg_table", "seed"), ("sdg_table", "runs")}
+    unpassed = []
+    for path, tree in zip(modules, trees):
+        for qualname, node, owner in defined(tree):
+            if node.name.startswith("_"):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args][owner is not None:]  # not self or cls
+            defaults = params[len(params) - len(args.defaults):] if args.defaults else []
+            defaults += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            named = [c for c in calls if names(c, node.name, owner)]
+            seen = set().union(*(passed(c, params) for c in named))
+            unpassed += [f"{path.name}:{qualname}({p})" for p in defaults if p not in seen and (qualname, p) not in exempt]
+    assert unpassed == []
+
 
 def test_dataclass_fields_are_read():
     # a field that nothing reads records nothing: every field of a dataclass

@@ -117,30 +117,47 @@ def test_minimax_independent_rejects_large_games():
         minimax_independent(SDG30)
 
 
-def test_grid_oracles_refuse_a_grid_past_the_cap_before_building_it(monkeypatch, tmp_path):
-    # sdg(30)'s default grid holds 1,891 points x 3 actions = 5,673 entries
-    # and majority3's 201 x 2 = 402; under a cap between each and its count
-    # table, every grid oracle, and the CLI with exit 4, refuses the grid
-    # before any point of it is built
-    from equalshare import cli
+# sdg(30)'s default grid holds 1,891 points x 3 actions = 5,673 entries and
+# majority3's 201 x 2 = 402; each cap lies between the grid and the game's
+# count table, so only the grid can be refused
+SDG30_GRID_REFUSED = "simplex grid of 1891 points x 3 actions exceeds the cap of 5000 entries"
+GRID_ORACLE_CALLS = {
+    "minimax_identical-minmax": (SDG30, 5_000, SDG30_GRID_REFUSED, lambda: minimax_identical(SDG30, "minmax")),
+    "minimax_identical-maxmin": (SDG30, 5_000, SDG30_GRID_REFUSED, lambda: minimax_identical(SDG30, "maxmin")),
+    "exploitability-grid": (SDG30, 5_000, SDG30_GRID_REFUSED,
+                            lambda: exploitability(SDG30, [0, 1, 0], method="grid")),
+    "minimax_independent": (MV, 400, "simplex grid of 201 points x 2 actions exceeds the cap of 400 entries",
+                            lambda: minimax_independent(MV)),
+}
 
+
+def _spy_on_grid_points(monkeypatch):
+    """The grids whose points are built from here on."""
     built = []
     points = SimplexGrid.points
     monkeypatch.setattr(SimplexGrid, "points", lambda grid: built.append(grid) or points(grid))
-    monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", 5_000)
+    return built
+
+
+@pytest.mark.parametrize("name", list(GRID_ORACLE_CALLS))
+def test_grid_oracles_refuse_a_grid_past_the_cap_before_building_it(name, monkeypatch):
+    game, cap, refused, call = GRID_ORACLE_CALLS[name]
+    assert game.count_table().counts.size < cap
+    built = _spy_on_grid_points(monkeypatch)
+    monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", cap)
+    with pytest.raises(SizeCapExceeded, match=refused):
+        call()
+    assert built == []
+
+
+def test_analyze_minimax_exits_4_on_a_grid_past_the_cap(monkeypatch, tmp_path):
+    from equalshare import cli
+
     assert SDG30.count_table().counts.size == 1_395
-    refused = "simplex grid of 1891 points x 3 actions exceeds the cap of 5000 entries"
-    with pytest.raises(SizeCapExceeded, match=refused):
-        minimax_identical(SDG30, "minmax")
-    with pytest.raises(SizeCapExceeded, match=refused):
-        minimax_identical(SDG30, "maxmin")
-    with pytest.raises(SizeCapExceeded, match=refused):
-        exploitability(SDG30, [0, 1, 0], method="grid")
+    built = _spy_on_grid_points(monkeypatch)
+    monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", 5_000)
     argv = ["--out", str(tmp_path), "analyze", "minimax", "--which", "minmax-identical", "--game", "sdg", "--n", "30"]
     assert cli.main(argv) == cli.EXIT_SIZE_CAP
-    monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", 400)
-    with pytest.raises(SizeCapExceeded, match="simplex grid of 201 points x 2 actions"):
-        minimax_independent(MV)
     assert built == []
 
 

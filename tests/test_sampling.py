@@ -1,10 +1,11 @@
-"""Sampling: the indexed search behind sample_actions is exact."""
+"""Sampling: the indexed search behind sample_actions is exact, and each
+role draws from its own stream of the run seed."""
 
 import numpy as np
 import pytest
 
 from equalshare import sampling
-from equalshare.sampling import action_cdf, actions_from_cdf, sample_actions
+from equalshare.sampling import ROLES, action_cdf, actions_from_cdf, role_rngs, sample_actions
 
 
 def _reference(cdf, u):
@@ -83,3 +84,14 @@ def test_a_short_sum_still_plays_its_last_action():
     probs = STRATEGIES["short-sum"]
     u = np.full(_guided(3), 1.0 - 5e-10)
     assert np.all(actions_from_cdf(action_cdf(probs), u) == 2)
+
+
+@pytest.mark.parametrize("role", ROLES)
+def test_each_role_draws_the_child_of_the_seed_at_its_index(role):
+    # SeedSequence.spawn keys each child by its index, so a role's stream
+    # does not depend on how many roles come after it
+    index = ROLES.index(role)
+    for seed in (0, 7, 2**40 + 3):
+        spawned = np.random.SeedSequence(seed).spawn(index + 2)[index]
+        want = np.random.default_rng(spawned).random(8)
+        assert role_rngs(seed)[role].random(8).tobytes() == want.tobytes()

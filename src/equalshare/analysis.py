@@ -12,10 +12,11 @@ actions (the payoff is linear in it), as is independent maxmin's minimum
 over the opponents' pure joints (it is multilinear in theirs).  The grid
 oracles (minimax, grid exploitability) share one search, `_grid_search`: a
 scan of one simplex grid, SimplexGrid(A, default_resolution(A)), then one
-rescan at 10x resolution around its first minimum.  That grid is refused
-(SizeCapExceeded) before it is built when its points x A entries exceed
-MAX_ARRAY_ENTRIES.  Both maxmin quantities run one row-chunked scan,
-`_maxmin`.  Every oracle reads its payoffs from payoff_matrix(), by count.
+rescan at 10x resolution around its first minimum, each scored a row chunk
+at a time.  That grid is refused (SizeCapExceeded) before it is built when
+its points x A entries exceed MAX_ARRAY_ENTRIES.  Both maxmin quantities
+run one search, `_maxmin`.  Every oracle reads its payoffs from
+payoff_matrix(), by count.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .games import (
     as_strategy,
     compositions,
     expected_payoff_mixed,
-    map_row_chunks,
     num_compositions,
     payoff_vectors_batch,
+    row_chunks,
 )
 from .learners import train_roster
 from .sampling import action_cdf, sample_actions
@@ -61,7 +62,7 @@ class SimplexGrid:
         return compositions(self.resolution, self.num_actions) / self.resolution
 
     def __len__(self) -> int:
-        return math.comb(self.resolution + self.num_actions - 1, self.num_actions - 1)
+        return num_compositions(self.resolution, self.num_actions)
 
 
 def _default_grid(game: SymmetricGame) -> SimplexGrid:
@@ -92,42 +93,44 @@ def _refine_near(point: np.ndarray, resolution: int) -> np.ndarray:
     return fine[mask]
 
 
-def _grid_search(score, grid: SimplexGrid, dims: int = 1) -> tuple[float, list[np.ndarray], tuple]:
+def _grid_search(score, grid: SimplexGrid, row_entries: int, dims: int = 1) -> tuple[np.ndarray, list[np.ndarray]]:
     """Minimize score over dims-tuples of grid points, with one refinement.
 
     score takes dims (N_i, A) arrays of candidate points and returns their
-    (N_1, ..., N_dims) scores.  The first minimum in C order of the grid
-    scan is refined coordinate by coordinate (_refine_near) and rescored;
-    returns the refined minimum, its points, and its index into the refined
-    candidates."""
-    pts = grid.points()
-    coarse = score(*(pts,) * dims)
-    best = np.unravel_index(np.argmin(coarse), coarse.shape)
-    candidates = [_refine_near(pts[i], grid.resolution) for i in best]
-    vals = score(*candidates)
-    k = np.unravel_index(np.argmin(vals), vals.shape)
-    return float(vals[k]), [c[i] for c, i in zip(candidates, k)], k
+    (N_1, ..., N_dims, C) rows: column 0 the score, the others what the
+    caller reads at the minimum.  Each scan scores its first axis one
+    row_chunks chunk at a time, a point costing row_entries entries per
+    point of the other axes, and keeps the first minimum in C order.  The
+    grid scan's is refined coordinate by coordinate (_refine_near) and
+    rescanned; returns the refined minimum's row and its points."""
+
+    def first_min(axes):
+        best = None
+        for chunk in row_chunks(axes[0], row_entries * math.prod(len(a) for a in axes[1:])):
+            rows = score(chunk, *axes[1:])
+            k = np.unravel_index(np.argmin(rows[..., 0]), rows.shape[:-1])
+            if best is None or rows[k][0] < best[0][0]:  # strictly: a tie keeps the earlier chunk's
+                best = rows[k].copy(), [a[i] for a, i in zip((chunk, *axes[1:]), k)]
+        return best
+
+    _, coarse = first_min((grid.points(),) * dims)
+    return first_min([_refine_near(point, grid.resolution) for point in coarse])
 
 
 def _maxmin(pure: np.ndarray, grid: SimplexGrid) -> tuple[float, np.ndarray, int]:
     """max over learner grid points x1 of min_j (x1 @ pure)[j], for pure an
-    (A, M) array of pure-action payoffs: one _grid_search whose rows are
-    scored map_row_chunks' chunk at a time.  Returns the value, x1 and the
-    column of its minimum, read off the scored row (a one-row product x1 @
-    pure can round differently)."""
-    scored = {}
+    (A, M) array of pure-action payoffs: one _grid_search over rows [-min,
+    column of the min].  Returns the value, x1 and the column of its
+    minimum, read off the scored row (a one-row product x1 @ pure can round
+    differently)."""
 
     def score(x1s):
-        def row_min(chunk):
-            product = chunk @ pure
-            col = product.argmin(axis=1)
-            return np.stack([-product[np.arange(len(chunk)), col], col], axis=1)
+        product = x1s @ pure
+        col = product.argmin(axis=1)
+        return np.stack([-product[np.arange(len(x1s)), col], col], axis=1)
 
-        scored["last"] = map_row_chunks(row_min, x1s, pure.shape[1])
-        return scored["last"][:, 0]
-
-    value, (x1,), (k,) = _grid_search(score, grid)
-    return -value, x1, int(scored["last"][k, 1])
+    row, (x1,) = _grid_search(score, grid, pure.shape[1])
+    return -float(row[0]), x1, int(row[1])
 
 
 def minimax_identical(game: SymmetricGame, which: str) -> tuple[float, dict]:
@@ -137,13 +140,14 @@ def minimax_identical(game: SymmetricGame, which: str) -> tuple[float, dict]:
     minmax: min over meta-strategies x of max_a u(a | x^(n-1)); the inner
     max is exact because a best response can be pure.
     maxmin: max over learner strategies x1 of min over meta-strategies x of
-    the learner's payoff; both sides gridded, by the row-chunked scan
-    (_maxmin) that minimax_independent's maxmin also runs.
+    the learner's payoff; both sides gridded, by the search (_maxmin) that
+    minimax_independent's maxmin also runs.
     """
     grid = _default_grid(game)
     if which == "minmax":
-        value, (y,), _ = _grid_search(lambda ys: payoff_vectors_batch(game, ys).max(axis=1), grid)
-        return value, {"meta_strategy": y}
+        K = len(game.count_table().counts)
+        row, (y,) = _grid_search(lambda ys: payoff_vectors_batch(game, ys).max(axis=1, keepdims=True), grid, K)
+        return float(row[0]), {"meta_strategy": y}
     if which == "maxmin":
         pts = grid.points()
         value, x1, col = _maxmin(payoff_vectors_batch(game, pts).T, grid)
@@ -170,11 +174,10 @@ def minimax_independent(game: SymmetricGame) -> dict[str, tuple[float, dict]]:
     M = game.payoff_matrix()[:, game.count_table().joint_rows()].reshape(game.A, game.A, game.A)
 
     def max_over_pure(y2s, y3s):
-        return map_row_chunks(lambda chunk: np.einsum("abc,ib,jc->aij", M, chunk, y3s, optimize=True).max(axis=0),
-                              y2s, game.A * len(y3s))
+        return np.einsum("abc,ib,jc->aij", M, y2s, y3s, optimize=True).max(axis=0)[..., None]
 
-    value, (y2, y3), _ = _grid_search(max_over_pure, grid, dims=2)
-    minmax = (value, {"y2": y2, "y3": y3})
+    row, (y2, y3) = _grid_search(max_over_pure, grid, game.A, dims=2)
+    minmax = (float(row[0]), {"y2": y2, "y3": y3})
     value, x1, _ = _maxmin(game.payoff_matrix(), grid)
     return {"maxmin": (value, {"learner_strategy": x1}), "minmax": minmax}
 
@@ -351,30 +354,28 @@ def certified_exploitability(game: SymmetricGame, x) -> tuple[float, float, np.n
 def exploitability(
     game: SymmetricGame,
     x,
-    method: str = "auto",
+    method: str,
     runs: int = 100,
     steps: int = 10_000,
     seed: int | np.random.SeedSequence = 0,
 ) -> tuple[float, np.ndarray]:
     """min over meta-strategies y of the payoff of x against y^(n-1).
 
-    Method "auto" is certified_exploitability's upper end and its y, within
-    CERTIFIED_TOL * scale of the minimum; "grid" scans the default grid
-    (_default_grid, refused past its cap) with one refinement pass (exact at
-    pure strategies); "exploiter" is exploiter_protocol against x alone at
-    eta 1, `runs` runs x `steps` steps from seed (an int or a SeedSequence).
+    Method "grid" scans the default grid (_default_grid, refused past its
+    cap) with one refinement pass (exact at pure strategies); "exploiter" is
+    exploiter_protocol against x alone at eta 1, `runs` runs x `steps` steps
+    from seed (an int or a SeedSequence).
     Always <= 0 in a symmetric zero-sum game since y = x recovers the
     all-identical expectation 0.
     """
     xv = as_strategy(x, game.A)
-    if method == "auto":
-        return certified_exploitability(game, xv)[1:]
     if method == "grid":
-        value, (y,), _ = _grid_search(lambda ys: payoff_vectors_batch(game, ys) @ xv, _default_grid(game))
-        return value, y
+        K = len(game.count_table().counts)
+        row, (y,) = _grid_search(lambda ys: (payoff_vectors_batch(game, ys) @ xv)[:, None], _default_grid(game), K)
+        return float(row[0]), y
     if method == "exploiter":
         return exploiter_protocol(game, [xv], [seed], runs, steps, 1.0)[0]
-    raise ValueError(f"method must be auto/grid/exploiter, got {method!r}")
+    raise ValueError(f"method must be grid/exploiter, got {method!r}")
 
 
 def exploiter_protocol(game: SymmetricGame, targets, seeds, runs: int, steps: int, eta: float) -> list[tuple]:

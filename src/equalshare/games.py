@@ -48,9 +48,9 @@ MAX_ARRAY_ENTRIES = 2**25
 MAX_PROFILES = 250_000
 
 # The most entries (8 MB of float64) one batched temporary may hold.  Grid
-# scans build their (Ny, K) multinomial weights, the maxmin scans their
-# (Nx, K) or (Nx, Ny) payoffs and minimax_independent's minmax its (A, Ny2,
-# Ny3) values a chunk of rows at a time; batch_hedge_vs_fixed gathers its
+# scans take their rows in row_chunks: payoff_vectors_batch's (Ny, K)
+# weights, the maxmin scans' (Nx, K) or (Nx, Ny) payoffs and independent
+# minmax's (A, Ny2, Ny3) values; batch_hedge_vs_fixed gathers its
 # (rounds, runs, A) gains and monte_carlo_utility its (games, n-1) uniforms
 # a chunk at a time, and run_matches plays SAOL on (R, T, A) batches of matches.
 CHUNK_ENTRIES = 2**20
@@ -257,33 +257,23 @@ def payoff_vector(game: SymmetricGame, y: Sequence[float]) -> np.ndarray:
     return game.payoff_matrix() @ game.count_table().weights(yv)
 
 
-def map_row_chunks(fn: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, row_entries: int) -> np.ndarray:
-    """fn(rows), computed on nearly equal row chunks (np.array_split) and
-    written into one preallocated result.
-
-    fn maps an (N_i, ...) chunk to an (N_i, ...) result and allocates
-    row_entries entries per row it is given; a chunk has at most
-    CHUNK_ENTRIES // row_entries rows, and at least one.  When all the rows
-    fit, fn sees them as one chunk."""
+def row_chunks(rows: np.ndarray, row_entries: int) -> list[np.ndarray]:
+    """rows split into nearly equal chunks (np.array_split) of at most
+    CHUNK_ENTRIES // row_entries rows, and at least one, for a scan that
+    allocates row_entries entries per row.  When all the rows fit, they are
+    one chunk."""
     per_chunk = max(1, CHUNK_ENTRIES // row_entries)
-    out, start = None, 0
-    for chunk in np.array_split(rows, max(1, -(-len(rows) // per_chunk))):
-        part = fn(chunk)
-        if out is None:
-            out = np.empty((len(rows),) + part.shape[1:], dtype=part.dtype)
-        out[start:start + len(chunk)] = part
-        start += len(chunk)
-    return out
+    return np.array_split(rows, max(1, -(-len(rows) // per_chunk)))
 
 
 def payoff_vectors_batch(game: SymmetricGame, ys: np.ndarray) -> np.ndarray:
     """payoff_vector for many meta-strategies at once: (Ny, A) -> (Ny, A).
 
-    The (Ny, K) multinomial weights are built map_row_chunks' chunk at a
+    The (Ny, K) multinomial weights are built one row_chunks chunk at a
     time, so a scan holds at most CHUNK_ENTRIES of them."""
     table, mat = game.count_table(), game.payoff_matrix()
     ys = np.asarray(ys, dtype=float)
-    return map_row_chunks(lambda chunk: table.weights_batch(chunk) @ mat.T, ys, table.counts.shape[0])
+    return np.concatenate([table.weights_batch(chunk) @ mat.T for chunk in row_chunks(ys, table.counts.shape[0])])
 
 
 def expected_payoff_mixed(game: SymmetricGame, x1: Sequence[float], y: Sequence[float]) -> float:

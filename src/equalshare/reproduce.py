@@ -144,14 +144,14 @@ def run_table_experiment(
     game: SymmetricGame,
     y_meta: np.ndarray,
     eta: float,
-    runs: int = 100,
-    seed: int = 0,
-    hedge_horizon: int = 200_000,
-    sp_horizon: int = 20_000,
+    runs: int,
+    seed: int,
+    hedge_horizon: int,
+    sp_horizon: int,
+    name: str,
     eval_games: int = 300_000,
     exploit_runs: int = 100,
     exploit_steps: int = 10_000,
-    name: str = "table",
 ) -> RunReport:
     """Train the whole roster, classify limits, and evaluate the worst
     converged limit's utility (exact and Monte Carlo) and exploitability

@@ -503,7 +503,7 @@ def test_exploitability_grid_values():
     np.testing.assert_allclose(worst, [1.0, 0.0])
     value, _ = exploitability(MV, [0.5, 0.5], method="grid")
     assert value == pytest.approx(-0.5, abs=0.01)
-    value, _ = exploitability(SDG30, [0, 1, 0])
+    value, _ = certified_exploitability(SDG30, [0, 1, 0])[1:]
     assert value == pytest.approx(-29.0, abs=1e-9)
 
 
@@ -559,7 +559,7 @@ def test_certified_exploitability_equals_the_grid_on_pure_strategies(game, actio
     # value and y, byte for byte, closed at the first cell
     for a in actions:
         x = np.eye(game.A)[a]
-        value, y = exploitability(game, x)
+        value, y = certified_exploitability(game, x)[1:]
         grid_value, grid_y = exploitability(game, x, method="grid")
         assert (np.float64(value).tobytes(), y.tobytes()) == (np.float64(grid_value).tobytes(), grid_y.tobytes())
         assert certified_exploitability(game, x)[:2] == (value, value)

@@ -39,10 +39,10 @@ def test_identical_maxmin_holds_a_bounded_chunk_of_its_product():
 
 
 def test_independent_minmax_holds_a_bounded_chunk_of_its_values():
-    # extended_majority(3,3) at m=60: the (A, Ny, Ny) values are 86 MB, the (Ny, Ny) maxima 29 MB
-    ny = len(analysis.SimplexGrid(3, 60))
+    # extended_majority(3,3) at m=60: the (A, Ny, Ny) values are 86 MB and
+    # their (Ny, Ny) maxima 29 MB; the scan keeps only each chunk's minimum
     peak = _traced_peak(lambda: analysis.minimax_independent(games.extended_majority(3, 3)))
-    assert peak < 8 * (ny**2 + 2 * CHUNK_ENTRIES), f"traced peak {peak / 2**20:.1f} MB"
+    assert peak < 3 * 8 * CHUNK_ENTRIES, f"traced peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("game, y, T", [
@@ -115,18 +115,47 @@ def test_chunked_payoff_vectors_equal_per_point_payoff_vectors(monkeypatch):
     np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12 * game.scale)
 
 
-def test_map_row_chunks_splits_only_rows_that_do_not_fit():
+def test_row_chunks_splits_only_rows_that_do_not_fit():
     rows = np.arange(12.0).reshape(6, 2)
+    chunks = games.row_chunks(rows, CHUNK_ENTRIES // 6)
+    assert [len(c) for c in chunks] == [6]
+    np.testing.assert_array_equal(np.concatenate(chunks), rows)
+    chunks = games.row_chunks(rows, CHUNK_ENTRIES // 4)  # 4 rows per chunk: parts of 3 and 3
+    assert [len(c) for c in chunks] == [3, 3]
+    np.testing.assert_array_equal(np.concatenate(chunks), rows)
+
+
+def _unchunked_search(score, grid, dims):
+    """_grid_search's two scans as one argmin each over every candidate."""
+    pts = grid.points()
+    coarse = score(*(pts,) * dims)[..., 0]
+    candidates = [analysis._refine_near(pts[i], grid.resolution)
+                  for i in np.unravel_index(np.argmin(coarse), coarse.shape)]
+    rows = score(*candidates)
+    k = np.unravel_index(np.argmin(rows[..., 0]), rows.shape[:-1])
+    return rows[k], [c[i] for c, i in zip(candidates, k)]
+
+
+@pytest.mark.parametrize("dims, planted", [(1, [(6,), (10,)]), (2, [(6, 15), (10, 2)])], ids=["dims1", "dims2"])
+def test_grid_search_keeps_the_first_minimum_across_chunks(monkeypatch, dims, planted):
+    # equal minima at grid rows 6 and 10 of the coarse scan's chunks of
+    # 5, 4, 4, 4 and 4 rows: the first lies in chunk 2, the other in chunk
+    # 3 (at dims 2, earlier along the second axis).  The score is floored,
+    # so the refined scan has a run of equal minima across its chunks too.
+    grid = analysis.SimplexGrid(2, 20)
+    pts = grid.points()
     seen = []
 
-    def fn(chunk):
-        seen.append(chunk)
-        return chunk * 2
+    def score(*axes):
+        seen.append(len(axes[0]))
+        coords = np.meshgrid(*(a[:, 0] for a in axes), indexing="ij")
+        gap = np.min([sum(np.abs(c - pts[i, 0]) for c, i in zip(coords, p)) for p in planted], axis=0)
+        return np.stack([np.floor(gap * 40) / 40, coords[0]], axis=-1)
 
-    out = games.map_row_chunks(fn, rows, CHUNK_ENTRIES // 6)
-    assert [len(c) for c in seen] == [6]
-    np.testing.assert_array_equal(out, rows * 2)
-    seen.clear()
-    out = games.map_row_chunks(fn, rows, CHUNK_ENTRIES // 4)  # 4 rows per chunk: parts of 3 and 3
-    assert [len(c) for c in seen] == [3, 3]
-    np.testing.assert_array_equal(out, rows * 2)
+    monkeypatch.setattr(games, "CHUNK_ENTRIES", 5 * len(grid) ** (dims - 1))
+    row, points = analysis._grid_search(score, grid, 1, dims)
+    assert seen[:5] == [5, 4, 4, 4, 4] and len(seen) > 6, seen
+    want_row, want_points = _unchunked_search(score, grid, dims)
+    assert row.tobytes() == want_row.tobytes() and row[1] == points[0][0]
+    assert [p.tobytes() for p in points] == [p.tobytes() for p in want_points]
+    assert all(abs(p[0] - pts[i, 0]) <= 1 / grid.resolution for p, i in zip(points, planted[0]))

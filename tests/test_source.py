@@ -60,6 +60,19 @@ def test_weights_batch_is_called_only_by_payoff_vectors_batch():
     assert callers == ["games.py:payoff_vectors_batch"]
 
 
+def test_array_split_is_called_only_by_row_chunks():
+    # row_chunks is the one rule for how a scan's rows are chunked; an
+    # oracle that split its own rows could chunk a scan another way
+    callers = [
+        f"{path.name}:{getattr(top, 'name', top.lineno)}"
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "array_split"
+    ]
+    assert callers == ["games.py:row_chunks"]
+
+
 def test_run_matches_is_called_only_by_the_sweep_run_match_and_simulate():
     # lowerbound_sweep plays every horizon x schedule x learner experiment;
     # another caller would be a second loop over matches to keep in step

@@ -17,6 +17,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -272,7 +273,9 @@ def cmd_pooling(args) -> int:
     return EXIT_OK if report.passed else EXIT_INVARIANT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once per process: each main call only parses."""
     parser = argparse.ArgumentParser(
         prog="equalshare",
         description="Symmetric zero-sum game simulations, learners, and analysis oracles",

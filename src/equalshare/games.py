@@ -50,9 +50,10 @@ MAX_PROFILES = 250_000
 # The most entries (8 MB of float64) one batched temporary may hold.  Grid
 # scans take their rows in row_chunks: payoff_vectors_batch's (Ny, K)
 # weights, the maxmin scans' (Nx, K) or (Nx, Ny) payoffs and independent
-# minmax's (A, Ny2, Ny3) values; batch_hedge_vs_fixed gathers its
-# (rounds, runs, A) gains and monte_carlo_utility its (games, n-1) uniforms
-# a chunk at a time, and run_matches plays SAOL on (R, T, A) batches of matches.
+# minmax's (A, Ny2, Ny3) values; monte_carlo_utility draws its (games, n-1)
+# uniforms a chunk at a time, and run_matches plays SAOL on (R, T, A)
+# batches of matches.  batch_hedge_vs_fixed streams in the smaller chunks
+# of sampling.GUIDE_CHUNK draws.
 CHUNK_ENTRIES = 2**20
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .games import CHUNK_ENTRIES, MAX_ARRAY_ENTRIES, SizeCapExceeded, SymmetricGame, as_strategy, check_fields, json_field, num_compositions
-from .sampling import action_cdf, actions_from_cdf, sample_actions
+from .games import MAX_ARRAY_ENTRIES, SizeCapExceeded, SymmetricGame, as_strategy, check_fields, json_field, num_compositions
+from .sampling import GUIDE_CHUNK, action_cdf, actions_from_cdf, cdf_guide, guided_actions, sample_actions
 
 
 @dataclass(frozen=True)
@@ -386,18 +386,22 @@ def batch_hedge_vs_fixed(
 ) -> np.ndarray:
     """Final strategies of `runs` independent hedge runs against opponents
     i.i.d. from a fixed meta-strategy.  Fully vectorized: the opponent count
-    vector of every round is drawn from its exact multinomial law, for
-    max(1, CHUNK_ENTRIES // (runs * A)) rounds at a time: the same draws,
-    in the same order, whatever the chunk."""
-    weights = game.count_table().weights(np.asarray(y, dtype=float))
+    vector of every round is drawn from its exact multinomial law.  Rounds
+    stream max(1, GUIDE_CHUNK // runs) at a time: each chunk's uniforms are
+    drawn, looked up on the one guide built for all T * runs draws, their
+    gains gathered and summed at the chunk's rates, so no temporary outgrows
+    a chunk.  The draws are the same, in the same order, whatever the chunk."""
+    cdf = action_cdf(game.count_table().weights(np.asarray(y, dtype=float)))
+    guide = cdf_guide(cdf, T * runs)
     gains = _gains_table(game, normalize=True)
-    eta_t = RateSchedule(eta, "sqrt_decay", game.A).rates(np.arange(1, T + 1))
+    schedule = RateSchedule(eta, "sqrt_decay", game.A)
     log_w = np.zeros((runs, game.A))
-    chunk = max(1, CHUNK_ENTRIES // max(1, runs * game.A))
+    chunk = max(1, GUIDE_CHUNK // runs)
     for start in range(0, T, chunk):
         stop = min(start + chunk, T)
-        idx = sample_actions(rng, weights, (stop - start, runs))
-        log_w += np.einsum("t,tra->ra", eta_t[start:stop], gains.take(idx, axis=0), optimize=True)
+        idx = guided_actions(cdf, guide, rng.random((stop - start, runs)))
+        eta_t = schedule.rates(np.arange(start + 1, stop + 1))
+        log_w += np.einsum("t,tra->ra", eta_t, gains.take(idx, axis=0), optimize=True)
     return softmax_rows(log_w)
 
 

@@ -41,35 +41,52 @@ def sample_actions(rng: np.random.Generator, probs: np.ndarray, size: int | None
 GUIDE_EXTRA_BITS = 6  # guide buckets per CDF entry, as a power of two: 2^6 = 64
 GUIDE_MAX_BITS = 16  # at most 2^16 guide buckets
 GUIDE_MIN_DRAWS = 4  # draws per guide bucket from which the guide is built
-GUIDE_CHUNK = 1 << 16  # draws looked up at a time, which bounds the temporaries
+# draws looked up at a time, which bounds the lookup's temporaries; the
+# batched hedge draws, gathers and reduces its rounds in chunks of this many draws
+GUIDE_CHUNK = 1 << 16
 
 
 def actions_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The action #{a : cdf[a] <= u} of each uniform in u, for one
     action_cdf: a right-sided search, which never returns past the last
-    action because the CDF ends in 1 > u.
+    action because the CDF ends in 1 > u.  The guide is built for u alone."""
+    return guided_actions(cdf, cdf_guide(cdf, u.size), u)
 
-    Many draws go through an indexed search (Chen & Asau 1974): a guide of
-    B = 2^b buckets holds the answer at each bucket edge j/B.  Both u * B
-    and j/B are exact in binary floating point, so a draw in bucket j has
-    its answer between guide[j] and guide[j+1], and only draws in buckets
-    where those differ (a CDF step lies inside) are searched."""
+
+def cdf_guide(cdf: np.ndarray, draws: int) -> np.ndarray | None:
+    """The guide of an indexed search (Chen & Asau 1974) in one action_cdf,
+    built for a stream of `draws` lookups, or None when the stream is too
+    short to repay it (fewer than GUIDE_MIN_DRAWS draws per bucket).
+
+    A guide of B = 2^b buckets holds the answer at each bucket edge j/B.
+    Both u * B and j/B are exact in binary floating point, so a draw in
+    bucket j has its answer between guide[j] and guide[j+1]."""
     bits = min(GUIDE_MAX_BITS, len(cdf).bit_length() + GUIDE_EXTRA_BITS)
-    if u.size < GUIDE_MIN_DRAWS << bits:
-        return cdf.searchsorted(u, side="right")
+    if draws < GUIDE_MIN_DRAWS << bits:
+        return None
     buckets = 1 << bits
     # the edge at 1 counts every entry; clamped, it still bounds the top bucket
-    guide = np.minimum(cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right"), len(cdf) - 1)
+    return np.minimum(cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right"), len(cdf) - 1)
+
+
+def guided_actions(cdf: np.ndarray, guide: np.ndarray | None, u: np.ndarray) -> np.ndarray:
+    """actions_from_cdf on a guide from cdf_guide, however few draws u holds;
+    with no guide, a plain search.  Draws go GUIDE_CHUNK at a time, and only
+    draws in buckets where guide[j] and guide[j+1] differ (a CDF step lies
+    inside) are searched."""
+    if guide is None:
+        return cdf.searchsorted(u, side="right")
+    buckets = len(guide) - 1
     is_open = guide[1:] != guide[:-1]
     actions = np.empty(u.shape, dtype=np.intp)
     flat_u, flat_actions = u.reshape(-1), actions.reshape(-1)
     for start in range(0, flat_u.size, GUIDE_CHUNK):
         chunk = flat_u[start : start + GUIDE_CHUNK]
-        bucket = (chunk * buckets).astype(np.intp)
-        found = guide.take(bucket)
+        found = flat_actions[start : start + GUIDE_CHUNK]
+        bucket = (chunk * buckets).astype(np.intp)  # below buckets, as u < 1
+        guide.take(bucket, out=found, mode="clip")
         open_draws = np.flatnonzero(is_open.take(bucket))
         found[open_draws] = cdf.searchsorted(chunk[open_draws], side="right")
-        flat_actions[start : start + GUIDE_CHUNK] = found
     return actions
 
 

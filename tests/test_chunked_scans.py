@@ -9,6 +9,7 @@ import pytest
 
 from equalshare import analysis, games, learners
 from equalshare.games import CHUNK_ENTRIES, payoff_vector, payoff_vectors_batch
+from equalshare.sampling import GUIDE_CHUNK
 
 # tracemalloc sees numpy's buffers; sdg(200)'s whole (Ny, K) weight matrix is 304 MB
 PEAK_BYTES = 32 * 2**20
@@ -50,29 +51,35 @@ def test_independent_minmax_holds_a_bounded_chunk_of_its_values():
     (games.sdg(30), [0.399, 0.6, 0.001], 20_000),
 ], ids=["mv", "sdg30"])
 def test_batch_hedge_holds_a_bounded_chunk_of_its_gains(game, y, T):
-    # 100 runs: one gather of every round's (T, runs, A) gains would be 320 MB and 48 MB
+    # 100 runs: one gather of every round's (T, runs, A) gains would be 320 MB
+    # and 48 MB; a chunk of GUIDE_CHUNK draws holds a few doubles per draw
+    # (its uniforms, buckets, actions and A <= 3 gains), under 4 MiB in all
     call = lambda: learners.batch_hedge_vs_fixed(game, np.array(y), T, 100, 0.5, np.random.default_rng(0))
     peak = _traced_peak(call)
-    assert peak < 3 * 8 * CHUNK_ENTRIES, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak < 8 * 8 * GUIDE_CHUNK, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_batch_hedge_chunks_draw_what_one_chunk_draws(monkeypatch):
     game, y, T, runs = games.majority3(), np.array([0.49, 0.51]), 20_000, 100
-    sizes = []
-    sample_actions = learners.sample_actions
+    calls = []
+    guided_actions = learners.guided_actions
 
-    def spy(rng, probs, size):
-        sizes.append(size)
-        return sample_actions(rng, probs, size)
+    def spy(cdf, guide, u):
+        calls.append((guide, u.size))
+        return guided_actions(cdf, guide, u)
 
-    monkeypatch.setattr(learners, "sample_actions", spy)
+    monkeypatch.setattr(learners, "guided_actions", spy)
     chunked_rng = np.random.default_rng(4)
     chunked = learners.batch_hedge_vs_fixed(game, y, T, runs, 0.5, chunked_rng)
-    assert len(sizes) > 1 and max(t * r * game.A for t, r in sizes) <= CHUNK_ENTRIES, sizes
-    monkeypatch.setattr(learners, "CHUNK_ENTRIES", T * runs * game.A)
+    sizes = [size for _, size in calls]
+    assert len(sizes) > 1 and max(sizes) <= GUIDE_CHUNK and sum(sizes) == T * runs, sizes
+    # one guide, built for all T * runs draws, serves every chunk
+    assert calls[0][0] is not None and all(guide is calls[0][0] for guide, _ in calls)
+    calls.clear()
+    monkeypatch.setattr(learners, "GUIDE_CHUNK", T * runs)
     whole_rng = np.random.default_rng(4)
     whole = learners.batch_hedge_vs_fixed(game, y, T, runs, 0.5, whole_rng)
-    assert sizes[-1] == (T, runs)
+    assert [size for _, size in calls] == [T * runs]
     assert chunked_rng.random() == whole_rng.random()
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
 

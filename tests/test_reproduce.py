@@ -32,14 +32,15 @@ from equalshare.reproduce import (
     mv_table,
     sdg_table,
 )
-from equalshare.sampling import role_rngs
+from equalshare.sampling import GUIDE_CHUNK, role_rngs
 
 MV = eq.majority3()
 Y_MV = np.array([0.49, 0.51])
 
 
-def test_batch_hedge_matches_manual_replay():
-    T, eta = 500, 1.0
+@pytest.mark.parametrize("T", [500, 2 * GUIDE_CHUNK + 17], ids=["one-chunk", "three-chunks"])
+def test_batch_hedge_matches_manual_replay(T):
+    eta = 1.0
     rng = np.random.default_rng(100)
     finals = batch_hedge_vs_fixed(MV, Y_MV, T, 1, eta, rng)
 

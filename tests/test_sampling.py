@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from equalshare import sampling
-from equalshare.sampling import ROLES, action_cdf, actions_from_cdf, role_rngs, sample_actions
+from equalshare.sampling import ROLES, action_cdf, actions_from_cdf, cdf_guide, guided_actions, role_rngs, sample_actions
 
 
 def _reference(cdf, u):
@@ -67,6 +67,20 @@ def test_indexed_search_equals_the_clamped_searchsorted(name, side):
     # the same draws as a (rounds, runs) block
     block = u[: size - size % 5].reshape(-1, 5)
     assert np.array_equal(actions_from_cdf(cdf, block), _reference(cdf, block))
+
+
+@pytest.mark.parametrize("name", ["dirichlet", "edge-steps-many"])
+def test_one_guide_serves_a_stream_in_chunks_below_its_threshold(name):
+    # the guide is built once for the stream's total draws; each chunk holds
+    # fewer draws than would build a guide of its own, and still uses it
+    cdf = action_cdf(STRATEGIES[name])
+    total, chunk = 3 * _guided(len(cdf)) + 5, _guided(len(cdf)) // 7
+    u = _hard_uniforms(len(cdf), total)
+    guide = cdf_guide(cdf, total)
+    assert guide is not None and cdf_guide(cdf, chunk) is None
+    got = np.concatenate([guided_actions(cdf, guide, u[start : start + chunk]) for start in range(0, total, chunk)])
+    assert got.dtype == _reference(cdf, u).dtype
+    assert np.array_equal(got, _reference(cdf, u))
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))

@@ -16,7 +16,8 @@ rescan at 10x resolution around its first minimum, each scored a row chunk
 at a time.  That grid is refused (SizeCapExceeded) before it is built when
 its points x A entries exceed MAX_ARRAY_ENTRIES.  Both maxmin quantities
 run one search, `_maxmin`.  Every oracle reads its payoffs from
-payoff_matrix(), by count.
+payoff_matrix(), by count, and Monte Carlo draws each game's count row from
+its multinomial law, as the batched hedge trainer draws its rounds'.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (
-    CHUNK_ENTRIES,
     MAX_ARRAY_ENTRIES,
     SizeCapExceeded,
     SymmetricGame,
@@ -40,7 +40,7 @@ from .games import (
     row_chunks,
 )
 from .learners import train_roster
-from .sampling import action_cdf, sample_actions
+from .sampling import sample_actions
 
 
 def default_resolution(num_actions: int) -> int:
@@ -443,38 +443,29 @@ def pooling_check(game: SymmetricGame, population, z) -> PoolingReport:
 # Monte Carlo utility estimation.
 # ---------------------------------------------------------------------------
 
-def _count_rows(flags: np.ndarray) -> np.ndarray:
-    """The True entries of each row of a 2-D bool array.  Rows shorter than
-    256 are summed as bytes, which is exact and faster than a bool sum."""
-    if flags.shape[1] < 256:
-        return np.einsum("ij->i", flags.view(np.uint8))
-    return np.count_nonzero(flags, axis=1)
-
-
 def monte_carlo_utility(
     game: SymmetricGame, x, y, num_games: int, rng: np.random.Generator | int = 0
 ) -> tuple[float, float]:
     """Sample-mean payoff of x against opponents i.i.d. from y, with the
-    standard error of the mean.  The opponents' uniforms are drawn for
-    max(1, CHUNK_ENTRIES // (n - 1)) games at a time: the same doubles as
-    one (num_games, n-1) draw."""
+    standard error of the mean.  Each game draws the learner's action from x,
+    then the opponents' count row from its Multinomial(n-1, y) law,
+    count_table().weights(y): the law payoff_vector sums over, one uniform
+    per game.  More than MAX_ARRAY_ENTRIES games are refused
+    (SizeCapExceeded) before any draw."""
     if num_games < 1:
         raise ValueError("need at least one game")
+    if num_games > MAX_ARRAY_ENTRIES:
+        raise SizeCapExceeded(f"{num_games} Monte Carlo games exceed the cap of {MAX_ARRAY_ENTRIES}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     xv = as_strategy(x, game.A)
     yv = as_strategy(y, game.A)
-    a1 = sample_actions(rng, xv, num_games)
-    cdf, mat, table = action_cdf(yv), game.payoff_matrix(), game.count_table()
-    K = mat.shape[1]
-    chunk = max(1, CHUNK_ENTRIES // (game.n - 1))
-    payoffs = np.empty(num_games)
-    for start in range(0, num_games, chunk):
-        stop = min(start + chunk, num_games)
-        u = rng.random((stop - start, game.n - 1))
-        # opponents playing an action <= a, for a < A-1, counted without an action array
-        rows = table.rows_at_most(_count_rows(u < cdf[a]) for a in range(game.A - 1))
-        payoffs[start:stop] = mat.take(a1[start:stop] * K + rows)
+    table = game.count_table()
+    # each game's flat index a1 * K + row into payoff_matrix(), built in place
+    cells = sample_actions(rng, xv, num_games)
+    cells *= len(table.counts)
+    cells += sample_actions(rng, table.weights(yv), num_games)
+    payoffs = game.payoff_matrix().take(cells)
     mean = float(payoffs.mean())
     se = float(payoffs.std(ddof=1) / math.sqrt(num_games)) if num_games > 1 else float("inf")
     return mean, se

@@ -27,6 +27,8 @@ import numpy as np
 
 from .games import (
     CHUNK_ENTRIES,
+    MAX_ARRAY_ENTRIES,
+    SizeCapExceeded,
     SymmetricGame,
     as_strategy,
     check_fields,
@@ -222,9 +224,14 @@ def run_matches(
     deterministic given its learner, schedule and seed alone.  With a SAOL
     learner the matches go in batches of at most CHUNK_ENTRIES // (T * A),
     otherwise one at a time, so a caller that keeps only each transcript's
-    metrics holds one batch at a time, however many matches."""
+    metrics holds one batch at a time, however many matches.  A match
+    whose (T, max(A, n-1)) draws exceed MAX_ARRAY_ENTRIES is refused
+    (SizeCapExceeded) before any is drawn."""
     if not learners:
         raise ValueError("run_matches needs at least one learner")
+    if T * max(game.A, game.n - 1) > MAX_ARRAY_ENTRIES:
+        raise SizeCapExceeded(f"a match of {T} rounds x {max(game.A, game.n - 1)} draws exceeds the cap of "
+                              f"{MAX_ARRAY_ENTRIES} entries")
     matches = list(matches)
     size = max(1, CHUNK_ENTRIES // max(1, T * game.A)) if any(spec.kind == "saol" for spec in learners) else 1
     for first in range(0, len(matches), size):

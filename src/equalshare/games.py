@@ -41,7 +41,8 @@ class SizeCapExceeded(RuntimeError):
 
 # The most entries a dense array may have: the count index, a composition
 # enumeration, the exploiter's gain table, pooling_check's levels, the joint
-# actions CE and CCE check (A^n) and the grid oracles' (Ny, A) simplex grid.
+# actions CE and CCE check (A^n), the grid oracles' (Ny, A) simplex grid, a
+# match's (T, max(A, n-1)) draws and Monte Carlo's per-game arrays.
 MAX_ARRAY_ENTRIES = 2**25
 
 # The most full action profiles (count vectors of all n players) validate enumerates.
@@ -50,10 +51,10 @@ MAX_PROFILES = 250_000
 # The most entries (8 MB of float64) one batched temporary may hold.  Grid
 # scans take their rows in row_chunks: payoff_vectors_batch's (Ny, K)
 # weights, the maxmin scans' (Nx, K) or (Nx, Ny) payoffs and independent
-# minmax's (A, Ny2, Ny3) values; monte_carlo_utility draws its (games, n-1)
-# uniforms a chunk at a time, and run_matches plays SAOL on (R, T, A)
+# minmax's (A, Ny2, Ny3) values; run_matches plays SAOL on (R, T, A)
 # batches of matches.  batch_hedge_vs_fixed streams in the smaller chunks
-# of sampling.GUIDE_CHUNK draws.
+# of sampling.GUIDE_CHUNK draws, and monte_carlo_utility holds a few arrays
+# of one entry per game, refused past MAX_ARRAY_ENTRIES games.
 CHUNK_ENTRIES = 2**20
 
 
@@ -161,13 +162,6 @@ class CountTable:
     def rows(self, counts: np.ndarray) -> np.ndarray:
         """Row numbers of count vectors of this table's total: (..., A) -> (...)."""
         return self._index[counts @ self._radix]
-
-    def rows_at_most(self, at_most) -> np.ndarray:
-        """rows() of N count vectors given by their running sums, so no
-        (N, A) count array is built: at_most[a], for a < A-1, is the (N,)
-        array of counts[:, :a + 1].sum(axis=1)."""
-        step = self._radix[:-1] - self._radix[1:]  # the last running sum is the total, keyed 0
-        return self._index[sum(c * s for c, s in zip(at_most, step))]
 
     def joint_rows(self) -> np.ndarray:
         """Row number of each of the A^total joint actions of `total`

@@ -390,8 +390,9 @@ def batch_hedge_vs_fixed(
     stream max(1, GUIDE_CHUNK // runs) at a time: each chunk's uniforms are
     drawn, looked up on the one guide built for all T * runs draws, their
     gains gathered and summed at the chunk's rates, so no temporary outgrows
-    a chunk.  The draws are the same, in the same order, whatever the chunk."""
-    cdf = action_cdf(game.count_table().weights(np.asarray(y, dtype=float)))
+    a chunk.  The draws are the same, in the same order, whatever the chunk.
+    y is checked (as_strategy) before any draw."""
+    cdf = action_cdf(game.count_table().weights(as_strategy(y, game.A)))
     guide = cdf_guide(cdf, T * runs)
     gains = _gains_table(game, normalize=True)
     schedule = RateSchedule(eta, "sqrt_decay", game.A)

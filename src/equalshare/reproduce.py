@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import certified_exploitability, exploiter_protocol, monte_carlo_utility
 from .arena import BiasedCoinSchedule, PureSwapSchedule, compute_metrics, run_matches
-from .games import SymmetricGame, payoff_vector
+from .games import SymmetricGame, as_strategy, payoff_vector
 # batch_exploiter and batch_self_play are not called here; callers of reproduce.batch_* still import them from here.
 from .learners import LearnerSpec, batch_exploiter, batch_hedge_vs_fixed, batch_self_play, self_play_roster
 
@@ -167,13 +167,13 @@ def run_table_experiment(
     generators seeded by the table seed and the action alone: rows with the
     same worst limit share its numbers, and the exploiters of all distinct
     limits train in one exploiter_protocol call.  Sizes below 1 are refused
-    before anything trains.
+    before anything trains, as is a y_meta that is not a strategy.
     """
     sizes = {"runs": runs, "eval_games": eval_games, "exploit_runs": exploit_runs, "exploit_steps": exploit_steps}
     for size, value in sizes.items():
         if value < 1:
             raise ValueError(f"{size} must be at least 1, got {value}")
-    y_meta = np.asarray(y_meta, dtype=float)
+    y_meta = as_strategy(y_meta, game.A)
     # each label's training generator: child 0 of its seed sequence
     train = {label: np.random.default_rng(np.random.SeedSequence((seed, zlib.crc32(label.encode()))).spawn(1)[0])
              for label, _ in roster()}

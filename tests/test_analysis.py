@@ -33,7 +33,7 @@ from equalshare.games import (
     realized_payoff_vector,
     validate,
 )
-from equalshare.sampling import counts_from_actions, sample_actions
+from equalshare.sampling import action_cdf, counts_from_actions, sample_actions
 
 from test_games import _zero_sum_table, dense_utilities  # dense_utilities: the dense reference, one payoff call per entry
 
@@ -746,12 +746,14 @@ def test_monte_carlo_unbiased_across_seeds():
     assert abs(np.mean(means) - exact) <= 3 * pooled_se
 
 
-def _monte_carlo_from_actions(game, x, y, num_games, rng):
-    """monte_carlo_utility through the full (num_games, n-1) opponent action
-    array: the reference for the counts read from CDF comparisons."""
-    a1 = sample_actions(rng, np.asarray(x, dtype=float), num_games)
-    opp = sample_actions(rng, np.asarray(y, dtype=float), (num_games, game.n - 1))
-    payoffs = game.payoff_matrix()[a1, game.count_table().rows(counts_from_actions(opp, game.A))]
+def _monte_carlo_replay(game, x, y, num_games, rng):
+    """monte_carlo_utility replayed in numpy: num_games uniforms for the
+    learner's actions, then num_games for the opponents' count rows, each
+    looked up by a right-sided search of its action_cdf."""
+    a1 = action_cdf(np.asarray(x, dtype=float)).searchsorted(rng.random(num_games), side="right")
+    law = game.count_table().weights(np.asarray(y, dtype=float))
+    rows = action_cdf(law).searchsorted(rng.random(num_games), side="right")
+    payoffs = game.payoff_matrix()[a1, rows]
     se = float(payoffs.std(ddof=1) / np.sqrt(num_games)) if num_games > 1 else float("inf")
     return float(payoffs.mean()), se
 
@@ -760,38 +762,51 @@ def _monte_carlo_from_actions(game, x, y, num_games, rng):
     (MV, [0.3, 0.7], [0.49, 0.51]),
     (SDG30, [0, 0, 1], [0.399, 0.6, 0.001]),
     (SDG30, [0.2, 0.3, 0.5], [0.4, 0.0, 0.6]),  # an action no opponent plays
-    (SDG30, [0, 1, 0], [0.3, 0.3, 0.4 - 5e-10]),  # the clamp lets the last action play
+    (SDG30, [0, 1, 0], [0.3, 0.3, 0.4 - 5e-10]),  # short of 1: the clamp gives the shortfall to the last count row
 ], ids=["mv", "sdg-pure-x", "sdg-zero-y", "sdg-short-y"])
 @pytest.mark.parametrize("num_games", [1, 2, 350])
-def test_monte_carlo_counts_equal_the_action_array_form(game, x, y, num_games, monkeypatch):
-    # a bound of 100 games' uniforms per chunk: 350 games span four chunks, the last one partial
-    monkeypatch.setattr(analysis, "CHUNK_ENTRIES", 100 * (game.n - 1) + game.n - 2)
-    chunks = []
-    rows_at_most = games.CountTable.rows_at_most
-
-    def spy(table, at_most):
-        rows = rows_at_most(table, at_most)
-        chunks.append(len(rows))
-        return rows
-
-    monkeypatch.setattr(games.CountTable, "rows_at_most", spy)
+def test_monte_carlo_equals_its_replay(game, x, y, num_games):
     for seed in (0, 5):
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert monte_carlo_utility(game, x, y, num_games, got_rng) == _monte_carlo_from_actions(game, x, y, num_games, ref_rng)
+        assert monte_carlo_utility(game, x, y, num_games, got_rng) == _monte_carlo_replay(game, x, y, num_games, ref_rng)
         assert got_rng.random() == ref_rng.random()
-    assert chunks == 2 * ([100, 100, 100, 50] if num_games == 350 else [num_games])
 
 
-@pytest.mark.parametrize("n, y", [(256, [1.0, 0.0]), (257, [1.0, 0.0]), (300, [0.4, 0.6])],
-                         ids=["255-all-first", "256-all-first", "299-mixed"])
-def test_monte_carlo_counts_of_many_opponents_equal_the_action_array_form(n, y):
-    # 255 opponents still fit a byte count; from 256 on the counts are summed wider
-    game = eq.extended_majority(n, 2)
-    for num_games in (1, 1000):
-        got_rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
-        got = monte_carlo_utility(game, [0.5, 0.5], y, num_games, got_rng)
-        assert got == _monte_carlo_from_actions(game, [0.5, 0.5], y, num_games, ref_rng)
-        assert got_rng.random() == ref_rng.random()
+@pytest.mark.parametrize("game, y", [
+    (SDG30, [0.4, 0.0, 0.6]),
+    (SDG30, [0.3, 0.3, 0.4 - 5e-10]),
+    (eq.extended_majority(300, 2), [0.4, 0.6]),
+], ids=["sdg-zero-y", "sdg-short-y", "299-mixed"])
+def test_monte_carlo_count_rows_follow_the_multinomial_law(game, y, monkeypatch):
+    # the count rows Monte Carlo reads against those of n-1 opponents
+    # counted by rng.multinomial, row by row
+    draws = []
+
+    def spy(rng, probs, size=None):
+        actions = sample_actions(rng, probs, size)
+        draws.append(actions.copy())
+        return actions
+
+    monkeypatch.setattr(analysis, "sample_actions", spy)
+    num_games, table = 200_000, game.count_table()
+    monte_carlo_utility(game, np.eye(game.A)[0], y, num_games, 3)
+    _, rows = draws
+    got = np.bincount(rows, minlength=len(table.counts)) / num_games
+    counts = np.random.default_rng(4).multinomial(game.n - 1, y, size=num_games)
+    want = np.bincount(table.rows(counts), minlength=len(table.counts)) / num_games
+    pooled = (got + want) / 2
+    se = np.sqrt(2 * pooled * (1 - pooled) / num_games)
+    assert np.all(np.abs(got - want) <= 5 * se), np.abs(got - want).max()
+    assert not table.counts[rows][:, np.asarray(y) == 0].any()
+
+
+def test_monte_carlo_refuses_more_games_than_the_cap_before_any_draw(monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_ARRAY_ENTRIES", 100)
+    rng = np.random.default_rng(1)
+    with pytest.raises(SizeCapExceeded):
+        monte_carlo_utility(MV, [0, 1], [0.49, 0.51], 101, rng)
+    assert rng.random() == np.random.default_rng(1).random()
+    monte_carlo_utility(MV, [0, 1], [0.49, 0.51], 100, rng)  # at the cap
 
 
 def test_monte_carlo_input_validation():

@@ -16,7 +16,7 @@ from equalshare.arena import (
     run_matches,
     schedule_from_json,
 )
-from equalshare.games import realized_payoff_vector
+from equalshare.games import SizeCapExceeded, realized_payoff_vector
 from equalshare.learners import (
     CloneState,
     HedgeState,
@@ -241,6 +241,25 @@ def test_run_matches_refuses_no_learners_before_any_draw(monkeypatch):
     assert draws == []
     list(run_matches(g, [LearnerSpec("clone")], matches, T))
     assert draws == [0, 1, 2]  # the spy sees the draws of a match that is played
+
+
+@pytest.mark.parametrize("n, A", [(5, 2), (3, 4)], ids=["opponents-widest", "actions-widest"])
+def test_run_matches_refuses_a_match_past_the_size_cap_before_any_draw(n, A, monkeypatch):
+    # a match holds (T, A) strategies and (T, n-1) opponent draws
+    from equalshare import arena
+
+    draws = []
+    draw_match = arena._draw_match
+    monkeypatch.setattr(arena, "_draw_match", lambda *args: draws.append(args[-1]) or draw_match(*args))
+    g, T = eq.extended_majority(n, A), 64
+    matches = [(FixedSchedule(tuple(np.full(A, 1.0 / A))), seed) for seed in range(2)]
+    monkeypatch.setattr(arena, "MAX_ARRAY_ENTRIES", T * max(A, n - 1) - 1)
+    with pytest.raises(SizeCapExceeded, match=f"{T} rounds"):
+        next(run_matches(g, [LearnerSpec("hedge")], matches, T))
+    assert draws == []
+    monkeypatch.setattr(arena, "MAX_ARRAY_ENTRIES", T * max(A, n - 1))
+    next(run_matches(g, [LearnerSpec("hedge")], matches, T))
+    assert draws == [0]
 
 
 def test_run_matches_plays_saol_in_batches_bounded_by_the_entry_budget(monkeypatch):

@@ -1,6 +1,7 @@
 """Grid scans hold a bounded chunk of rows, not the whole (Ny, K) matrix,
-the batched hedge trainer and Monte Carlo a bounded chunk of draws, and the
-correlated-equilibrium checks less than their joint."""
+the batched hedge trainer a bounded chunk of draws, Monte Carlo a few
+doubles per game, and the correlated-equilibrium checks less than their
+joint."""
 
 import tracemalloc
 
@@ -84,11 +85,15 @@ def test_batch_hedge_chunks_draw_what_one_chunk_draws(monkeypatch):
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
 
 
-def test_monte_carlo_holds_a_bounded_chunk_of_its_uniforms():
-    # sdg(200): one draw of 100,000 games' 199 opponents is 152 MB of uniforms
-    game = games.sdg(200)
-    peak = _traced_peak(lambda: analysis.monte_carlo_utility(game, [0, 1, 0], [0.399, 0.6, 0.001], 100_000, 0))
-    assert peak < 3 * 8 * CHUNK_ENTRIES, f"traced peak {peak / 2**20:.1f} MB"
+def test_monte_carlo_holds_a_few_doubles_per_game():
+    # sdg(200): one uniform per opponent would be 199 doubles a game, 152 MB
+    # at 100,000 games; one count row per game holds a few arrays of one
+    # entry per game (actions, uniforms, cells, payoffs); the game's tables
+    # are built before the trace
+    game, num_games = games.sdg(200), 100_000
+    game.payoff_matrix()
+    peak = _traced_peak(lambda: analysis.monte_carlo_utility(game, [0, 1, 0], [0.399, 0.6, 0.001], num_games, 0))
+    assert peak < 5 * 8 * num_games, f"traced peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("concept", ["ce", "cce"])

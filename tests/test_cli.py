@@ -541,6 +541,20 @@ def test_simulate_that_fails_before_its_first_transcript_leaves_no_directory(lea
     assert not (tmp_path / "sim").exists()
 
 
+def test_simulate_past_the_size_cap_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # majority3 draws (T, 2) opponents per match: 300 rounds are 600 entries
+    from equalshare import arena
+
+    monkeypatch.setattr(arena, "MAX_ARRAY_ENTRIES", 599)
+    cfg = {"game": {"name": "majority3"}, "learner": {"kind": "hedge"}, "schedule": {"kind": "fixed", "y": [0.5, 0.5]},
+           "T": 300, "seeds": [0], "out": str(tmp_path / "sim")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("simulate", "--config", str(path)) == EXIT_SIZE_CAP
+    assert not (tmp_path / "sim").exists()
+    assert "exceeds the cap of 599" in capsys.readouterr().err
+
+
 def test_analyze_size_cap_exit(capsys):
     rc = run_cli("analyze", "minimax", "--game", "sdg", "--n", "30", "--which", "maxmin-independent")
     assert rc == EXIT_SIZE_CAP

@@ -237,6 +237,35 @@ def test_a_table_with_a_size_below_its_floor_is_refused_before_training(size, va
         mv_table(seed=0, hedge_horizon=10, sp_horizon=10, **sizes)
 
 
+BAD_META = {"long-sum": [0.6, 0.6], "nan": [float("nan"), 1.0], "three-entries": [0.2, 0.3, 0.5]}
+
+
+@pytest.mark.parametrize("y", BAD_META.values(), ids=BAD_META.keys())
+def test_a_bad_hedge_meta_strategy_is_refused_before_any_draw(y):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        batch_hedge_vs_fixed(MV, np.array(y), 10, 2, 1.0, rng)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+@pytest.mark.parametrize("y_meta", BAD_META.values(), ids=BAD_META.keys())
+def test_a_table_with_a_bad_meta_strategy_is_refused_before_training(y_meta, monkeypatch):
+    from equalshare import reproduce
+
+    calls = []
+
+    def trained(*args):
+        calls.append(args)
+        raise AssertionError("a trainer ran")
+
+    monkeypatch.setattr(reproduce, "self_play_roster", trained)
+    monkeypatch.setattr(reproduce, "batch_hedge_vs_fixed", trained)
+    with pytest.raises(ValueError):
+        reproduce.run_table_experiment(MV, np.array(y_meta), 1.0, 2, 0, 10, 10, "bad", eval_games=10,
+                                       exploit_runs=2, exploit_steps=2)
+    assert calls == []
+
+
 def test_a_table_trains_each_kind_of_row_in_one_call(monkeypatch):
     # the self-play rows train in one roster call and the exploiters in one
     # more, one exploiter row per distinct worst limit; the certified

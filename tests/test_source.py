@@ -73,6 +73,21 @@ def test_array_split_is_called_only_by_row_chunks():
     assert callers == ["games.py:row_chunks"]
 
 
+def test_chunk_entries_is_read_only_by_row_chunks_and_run_matches():
+    # row_chunks bounds every grid scan's chunks and run_matches its SAOL
+    # batches; a trainer or estimator that read the bound itself would be a
+    # second chunk loop to keep in step
+    readers = [
+        f"{path.name}:{getattr(top, 'name', top.lineno)}"
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == "CHUNK_ENTRIES"
+        or isinstance(node, ast.Attribute) and node.attr == "CHUNK_ENTRIES"
+    ]
+    assert readers == ["arena.py:run_matches", "games.py:row_chunks"]
+
+
 def test_run_matches_is_called_only_by_the_sweep_run_match_and_simulate():
     # lowerbound_sweep plays every horizon x schedule x learner experiment;
     # another caller would be a second loop over matches to keep in step
